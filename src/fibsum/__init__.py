@@ -10,10 +10,10 @@ from .construct import (BandPartition, GMatrix, WMatrix, band_partition,
 from .fibonacci import (Lemma1Report, SignedFibRepresentation, check_corollary3,
                         check_corollary4, check_lemma1, fib,
                         restricted_representation, signed_representation)
-from .linalg import (SingularMatrixError, Triangular01, determinant_exact,
-                     entry_sum, identity, invert_general_exact,
-                     invert_unit_triangular, inverse_sum_via_determinant,
-                     row_sum_vector, transpose)
+from .linalg import (InvariantError, SingularMatrixError, Triangular01,
+                     adjugate_exact, determinant_exact, entry_sum, identity,
+                     invert_general_exact, invert_unit_triangular,
+                     inverse_sum_via_determinant, row_sum_vector, transpose)
 from .matrixio import MatrixFormatError, format_matrix, parse_matrix
 from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                      SearchConfig, SearchExhaustedError, SearchResult,
@@ -31,9 +31,10 @@ __all__ = [
     "Lemma1Report", "SignedFibRepresentation", "check_corollary3",
     "check_corollary4", "check_lemma1", "fib", "restricted_representation",
     "signed_representation",
-    "SingularMatrixError", "Triangular01", "determinant_exact", "entry_sum",
-    "identity", "invert_general_exact", "invert_unit_triangular",
-    "inverse_sum_via_determinant", "row_sum_vector", "transpose",
+    "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
+    "determinant_exact", "entry_sum", "identity", "invert_general_exact",
+    "invert_unit_triangular", "inverse_sum_via_determinant", "row_sum_vector",
+    "transpose",
     "MatrixFormatError", "format_matrix", "parse_matrix",
     "KNOWN_GENERAL_MAX_7X7", "KNOWN_GENERAL_MIN_7X7", "SearchConfig",
     "SearchExhaustedError", "SearchResult", "SumDistribution",

@@ -244,24 +244,34 @@ def _suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     return checks
 
 
-_SUITES = ("theorem", "corollaries", "pattern", "remark", "gsampling", "all")
+# Smallest --n at which every check of a suite covers a non-empty range:
+# corollary 4 starts at n = 6, the banded pattern at n = 5.
+_SUITE_MIN_N = {"theorem": 3, "corollaries": 6, "pattern": 5, "remark": 3,
+                "gsampling": 3}
+_SUITE_MIN_N["all"] = max(_SUITE_MIN_N.values())
+_SUITES = tuple(_SUITE_MIN_N)
 
 
 def _run_suite(args) -> VerificationReport:
     checks = []
     name = args.suite
+    if args.n is not None and args.n < _SUITE_MIN_N[name]:
+        raise ValueError(f"--suite {name} needs --n >= {_SUITE_MIN_N[name]}, "
+                         f"got {args.n}: a smaller n leaves a check with nothing to check")
+
+    def size(default: int) -> int:
+        return default if args.n is None else args.n
+
     if name in ("theorem", "all"):
-        checks.extend(_suite_theorem(args.n if args.n else 7))
+        checks.extend(_suite_theorem(size(7)))
     if name in ("corollaries", "all"):
-        checks.extend(_suite_corollaries(args.n if args.n else 90))
+        checks.extend(_suite_corollaries(size(90)))
     if name in ("pattern", "all"):
-        checks.extend(_suite_pattern(args.n if args.n else 20))
+        checks.extend(_suite_pattern(size(20)))
     if name in ("remark", "all"):
-        checks.extend(_suite_remark(args.n if args.n else 10,
-                                    args.count, args.seed))
+        checks.extend(_suite_remark(size(10), args.count, args.seed))
     if name in ("gsampling", "all"):
-        checks.extend(_suite_gsampling(args.n if args.n else 8,
-                                       args.samples, args.bound, args.seed))
+        checks.extend(_suite_gsampling(size(8), args.samples, args.bound, args.seed))
     return VerificationReport(name, checks)
 
 
@@ -279,6 +289,9 @@ def cmd_fib(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.max_n < _SUITE_MIN_N["corollaries"]:
+        raise ValueError(f"--max-n must be >= {_SUITE_MIN_N['corollaries']}, "
+                         f"got {args.max_n}: corollary 4 starts at n = 6")
     report = check_lemma1(args.max_n)
     bad3 = [n for n in range(5, args.max_n + 1) if not check_corollary3(n)]
     bad4 = [n for n in range(6, args.max_n + 1) if not check_corollary4(n)]
@@ -490,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers (default: available cores)")
+                   help="parallel workers, at most the available cores "
+                        "(default: all of them)")
     p.add_argument("--no-witnesses", action="store_true",
                    help="omit witness matrices from the report")
     p.set_defaults(func=cmd_enumerate)

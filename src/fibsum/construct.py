@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fibonacci import fib, signed_representation
-from .linalg import Matrix, Triangular01, identity, transpose
+from .linalg import InvariantError, Matrix, Triangular01, identity, transpose
 
 # ---------------------------------------------------------------------------
 # Dominant-vector matrices
@@ -46,7 +46,9 @@ def _dominant_rows(n: int) -> Matrix:
     else:
         alpha = [1 if (i == 1 or i % 2 == 0) else 0 for i in range(1, m + 1)]
         beta = [alpha[i] - (1 if c[i] > 0 else -1) for i in range(m)]
-    assert all(b in (0, 1) for b in beta)
+    if any(b not in (0, 1) for b in beta):
+        raise InvariantError(
+            f"dominant matrix n={n}: last column entries {beta} are not 0/1")
     rows = [[0] * n for _ in range(n)]
     for i in range(m):
         rows[i][:m] = core[i]
@@ -118,7 +120,9 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
         check += (1 - a - b) * c[i]
     rows[n - 2][n - 2] = 1  # x = 0: cell (n-2, n-1) stays 0
     rows[n - 1][n - 1] = 1
-    assert check == target_sum
+    if check != target_sum:
+        raise InvariantError(
+            f"construct_with_sum(n={n}): column pairs give sum {check}, not {target_sum}")
     return Triangular01.from_rows(rows)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from .linalg import InvariantError
+
 _cache = [0, 1, 1]  # _cache[k] = F_k for k >= 1; slot 0 is a placeholder
 _cache_lock = threading.Lock()
 
@@ -94,7 +96,9 @@ def restricted_representation(target: int, max_fib_index: int) -> list:
         if fk <= remaining:
             indices.append(k)
             remaining -= fk
-    assert remaining == 0
+    if remaining != 0:
+        raise InvariantError(
+            f"greedy Fibonacci representation of {target} left {remaining}")
     return indices
 
 
@@ -150,7 +154,8 @@ def signed_representation(target: int, n: int) -> SignedFibRepresentation:
             for k in restricted_representation(magnitude, n - 3):
                 coeffs[k] = sign  # index k maps to coefficient position k+1
     rep = SignedFibRepresentation(n, tuple(coeffs))
-    assert rep.value == target
+    if rep.value != target:
+        raise InvariantError(f"signed representation of {target} has value {rep.value}")
     return rep
 
 

@@ -22,6 +22,11 @@ class SingularMatrixError(ValueError):
     """Raised when an operation requires an invertible matrix and det = 0."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the exact arithmetic failed: a bug, not bad
+    input.  Raised explicitly so that ``python -O`` cannot strip the check."""
+
+
 def _dimension(rows: Sequence[Sequence[Scalar]]) -> int:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -206,6 +211,42 @@ def determinant_exact(rows: Sequence[Sequence[int]]) -> int:
                 mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
+    """Exact ``(det, adj)`` of an invertible integer matrix: adj = det A^{-1}.
+
+    Fraction-free Gauss-Jordan on [A | I]: every entry stays an integer
+    minor of the augmented matrix, so every division is exact.  Row swaps
+    act on both halves, and when elimination ends the left half is p I and
+    the right half is p A^{-1}, with p = +/-det.  Raises
+    :class:`SingularMatrixError` when some column has no pivot (det = 0).
+    """
+    n = _dimension(rows)
+    _require_int_entries(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise SingularMatrixError("matrix is singular, adjugate not formed")
+        pivot = m[k][k]
+        mk = m[k]
+        for i in range(n):
+            if i == k:
+                continue
+            mi = m[i]
+            mik = mi[k]
+            for j in range(2 * n):
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in r[n:]] for r in m]
 
 
 def invert_general_exact(rows: Sequence[Sequence[Scalar]]) -> Matrix:

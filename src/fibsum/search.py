@@ -22,6 +22,7 @@ selection independent of the scan order and of the parallel split.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +32,9 @@ import numpy as np
 
 from .construct import construct_with_sum
 from .fibonacci import fib
-from .linalg import (Triangular01, determinant_exact, entry_sum,
-                     invert_unit_triangular, inverse_sum_via_determinant)
+from .linalg import (InvariantError, Triangular01, adjugate_exact,
+                     determinant_exact, entry_sum, invert_unit_triangular,
+                     inverse_sum_via_determinant)
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
 # fall outside the triangular range [-6, 10].
@@ -161,8 +163,15 @@ def _split_ranges(total: int, parts: int) -> list:
     return ranges
 
 
+def _worker_count(jobs: int) -> int:
+    """Worker processes for a scan: ``jobs``, clamped to the machine's cores."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _run_parallel(worker, n: int, total: int, jobs: int) -> SumDistribution:
-    ranges = _split_ranges(total, jobs)
+    ranges = _split_ranges(total, _worker_count(jobs))
     if len(ranges) == 1:
         return worker((n, 0, total))
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
@@ -501,6 +510,66 @@ def _objective(rows) -> Fraction | None:
     return Fraction(determinant_exact(shifted) - d, d)
 
 
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"rank-one update: {num} / {den} leaves remainder {rem}")
+    return q
+
+
+class RankOneState:
+    """An invertible integer matrix A with its exact determinant D and
+    integer adjugate, for scoring and applying single-entry changes.
+
+    With T = 1^T adj 1, R_i the column sums and C_j the row sums of the
+    adjugate, the inverse entry sum is T / D.  Adding d to a_ij is a
+    rank-one change (Sherman-Morrison), which gives the neighbour in O(1):
+
+        D' = D + d adj_ji,    T' = (T D' - d R_i C_j) / D,
+
+    and D' = 0 exactly when the neighbour is singular.  Applying the change
+    updates adj' = (D' adj - d (adj e_i)(e_j^T adj)) / D in O(n^2).  Every
+    division is exact; a remainder raises :class:`InvariantError`.
+    """
+
+    __slots__ = ("rows", "det", "adj", "total", "col_sums", "row_sums")
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.det, self.adj = adjugate_exact(rows)
+        self._sum_adjugate()
+
+    def _sum_adjugate(self) -> None:
+        self.col_sums = [sum(col) for col in zip(*self.adj)]
+        self.row_sums = [sum(row) for row in self.adj]
+        self.total = sum(self.row_sums)
+
+    def inverse_sum(self) -> Fraction:
+        return Fraction(self.total, self.det)
+
+    def neighbour(self, i: int, j: int, d: int) -> tuple:
+        """(D', T') of the matrix with d added to a_ij; D' = 0 if singular."""
+        det2 = self.det + d * self.adj[j][i]
+        if det2 == 0:
+            return 0, 0
+        return det2, _exact_div(
+            self.total * det2 - d * self.col_sums[i] * self.row_sums[j], self.det)
+
+    def apply(self, i: int, j: int, d: int, det2: int, total2: int) -> None:
+        """Add d to a_ij, given (det2, total2) from :meth:`neighbour`."""
+        det = self.det
+        adj_row = self.adj[j]
+        self.adj = [[_exact_div(det2 * x - d * row[i] * y, det)
+                     for x, y in zip(row, adj_row)] for row in self.adj]
+        self.rows[i][j] += d
+        self.det = det2
+        self._sum_adjugate()
+        if self.total != total2:
+            raise InvariantError(
+                f"rank-one update: adjugate sums to {self.total}, "
+                f"the neighbour score gave {total2}")
+
+
 def hill_climb_general(config: SearchConfig) -> SearchResult:
     """Random-restart single-bit-flip hill climbing over n x n (0,1) matrices.
 
@@ -509,6 +578,10 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     that strictly improves the exact inverse entry sum.  Singular neighbors
     are always rejected.  Deterministic for a given config; the reported sum
     is re-verified by exact arithmetic before returning.
+
+    Flips are scored by :class:`RankOneState` in O(1) exact integer
+    arithmetic, with no determinant; each start matrix is cross-checked
+    against the two-determinant objective.
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1
@@ -527,23 +600,30 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
                 break
         if rows is None:
             continue
-        current = _objective(rows)
+        start = _objective(rows)
+        state = RankOneState(rows)
+        if start != state.inverse_sum():
+            raise InvariantError(
+                f"start matrix: adjugate gives {state.inverse_sum()}, "
+                f"determinants give {start}")
         for _ in range(config.max_steps):
             improved = False
             order = list(range(n * n))
             rng.shuffle(order)
+            det, total = state.det, state.total
             for b in order:
                 i, j = divmod(b, n)
-                rows[i][j] ^= 1
-                value = _objective(rows)
-                if value is not None and sgn * (value - current) > 0:
-                    current = value
+                d = 1 - 2 * rows[i][j]
+                det2, total2 = state.neighbour(i, j, d)
+                # T'/D' - T/D has the sign of (T' D - T D') D D'.
+                if det2 and sgn * (total2 * det - total * det2) * det * det2 > 0:
+                    state.apply(i, j, d, det2, total2)
                     improved = True
                     steps_total += 1
                     break
-                rows[i][j] ^= 1
             if not improved:
                 break
+        current = state.inverse_sum()
         if best is None or sgn * (current - best) > 0:
             best = current
             best_rows = [list(row) for row in rows]
@@ -552,7 +632,9 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
             f"no invertible {n}x{n} start matrix found in "
             f"{config.restarts} restarts x 200 draws")
     verified = inverse_sum_via_determinant(best_rows)
-    assert verified == best
+    if verified != best:
+        raise InvariantError(
+            f"best sum {best} from the climb, {verified} from determinants")
     return SearchResult(tuple(tuple(row) for row in best_rows), verified,
                         steps_total, restarts_run)
 

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from fibsum.cli import main
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
 from fibsum.matrixio import format_matrix, parse_matrix
@@ -173,6 +175,14 @@ class TestEnumerate:
                            "--n", "12", "--jobs", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, capsys, jobs):
+        code, out, err = run(capsys, "enumerate", "--family", "triangular",
+                             "--n", "3", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "jobs must be >= 1" in err
+
 
 class TestSearch:
     def test_n3_max(self, capsys):
@@ -220,6 +230,30 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "gsampling", "--n", "5",
                          "--samples", "50")
         assert code == 0
+
+    @pytest.mark.parametrize("suite, minimum", [
+        ("theorem", 3), ("corollaries", 6), ("pattern", 5), ("remark", 3),
+        ("gsampling", 3), ("all", 6)])
+    def test_n_below_suite_minimum_exits_1(self, capsys, suite, minimum):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--n", str(minimum - 1))
+        assert code == 1
+        assert out == ""
+        assert f"--n >= {minimum}" in err
+
+    @pytest.mark.parametrize("suite, minimum", [
+        ("corollaries", 6), ("pattern", 5), ("gsampling", 3), ("all", 6)])
+    def test_n_at_suite_minimum_passes(self, capsys, suite, minimum):
+        code, payload, _ = run_json(capsys, "verify", "--suite", suite,
+                                    "--n", str(minimum), "--samples", "20",
+                                    "--count", "20")
+        assert code == 0
+        assert payload["failed"] == 0 and payload["passed"] > 0
+
+    def test_identities_below_minimum_exits_1(self, capsys):
+        code, _, err = run(capsys, "identities", "--max-n", "5")
+        assert code == 1
+        assert "--max-n must be >= 6" in err
 
 
 class TestArgumentErrors:

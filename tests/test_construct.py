@@ -8,8 +8,10 @@ from fibsum.construct import (BandPartition, GMatrix, WMatrix, band_partition,
                               sample_g_matrix, small_extremal,
                               toeplitz_sum_two)
 from fibsum.fibonacci import fib
-from fibsum.linalg import (Triangular01, determinant_exact, entry_sum,
-                           invert_unit_triangular, row_sum_vector)
+from fibsum import construct
+from fibsum.fibonacci import SignedFibRepresentation
+from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
+                           entry_sum, invert_unit_triangular, row_sum_vector)
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
@@ -67,6 +69,14 @@ class TestConstructWithSum:
             construct_with_sum(7, -7)
         with pytest.raises(ValueError):
             construct_with_sum(2, 2)
+
+    def test_wrong_representation_raises(self, monkeypatch):
+        # A representation of the wrong value must be caught by the
+        # round-trip check, which survives ``python -O``.
+        monkeypatch.setattr(construct, "signed_representation",
+                            lambda target, n: SignedFibRepresentation(n, (0,) * (n - 2)))
+        with pytest.raises(InvariantError, match="not 5"):
+            construct_with_sum(7, 5)
 
 
 class TestToeplitzSumTwo:

@@ -1,9 +1,11 @@
 import pytest
 
+from fibsum import fibonacci
 from fibsum.fibonacci import (SignedFibRepresentation, check_corollary3,
                               check_corollary4, check_lemma1, fib,
                               fib_prefix_sum, restricted_representation,
                               signed_representation)
+from fibsum.linalg import InvariantError
 
 
 class TestFib:
@@ -138,3 +140,11 @@ class TestCorollaries:
             check_corollary3(4)
         with pytest.raises(ValueError):
             check_corollary4(5)
+
+
+class TestInvariantErrors:
+    def test_signed_representation_checks_its_value(self, monkeypatch):
+        monkeypatch.setattr(fibonacci, "restricted_representation",
+                            lambda target, max_fib_index: [])
+        with pytest.raises(InvariantError, match="value 0"):
+            signed_representation(3, 7)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fibsum.fibonacci import fib
-from fibsum.linalg import (SingularMatrixError, Triangular01,
+from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            determinant_exact, entry_sum, identity,
                            invert_general_exact, invert_unit_triangular,
                            inverse_sum_via_determinant, row_sum_vector,
@@ -206,6 +206,55 @@ class TestInvertGeneralExact:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             invert_general_exact([[1, 2], [2, 4]])
+
+
+def assert_adjugate_matches_oracles(rows):
+    """Check adjugate_exact on one matrix; return whether it is singular."""
+    if det_cofactor(rows) == 0:
+        with pytest.raises(SingularMatrixError):
+            adjugate_exact(rows)
+        return True
+    det, adj = adjugate_exact(rows)
+    assert det == det_cofactor(rows)
+    assert [[Fraction(x, det) for x in r] for r in adj] == invert_adjugate(rows)
+    return False
+
+
+class TestAdjugateExact:
+    def test_all_binary_matrices_to_n3(self):
+        singular = 0
+        for n in (1, 2, 3):
+            for word in range(1 << (n * n)):
+                rows = [[(word >> (n * i + j)) & 1 for j in range(n)]
+                        for i in range(n)]
+                singular += assert_adjugate_matches_oracles(rows)
+        assert singular == 1 + 10 + 338
+
+    def test_random_integer_matrices_to_n6(self):
+        rng = random.Random(6060)
+        singular = 0
+        for k in range(300):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n > 1 and k % 2 == 0:
+                # Rank at most n - 1: one row is a multiple of another.
+                a, b = rng.sample(range(n), 2)
+                s = rng.randint(-2, 2)
+                rows[a] = [s * x for x in rows[b]]
+            singular += assert_adjugate_matches_oracles(rows)
+        assert singular >= 100
+
+    def test_needs_row_swaps(self):
+        rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        det, adj = adjugate_exact(rows)
+        assert det == 1
+        assert matmul(rows, adj) == identity(3)
+
+    def test_rejects_non_integer_and_non_square(self):
+        with pytest.raises(ValueError):
+            adjugate_exact([[Fraction(1, 2), 0], [0, 1]])
+        with pytest.raises(ValueError):
+            adjugate_exact([[1, 0]])
 
 
 class TestTriangular01:

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fibsum import search
 from fibsum.fibonacci import fib
-from fibsum.linalg import (Triangular01, entry_sum, invert_unit_triangular,
+from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
+                           adjugate_exact, entry_sum, invert_unit_triangular,
                            inverse_sum_via_determinant)
-from fibsum.search import (SearchConfig, SumDistribution,
-                           _scan_general_range, _scan_triangular_range,
-                           enumerate_general, enumerate_triangular,
-                           enumerate_w_determinants, hill_climb_general,
-                           verify_theorem_range)
+from fibsum.search import (RankOneState, SearchConfig, SumDistribution,
+                           _exact_div, _scan_general_range,
+                           _scan_triangular_range, _split_ranges,
+                           _worker_count, enumerate_general,
+                           enumerate_triangular, enumerate_w_determinants,
+                           hill_climb_general, verify_theorem_range)
 
-from oracles import det_cofactor
+from oracles import det_cofactor, hill_climb_two_determinants
 
 
 class TestEnumerateTriangular:
@@ -220,6 +225,46 @@ class TestHillClimb:
         rows = [list(r) for r in result.best_matrix]
         assert inverse_sum_via_determinant(rows) == result.best_sum
 
+    def test_matches_two_determinant_climber(self):
+        # Same draws, shuffles and acceptance rule, so the rank-one scoring
+        # must reproduce the old climber exactly, including its counters.
+        for n in range(3, 9):
+            for direction in ("max", "min"):
+                for max_steps in (1, 3, 300):
+                    for seed in (0, 7, 20250808):
+                        cfg = SearchConfig(n=n, direction=direction, restarts=3,
+                                           max_steps=max_steps, seed=seed)
+                        assert (hill_climb_general(cfg)
+                                == hill_climb_two_determinants(cfg)), cfg
+
+    def test_no_determinant_per_scored_flip(self, monkeypatch):
+        # Determinants go to the start draws and the start score only, so
+        # their number does not grow with the flips a longer climb scores.
+        calls = []
+        original = search.determinant_exact
+        monkeypatch.setattr(search, "determinant_exact",
+                            lambda rows: calls.append(1) or original(rows))
+        counts = []
+        for max_steps in (1, 300):
+            calls.clear()
+            result = hill_climb_general(SearchConfig(n=6, restarts=5,
+                                                     max_steps=max_steps, seed=3))
+            counts.append(len(calls))
+        assert result.steps_taken > 5
+        assert counts[0] == counts[1]
+
+    def test_final_verifier_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "inverse_sum_via_determinant",
+                            lambda rows: inverse_sum_via_determinant(rows) + 1)
+        with pytest.raises(InvariantError, match="from determinants"):
+            hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
+
+    def test_start_score_disagreement_raises(self, monkeypatch):
+        original = search._objective
+        monkeypatch.setattr(search, "_objective", lambda rows: original(rows) + 1)
+        with pytest.raises(InvariantError, match="start matrix"):
+            hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(n=2, direction="max")
@@ -227,6 +272,71 @@ class TestHillClimb:
             SearchConfig(n=4, direction="up")
         with pytest.raises(ValueError):
             SearchConfig(n=4, direction="max", restarts=0)
+
+
+@st.composite
+def invertible_binary_with_cell(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    rows = [bits[k * n:(k + 1) * n] for k in range(n)]
+    assume(det_cofactor(rows) != 0)
+    return rows, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+class TestRankOneState:
+    @settings(max_examples=200, deadline=None)
+    @given(invertible_binary_with_cell())
+    def test_flip_matches_direct_recomputation(self, case):
+        rows, i, j = case
+        state = RankOneState([list(r) for r in rows])
+        assert state.inverse_sum() == inverse_sum_via_determinant(rows)
+        d = 1 - 2 * rows[i][j]
+        det2, total2 = state.neighbour(i, j, d)
+        flipped = [list(r) for r in rows]
+        flipped[i][j] += d
+        assert det2 == det_cofactor(flipped)
+        if det2 == 0:
+            return
+        assert Fraction(total2, det2) == inverse_sum_via_determinant(flipped)
+        state.apply(i, j, d, det2, total2)
+        assert state.rows == flipped
+        assert (state.det, state.adj) == adjugate_exact(flipped)
+
+    def test_singular_start_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            RankOneState([[1, 1], [1, 1]])
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(-12, 4) == -3
+        with pytest.raises(InvariantError, match="remainder"):
+            _exact_div(7, 2)
+
+    def test_corrupted_adjugate_detected(self):
+        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert state.det == 2
+        state.col_sums[0] += 1
+        with pytest.raises(InvariantError, match="remainder"):
+            state.neighbour(0, 1, 1)
+
+
+class TestWorkerCount:
+    def test_clamped_to_cores(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert _worker_count(1) == 1
+        assert _worker_count(4) == 4
+        assert _worker_count(10 ** 6) == 4
+        assert len(_split_ranges(1 << 28, _worker_count(10 ** 6))) == 4
+
+    def test_unknown_core_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert _worker_count(8) == 1
+
+    def test_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                _worker_count(jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            enumerate_triangular(3, jobs=0)
 
 
 class TestVerifyTheoremRange:
