@@ -388,10 +388,14 @@ def cmd_wmatrix(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    family = {"triangular": enumerate_triangular,
-              "general": enumerate_general,
-              "w": enumerate_w_determinants}[args.family]
-    dist = family(args.n, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    if args.family == "triangular":
+        dist = enumerate_triangular(args.n)
+    elif args.family == "general":
+        dist = enumerate_general(args.n, jobs=args.jobs)
+    else:
+        dist = enumerate_w_determinants(args.n, jobs=args.jobs)
     payload = dist.to_json_dict(include_witnesses=not args.no_witnesses)
     if args.json:
         _write_json(args, payload)
@@ -503,8 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers, at most the available cores "
-                        "(default: all of them)")
+                   help="parallel workers for the general and w families, "
+                        "at most the available cores (default: all of them); "
+                        "the triangular family runs in one process")
     p.add_argument("--no-witnesses", action="store_true",
                    help="omit witness matrices from the report")
     p.set_defaults(func=cmd_enumerate)

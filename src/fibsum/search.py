@@ -1,22 +1,29 @@
 """Exhaustive enumeration and heuristic search over (0,1) matrix families.
 
-Three families are scanned exhaustively at desk scale:
+Three families are enumerated exhaustively at desk scale:
 
-* ``triangular``: all 2^(n(n-1)/2) invertible (0,1) upper triangular
-  matrices, n <= 8, via a prefix-sharing depth-first scan that needs O(n^2)
-  work only on subtree roots and O(1) per leaf.
+* ``triangular``: all 2^(n(n-1)/2) (0,1) unit upper triangular matrices,
+  n <= 9, by a dynamic programme over inverse row sums rather than a visit
+  to each matrix.  The inverse row sums obey u_{n-1} = 1 and
+  u_r = 1 - (sum of u_j over the ones in row r), so once rows n-1 .. r are
+  fixed, the rest of the matrix sees only the ordered tuple
+  (u_r, ..., u_{n-1}).  Each state keeps its matrix count and its smallest
+  packed prefix; higher rows hold the more significant bits, which makes
+  the smallest prefix per state give the smallest word per sum.  At n = 9
+  the last level has 29 044 states for 2^36 matrices.
 * ``general``: all 2^(n^2) (0,1) matrices, n <= 5, via a vectorized
   permutation-expansion of det(A) and det(A + J).  Fixed-width arithmetic is
   exact here: the Hadamard bound for 5x5 matrices with entries <= 2 is
-  under 2^11, far inside int32.
+  under 2^11, far inside int32.  numpy is imported by this scan alone.
 * ``w-determinant``: all 2^(n(n-1)/2) members of the (1,2) family, n <= 6,
   with honest fraction-free determinants per member.
 
-Every scan accepts an arbitrary contiguous sub-range of the packed index, so
-partial distributions from any partition of the range merge (associatively
-and commutatively) to the same result as a single pass.  The witness kept
-per sum is the matrix with the smallest packed word, which makes witness
-selection independent of the scan order and of the parallel split.
+The general and (1,2) scans accept an arbitrary contiguous sub-range of the
+packed index, so partial distributions from any partition of the range
+merge (associatively and commutatively) to the same result as a single
+pass; ``jobs`` splits them over worker processes.  The witness kept per sum
+is the matrix with the smallest packed word, which makes witness selection
+independent of the scan order and of the parallel split.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .construct import construct_with_sum
 from .fibonacci import fib
@@ -186,143 +191,95 @@ def _run_parallel(worker, n: int, total: int, jobs: int) -> SumDistribution:
 # Triangular family
 
 
-def _scan_triangular_worker(args) -> SumDistribution:
-    return _scan_triangular_range(*args)
+def _subset_sums(values: tuple) -> dict:
+    """Map each subset sum of ``values`` to [how many subsets give it, the
+    smallest subset mask giving it], bit t of a mask selecting values[t]."""
+    sums = [0]
+    for x in values:
+        sums += [s + x for s in sums]
+    out = {}
+    for mask, s in enumerate(sums):
+        entry = out.get(s)
+        if entry is None:
+            out[s] = [1, mask]
+        else:
+            entry[0] += 1
+    return out
 
 
-def _scan_triangular_range(n: int, lo: int, hi: int) -> SumDistribution:
-    """Scan packed masks in [lo, hi) and tally inverse entry sums.
+def _row_sum_levels(n: int):
+    """Walk the triangular family's inverse row sums from the bottom row up.
 
-    Row r of the matrix owns a contiguous block of mask bits (row 0 lowest),
-    so fixing rows n-2 .. 1 from the most significant block downward visits
-    masks in numeric order.  The inverse row sums u_i = 1 - sum of u_j over
-    the ones in row i (j > i) are maintained incrementally; the innermost
-    row-0 block is walked in Gray-code order so each leaf costs O(1).
+    For r = n-1 down to 1, yield the states after rows n-1 .. r are fixed: a
+    dict from the ordered tuple (u_r, ..., u_{n-1}) to [number of choices of
+    those rows, smallest packed prefix word].  Row r owns the mask bits from
+    its offset upward (row 0 lowest, as in :class:`Triangular01`), and a row
+    choice v gives u_r = 1 - (sum of u_{r+1+t} over the bits t of v).  Row
+    choices with equal subset sums lead to the same tuple and merge.
     """
+    states = {(): [1, 0]}
+    for r in range(n - 1, 0, -1):
+        off = r * (n - 1) - r * (r - 1) // 2
+        nxt = {}
+        for tup, (count, prefix) in states.items():
+            for s, (mult, v) in _subset_sums(tup).items():
+                nxt[(1 - s,) + tup] = [count * mult, prefix | (v << off)]
+        states = nxt
+        yield states
+
+
+def enumerate_triangular(n: int) -> SumDistribution:
+    """Exhaustive inverse-sum distribution over all (0,1) unit upper
+    triangular matrices of size n (3 <= n <= 9).
+
+    Row 0, the least significant block, folds straight from the states of
+    :func:`_row_sum_levels` into the distribution: its choice v gives the
+    sum 1 + sum(state) - subsetsum(v), with word prefix | v.
+    """
+    bits = n * (n - 1) // 2
+    if not 3 <= n <= 9:
+        raise ValueError(
+            f"n={n} out of supported range 3..9 for 2^(n(n-1)/2) = 2^{bits} "
+            "matrices: the row-sum states grow over tenfold per size "
+            "(2821 at n = 8, 29044 at n = 9, 411727 at n = 10)")
     dist = SumDistribution("triangular", n)
     counts = dist.counts
     wit = dist.witness_words
-    if lo >= hi:
-        return dist
-    row_off = [0] * n
-    for r in range(1, n):
-        row_off[r] = row_off[r - 1] + (n - r)
-    u = [0] * n
-    u[n - 1] = 1
-    leaf_bits = n - 1
-
-    def bump(s, m):
-        counts[s] = counts.get(s, 0) + 1
-        if s not in wit or m < wit[s]:
-            wit[s] = m
-
-    def full(r, base, psum):
-        if r == 0:
-            # Hot loop: dict operations written out with local aliases.
-            cget = counts.get
-            wget = wit.get
-            gray = 0
-            tsum = 0
-            s = psum + 1
-            counts[s] = cget(s, 0) + 1
-            w = wget(s)
-            if w is None or base < w:
-                wit[s] = base
-            for i in range(1, 1 << leaf_bits):
-                t = (i & -i).bit_length() - 1
-                gray ^= 1 << t
-                if (gray >> t) & 1:
-                    tsum += u[1 + t]
-                else:
-                    tsum -= u[1 + t]
-                s = psum + 1 - tsum
-                m = base | gray
-                counts[s] = cget(s, 0) + 1
-                w = wget(s)
-                if w is None or m < w:
-                    wit[s] = m
-            return
-        off = row_off[r]
-        for v in range(1 << (n - 1 - r)):
-            s = 1
-            vv = v
-            while vv:
-                t = (vv & -vv).bit_length() - 1
-                s -= u[r + 1 + t]
-                vv &= vv - 1
-            u[r] = s
-            full(r - 1, base | (v << off), psum + s)
-
-    def ranged(r, base, psum):
-        if r == 0:
-            for m in range(max(lo, base), min(hi, base + (1 << leaf_bits))):
-                vv = m - base
-                s = 1
-                while vv:
-                    t = (vv & -vv).bit_length() - 1
-                    s -= u[1 + t]
-                    vv &= vv - 1
-                bump(psum + s, m)
-            return
-        off = row_off[r]
-        step = 1 << off
-        for v in range(1 << (n - 1 - r)):
-            sub_lo = base | (v << off)
-            sub_hi = sub_lo + step
-            if sub_hi <= lo or sub_lo >= hi:
-                continue
-            s = 1
-            vv = v
-            while vv:
-                t = (vv & -vv).bit_length() - 1
-                s -= u[r + 1 + t]
-                vv &= vv - 1
-            u[r] = s
-            if lo <= sub_lo and sub_hi <= hi:
-                full(r - 1, sub_lo, psum + s)
-            else:
-                ranged(r - 1, sub_lo, psum + s)
-
-    if n == 1:
-        bump(1, 0)
-        return dist
-    ranged(max(n - 2, 0), 0, 1)
+    for states in _row_sum_levels(n):
+        pass
+    for tup, (count, prefix) in states.items():
+        base = 1 + sum(tup)
+        for ss, (mult, v) in _subset_sums(tup).items():
+            s = base - ss
+            counts[s] = counts.get(s, 0) + count * mult
+            w = prefix | v
+            if s not in wit or w < wit[s]:
+                wit[s] = w
+    if dist.total != 1 << bits:
+        raise InvariantError(
+            f"row-sum states count {dist.total} matrices, not 2^{bits}")
     return dist
-
-
-def enumerate_triangular(n: int, jobs: int = 1) -> SumDistribution:
-    """Exhaustive inverse-sum distribution over all (0,1) unit upper
-    triangular matrices of size n (3 <= n <= 8)."""
-    bits = n * (n - 1) // 2
-    if not 3 <= n <= 8:
-        raise ValueError(
-            f"n={n} out of supported range 3..8: the scan visits "
-            f"2^(n(n-1)/2) = 2^{bits} matrices, which is only a desk-scale "
-            "job up to n = 8 (2^28)")
-    return _run_parallel(_scan_triangular_worker, n, 1 << bits, jobs)
 
 
 def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
-    whole triangular family, computed exhaustively (n <= 8).
+    whole triangular family, computed exhaustively (n <= 9).
 
-    Walks the prefix tree of achievable column-sum vectors with
-    deduplication: two matrices sharing a prefix vector admit exactly the
-    same extensions.
+    Column sums obey c_0 = 1, c_j = 1 - (sum of c_i over the ones in column
+    j), the row-sum recursion read backwards, so the achievable prefixes
+    (c_0, ..., c_k) are the reversed row-sum states of length k + 1 and
+    coordinate k is the maximum of |u| over those states' first entries.
+    The last coordinate is 1 - s for a subset sum s of a state, whose
+    extremes are the sums of its negative and of its positive entries.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"n={n} out of supported range 1..8")
-    prefixes = {(1,)}
-    maxima = [1]
-    for _ in range(2, n + 1):
-        extended = set()
-        for v in prefixes:
-            sums = {0}
-            for x in v:
-                sums |= {s + x for s in sums}
-            extended.update(v + (1 - s,) for s in sums)
-        prefixes = extended
-        maxima.append(max(abs(v[-1]) for v in prefixes))
+    if not 1 <= n <= 9:
+        raise ValueError(f"n={n} out of supported range 1..9")
+    maxima = []
+    states = {(): None}  # n = 1: no row above row 0
+    for states in _row_sum_levels(n):
+        maxima.append(max(abs(tup[0]) for tup in states))
+    maxima.append(max(max(1 - sum(x for x in tup if x < 0),
+                          sum(x for x in tup if x > 0) - 1) for tup in states))
     return tuple(maxima)
 
 
@@ -337,6 +294,8 @@ _POP16 = None
 def _popcount_table():
     global _POP16
     if _POP16 is None:
+        import numpy as np
+
         t = np.arange(1 << 16, dtype=np.int32)
         p = np.zeros(1 << 16, dtype=np.int32)
         while t.any():
@@ -382,6 +341,8 @@ def _scan_general_range(n: int, lo: int, hi: int,
     ones, and sign * 2^(number of its cells that are ones) to det(A + J).
     Sums are recorded as exact rationals.
     """
+    import numpy as np
+
     dist = SumDistribution("general", n)
     masks, signs = _perm_tables(n)
     pop = _popcount_table()
@@ -660,11 +621,10 @@ class TheoremRangeReport:
         return not self.missing and not self.unexpected
 
 
-def verify_theorem_range(n: int, constructive_limit: int = 20,
-                         jobs: int = 1) -> TheoremRangeReport:
+def verify_theorem_range(n: int, constructive_limit: int = 20) -> TheoremRangeReport:
     """Check full-interval achievability of inverse entry sums.
 
-    n <= 7 is settled by exhaustive scan; above that, each target in the
+    n <= 8 is settled by exhaustive enumeration; above that, each target in the
     interval is round-tripped through the constructor (bounded by
     ``constructive_limit``, default 20, to keep runtimes at desk scale).
     """
@@ -673,8 +633,8 @@ def verify_theorem_range(n: int, constructive_limit: int = 20,
     bound = fib(n - 1)
     low, high = 2 - bound, 2 + bound
     interval = range(low, high + 1)
-    if n <= 7:
-        dist = enumerate_triangular(n, jobs=jobs)
+    if n <= 8:
+        dist = enumerate_triangular(n)
         achieved = set(dist.counts)
         missing = tuple(s for s in interval if s not in achieved)
         unexpected = tuple(sorted(achieved - set(interval)))

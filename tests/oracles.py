@@ -2,8 +2,9 @@
 
 These share no code path with the library: determinants by recursive
 cofactor expansion, inverses through the adjugate. Slow, only for small
-matrices inside tests.  The one exception is the two-determinant hill
-climb, a replaced library kernel kept as the reference for its successor.
+matrices inside tests.  The exceptions are replaced library kernels kept
+as the references for their successors: the two-determinant hill climb and
+the Gray-code triangular scan.
 """
 
 import random
@@ -105,3 +106,105 @@ def hill_climb_two_determinants(config):
     verified = inverse_sum_via_determinant(best_rows)
     return SearchResult(tuple(tuple(row) for row in best_rows), verified,
                         steps_total, restarts_run)
+
+
+def scan_triangular_range(n, lo, hi):
+    """Scan packed masks in [lo, hi) and tally inverse entry sums.
+
+    Row r of the matrix owns a contiguous block of mask bits (row 0 lowest),
+    so fixing rows n-2 .. 1 from the most significant block downward visits
+    masks in numeric order.  The inverse row sums u_i = 1 - sum of u_j over
+    the ones in row i (j > i) are maintained incrementally; the innermost
+    row-0 block is walked in Gray-code order so each leaf costs O(1).
+    """
+    from fibsum.search import SumDistribution
+
+    dist = SumDistribution("triangular", n)
+    counts = dist.counts
+    wit = dist.witness_words
+    if lo >= hi:
+        return dist
+    row_off = [0] * n
+    for r in range(1, n):
+        row_off[r] = row_off[r - 1] + (n - r)
+    u = [0] * n
+    u[n - 1] = 1
+    leaf_bits = n - 1
+
+    def bump(s, m):
+        counts[s] = counts.get(s, 0) + 1
+        if s not in wit or m < wit[s]:
+            wit[s] = m
+
+    def full(r, base, psum):
+        if r == 0:
+            # Hot loop: dict operations written out with local aliases.
+            cget = counts.get
+            wget = wit.get
+            gray = 0
+            tsum = 0
+            s = psum + 1
+            counts[s] = cget(s, 0) + 1
+            w = wget(s)
+            if w is None or base < w:
+                wit[s] = base
+            for i in range(1, 1 << leaf_bits):
+                t = (i & -i).bit_length() - 1
+                gray ^= 1 << t
+                if (gray >> t) & 1:
+                    tsum += u[1 + t]
+                else:
+                    tsum -= u[1 + t]
+                s = psum + 1 - tsum
+                m = base | gray
+                counts[s] = cget(s, 0) + 1
+                w = wget(s)
+                if w is None or m < w:
+                    wit[s] = m
+            return
+        off = row_off[r]
+        for v in range(1 << (n - 1 - r)):
+            s = 1
+            vv = v
+            while vv:
+                t = (vv & -vv).bit_length() - 1
+                s -= u[r + 1 + t]
+                vv &= vv - 1
+            u[r] = s
+            full(r - 1, base | (v << off), psum + s)
+
+    def ranged(r, base, psum):
+        if r == 0:
+            for m in range(max(lo, base), min(hi, base + (1 << leaf_bits))):
+                vv = m - base
+                s = 1
+                while vv:
+                    t = (vv & -vv).bit_length() - 1
+                    s -= u[1 + t]
+                    vv &= vv - 1
+                bump(psum + s, m)
+            return
+        off = row_off[r]
+        step = 1 << off
+        for v in range(1 << (n - 1 - r)):
+            sub_lo = base | (v << off)
+            sub_hi = sub_lo + step
+            if sub_hi <= lo or sub_lo >= hi:
+                continue
+            s = 1
+            vv = v
+            while vv:
+                t = (vv & -vv).bit_length() - 1
+                s -= u[r + 1 + t]
+                vv &= vv - 1
+            u[r] = s
+            if lo <= sub_lo and sub_hi <= hi:
+                full(r - 1, sub_lo, psum + s)
+            else:
+                ranged(r - 1, sub_lo, psum + s)
+
+    if n == 1:
+        bump(1, 0)
+        return dist
+    ranged(max(n - 2, 0), 0, 1)
+    return dist

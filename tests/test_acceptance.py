@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from fibsum.construct import (construct_w_matrix, construct_with_sum,
                               dominant_matrix, extremal_pattern_matrix,
                               sample_g_matrix, small_extremal)
@@ -60,18 +58,20 @@ def test_criterion_01_theorem_exhaustive():
             "; ".join(details) + f"; {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(not os.environ.get("FIBSUM_EXTENDED"),
-                    reason="optional extended run (2^28 matrices, minutes); "
-                           "set FIBSUM_EXTENDED=1 to enable")
-def test_criterion_01_extended_n8():
-    """Optional extension of criterion 1: the full 2^28 scan at n = 8."""
-    dist = enumerate_triangular(8, jobs=JOBS)
-    ok = (dist.total == 1 << 28
-          and dist.min_sum == 2 - fib(7)
-          and dist.max_sum == 2 + fib(7)
-          and dist.achieved == list(range(2 - fib(7), 2 + fib(7) + 1)))
-    _report(1, "extended: theorem range exhaustive at n=8", ok,
-            f"[{2 - fib(7)}, {2 + fib(7)}]")
+def test_criterion_01_exhaustive_n8_n9():
+    """Criterion 1 at n = 8 and 9: all 2^28 and 2^36 matrices, through the
+    row-sum state DP; every witness inverts to its sum."""
+    ok = True
+    details = []
+    for n in (8, 9):
+        low, high = 2 - fib(n - 1), 2 + fib(n - 1)
+        dist = enumerate_triangular(n)
+        ok &= dist.total == 1 << (n * (n - 1) // 2)
+        ok &= dist.achieved == list(range(low, high + 1))
+        ok &= all(entry_sum(invert_unit_triangular(dist.witness_rows(s))) == s
+                  for s in dist.achieved)
+        details.append(f"n={n} [{low}, {high}]")
+    _report(1, "theorem range exhaustive at n=8, 9", ok, "; ".join(details))
 
 
 def test_criterion_02_constructor_round_trip():

@@ -1,8 +1,12 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibsum
 from fibsum.cli import main
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
 from fibsum.matrixio import format_matrix, parse_matrix
@@ -182,6 +186,37 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert "jobs must be >= 1" in err
+
+
+# Runs commands through fibsum.cli.main in a fresh interpreter, prints
+# whether numpy got imported, then prints the general family's report.
+NUMPY_FREE_CHILD = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from fibsum.cli import main
+for argv in (["enumerate", "--family", "triangular", "--n", "5"],
+             ["search", "--n", "4", "--direction", "max", "--restarts", "3"],
+             ["verify", "--suite", "all", "--n", "6", "--samples", "5",
+              "--count", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{argv} failed")
+print("numpy" in sys.modules)
+main(["enumerate", "--family", "general", "--n", "3", "--jobs", "1", "--json"])
+"""
+
+
+class TestLazyNumpy:
+    def test_only_the_general_scan_imports_numpy(self, capsys):
+        src = str(Path(fibsum.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, _, report = proc.stdout.partition("\n")
+        assert first == "False"
+        _, expected, _ = run(capsys, "enumerate", "--family", "general",
+                             "--n", "3", "--jobs", "1", "--json")
+        assert report == expected
 
 
 class TestSearch:

@@ -11,13 +11,14 @@ from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, entry_sum, invert_unit_triangular,
                            inverse_sum_via_determinant)
 from fibsum.search import (RankOneState, SearchConfig, SumDistribution,
-                           _exact_div, _scan_general_range,
-                           _scan_triangular_range, _split_ranges,
+                           _exact_div, _scan_general_range, _split_ranges,
                            _worker_count, enumerate_general,
                            enumerate_triangular, enumerate_w_determinants,
-                           hill_climb_general, verify_theorem_range)
+                           hill_climb_general, max_abs_row_sum_vector,
+                           verify_theorem_range)
 
-from oracles import det_cofactor, hill_climb_two_determinants
+from oracles import (det_cofactor, hill_climb_two_determinants,
+                     scan_triangular_range)
 
 
 class TestEnumerateTriangular:
@@ -61,24 +62,41 @@ class TestEnumerateTriangular:
         rng = random.Random(3)
         cuts = sorted(rng.sample(range(1, total), 4))
         bounds = [0] + cuts + [total]
-        parts = [_scan_triangular_range(n, lo, hi)
+        parts = [scan_triangular_range(n, lo, hi)
                  for lo, hi in zip(bounds, bounds[1:])]
         rng.shuffle(parts)
         merged = parts[0]
         for p in parts[1:]:
             merged = merged.merge(p)
-        full = _scan_triangular_range(n, 0, total)
+        full = scan_triangular_range(n, 0, total)
         assert merged.counts == full.counts
         assert merged.witness_words == full.witness_words
 
-    def test_parallel_jobs_identical(self):
-        assert enumerate_triangular(5, jobs=2).counts == enumerate_triangular(5).counts
-        assert (enumerate_triangular(5, jobs=2).witness_words
-                == enumerate_triangular(5).witness_words)
+    def test_matches_gray_code_oracle(self):
+        # The row-sum state DP against the Gray-code scan it replaced, which
+        # visits every matrix: equal counts and equal smallest witnesses.
+        for n in range(3, 8):
+            dist = enumerate_triangular(n)
+            oracle = scan_triangular_range(n, 0, 1 << (n * (n - 1) // 2))
+            assert dist.counts == oracle.counts, n
+            assert dist.witness_words == oracle.witness_words, n
+
+    def test_state_count_mismatch_raises(self, monkeypatch):
+        levels = search._row_sum_levels
+
+        def lose_one(n):
+            # The all-ones tuple (every row empty) is a state at every level.
+            for states in levels(n):
+                yield {t: [c - (t == (1,) * len(t)), p]
+                       for t, (c, p) in states.items()}
+
+        monkeypatch.setattr(search, "_row_sum_levels", lose_one)
+        with pytest.raises(InvariantError, match="not 2\\^10"):
+            enumerate_triangular(5)
 
     def test_out_of_range_errors_mention_state_count(self):
         with pytest.raises(ValueError, match="2"):
-            enumerate_triangular(9)
+            enumerate_triangular(10)
         with pytest.raises(ValueError):
             enumerate_triangular(2)
 
@@ -336,7 +354,19 @@ class TestWorkerCount:
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 _worker_count(jobs)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            enumerate_triangular(3, jobs=0)
+            enumerate_general(3, jobs=0)
+
+
+class TestMaxAbsRowSumVector:
+    def test_fibonacci_bound_n1_to_9(self):
+        for n in range(1, 10):
+            expected = tuple(1 if i <= 2 else fib(i - 1) for i in range(1, n + 1))
+            assert max_abs_row_sum_vector(n) == expected
+
+    def test_out_of_range(self):
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="1..9"):
+                max_abs_row_sum_vector(n)
 
 
 class TestVerifyTheoremRange:
@@ -344,6 +374,12 @@ class TestVerifyTheoremRange:
         report = verify_theorem_range(5)
         assert report.ok
         assert (report.low, report.high) == (-1, 5)
+        assert report.method == "exhaustive"
+
+    def test_exhaustive_n8(self):
+        report = verify_theorem_range(8)
+        assert report.ok
+        assert (report.low, report.high) == (-11, 15)
         assert report.method == "exhaustive"
 
     def test_constructive_n9(self):
