@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .construct import (construct_w_matrix, construct_with_sum,
 from .fibonacci import check_corollary3, check_corollary4, check_lemma1, fib
 from .linalg import (SingularMatrixError, determinant_exact, entry_sum,
                      invert_general_exact, invert_unit_triangular,
-                     inverse_sum_via_determinant)
+                     inverse_column_sums, inverse_sum_via_determinant)
 from .matrixio import MatrixFormatError, format_matrix, format_scalar, parse_matrix
 from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                      SearchConfig, SearchExhaustedError, enumerate_general,
@@ -167,7 +166,7 @@ def _suite_pattern(max_n: int) -> list:
         for kind, expected in (("maximizing", 2 + fib(n - 1)),
                                ("minimizing", 2 - fib(n - 1))):
             m = small_extremal(n, kind)
-            if entry_sum(invert_unit_triangular(m.rows())) != expected:
+            if sum(inverse_column_sums(m.rows())) != expected:
                 bad_small.append((n, kind))
     checks.append(CheckResult(
         "small-extremal-sums", {"n": [3, 4]}, not bad_small,
@@ -219,7 +218,7 @@ def _suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
         low, high = 2 - fib(n - 1), 2 + fib(n - 1)
         for k in range(samples):
             g = sample_g_matrix(n, seed + k, bound)
-            s = entry_sum(invert_unit_triangular(g.to_rows()))
+            s = sum(inverse_column_sums(g.rows))
             if not low <= s <= high:
                 outside.append((n, seed + k, s))
     checks.append(CheckResult(
@@ -234,7 +233,7 @@ def _suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
             mats = [small_extremal(n, "maximizing"), small_extremal(n, "minimizing")]
         else:
             mats = [extremal_pattern_matrix(n, 2)[0], extremal_pattern_matrix(n, 3)[0]]
-        sums = sorted(entry_sum(invert_unit_triangular(m.rows())) for m in mats)
+        sums = sorted(sum(inverse_column_sums(m.rows())) for m in mats)
         if sums != [2 - fib(n - 1), 2 + fib(n - 1)]:
             bad_ends.append((n, sums))
     checks.append(CheckResult(
@@ -393,9 +392,9 @@ def cmd_enumerate(args) -> int:
     if args.family == "triangular":
         dist = enumerate_triangular(args.n)
     elif args.family == "general":
-        dist = enumerate_general(args.n, jobs=args.jobs)
+        dist = enumerate_general(args.n)
     else:
-        dist = enumerate_w_determinants(args.n, jobs=args.jobs)
+        dist = enumerate_w_determinants(args.n)
     payload = dist.to_json_dict(include_witnesses=not args.no_witnesses)
     if args.json:
         _write_json(args, payload)
@@ -506,10 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("triangular", "general", "w"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for the general and w families, "
-                        "at most the available cores (default: all of them); "
-                        "the triangular family runs in one process")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for existing scripts and must be >= 1, but "
+                        "has no effect: every family runs in one process")
     p.add_argument("--no-witnesses", action="store_true",
                    help="omit witness matrices from the report")
     p.set_defaults(func=cmd_enumerate)

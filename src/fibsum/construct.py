@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fibonacci import fib, signed_representation
-from .linalg import InvariantError, Matrix, Triangular01, identity, transpose
+from .linalg import (InvariantError, Matrix, Triangular01, identity,
+                     inverse_column_sums, transpose)
 
 # ---------------------------------------------------------------------------
 # Dominant-vector matrices
@@ -29,14 +30,7 @@ def _dominant_rows(n: int) -> Matrix:
         return identity(2)
     m = n - 2
     core = _dominant_rows(m)
-    # c = column sums of core^{-1}; forward substitution, see row_sum_vector.
-    c = [0] * m
-    for j in range(m):
-        s = 1
-        for i in range(j):
-            if core[i][j]:
-                s -= c[i]
-        c[j] = s
+    c = inverse_column_sums(core)
     # Two parity branches pin down the last two coordinates: with x = 1 the
     # final column realizes +/- sum|c_i|, and alpha picks out the c_i of one
     # sign so the next-to-last column realizes the F_{n-2} bound.
@@ -96,13 +90,7 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
             f"valid interval is [{low}, {high}]")
     m = n - 2
     core = _dominant_rows(m)
-    c = [0] * m
-    for j in range(m):
-        s = 1
-        for i in range(j):
-            if core[i][j]:
-                s -= c[i]
-        c[j] = s
+    c = inverse_column_sums(core)
     coeffs = signed_representation(target_sum - 2, n).coeffs
     rows = [[0] * n for _ in range(n)]
     check = 2

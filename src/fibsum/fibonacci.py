@@ -13,14 +13,23 @@ from dataclasses import dataclass
 
 from .linalg import InvariantError
 
+# fib(k) caches every F_1 .. F_k, about 0.35 k^2 bits (4 MB at this limit,
+# 43 GB at k = 10^6), so larger indices are refused before any work.
+FIB_INDEX_LIMIT = 10_000
+# check_lemma1(n) reads F_{2n+1}, the largest index of any identity check.
+IDENTITY_MAX_N = (FIB_INDEX_LIMIT - 1) // 2
+
 _cache = [0, 1, 1]  # _cache[k] = F_k for k >= 1; slot 0 is a placeholder
 _cache_lock = threading.Lock()
 
 
 def fib(k: int) -> int:
-    """k-th Fibonacci number, k >= 1."""
+    """k-th Fibonacci number, 1 <= k <= FIB_INDEX_LIMIT."""
     if k < 1:
         raise ValueError(f"Fibonacci index must be >= 1, got {k}")
+    if k > FIB_INDEX_LIMIT:
+        raise ValueError(f"Fibonacci index must be <= FIB_INDEX_LIMIT = "
+                         f"{FIB_INDEX_LIMIT}, got {k}")
     if k >= len(_cache):
         with _cache_lock:
             while len(_cache) <= k:
@@ -63,14 +72,22 @@ class Lemma1Report:
 
 
 def check_lemma1(n_max: int) -> Lemma1Report:
-    """Verify the three sum identities exactly for every n <= n_max."""
+    """Verify the three sum identities exactly for every
+    n <= n_max <= IDENTITY_MAX_N, keeping the three sums running over n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > IDENTITY_MAX_N:
+        raise ValueError(f"n_max must be <= IDENTITY_MAX_N = {IDENTITY_MAX_N}, "
+                         f"got {n_max}: the identities read F_(2 n_max + 1)")
     full, even, odd = [], [], []
+    full_sum = even_sum = odd_sum = 0
     for n in range(1, n_max + 1):
-        full.append(1 + sum(fib(k) for k in range(1, n + 1)) == fib(n + 2))
-        even.append(1 + sum(fib(2 * k) for k in range(1, n + 1)) == fib(2 * n + 1))
-        odd.append(sum(fib(2 * k - 1) for k in range(1, n + 1)) == fib(2 * n))
+        full_sum += fib(n)
+        even_sum += fib(2 * n)
+        odd_sum += fib(2 * n - 1)
+        full.append(1 + full_sum == fib(n + 2))
+        even.append(1 + even_sum == fib(2 * n + 1))
+        odd.append(odd_sum == fib(2 * n))
     return Lemma1Report(n_max, tuple(full), tuple(even), tuple(odd))
 
 

@@ -155,23 +155,34 @@ def entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     return sum(sum(r, 0) for r in rows)
 
 
+def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
+    """Column sums of the inverse of a unit upper triangular matrix.
+
+    Solves w A = (1, ..., 1) by forward substitution,
+    w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed;
+    int entries give int sums, Fraction entries Fraction sums.  The entry
+    sum of the inverse is ``sum`` of the result.
+    """
+    if _classify_triangular(rows) != "upper":
+        raise ValueError("matrix is not unit upper triangular")
+    w = []
+    for j in range(len(rows)):
+        s = 1
+        for i, wi in enumerate(w):
+            a = rows[i][j]
+            if a:
+                s -= a * wi
+        w.append(s)
+    return w
+
+
 def row_sum_vector(a: Triangular01) -> tuple:
     """The row vector of column sums of the inverse of ``a``.
 
-    Solves w A = (1, ..., 1) by forward substitution, so the full inverse is
-    never formed.  For any member of the unit upper triangular (0,1) family
-    the first entry is always 1.
+    For any member of the unit upper triangular (0,1) family the first
+    entry is always 1.
     """
-    n = a.n
-    rows = a.rows()
-    w = [0] * n
-    for j in range(n):
-        s = 1
-        for i in range(j):
-            if rows[i][j]:
-                s -= w[i]
-        w[j] = s
-    return tuple(w)
+    return tuple(inverse_column_sums(a.rows()))
 
 
 def _require_int_entries(rows: Sequence[Sequence[Scalar]]) -> None:
@@ -188,9 +199,18 @@ def determinant_exact(rows: Sequence[Sequence[int]]) -> int:
     integers, every division is exact.  Pivot is the first nonzero entry in
     the column; row swaps flip the sign.
     """
-    n = _dimension(rows)
+    _dimension(rows)
     _require_int_entries(rows)
-    m = [list(r) for r in rows]
+    return _bareiss([list(r) for r in rows])
+
+
+def _bareiss(m: list) -> int:
+    """Bareiss elimination of ``m`` in place, returning its determinant.
+
+    No checks: ``m`` must be a non-empty square list of lists of ints that
+    the caller owns, since elimination overwrites it.
+    """
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):

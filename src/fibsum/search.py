@@ -1,6 +1,7 @@
 """Exhaustive enumeration and heuristic search over (0,1) matrix families.
 
-Three families are enumerated exhaustively at desk scale:
+Three families are enumerated exhaustively at desk scale, each by one
+algorithm in one process:
 
 * ``triangular``: all 2^(n(n-1)/2) (0,1) unit upper triangular matrices,
   n <= 9, by a dynamic programme over inverse row sums rather than a visit
@@ -11,34 +12,30 @@ Three families are enumerated exhaustively at desk scale:
   packed prefix; higher rows hold the more significant bits, which makes
   the smallest prefix per state give the smallest word per sum.  At n = 9
   the last level has 29 044 states for 2^36 matrices.
-* ``general``: all 2^(n^2) (0,1) matrices, n <= 5, via a vectorized
-  permutation-expansion of det(A) and det(A + J).  Fixed-width arithmetic is
-  exact here: the Hadamard bound for 5x5 matrices with entries <= 2 is
-  under 2^11, far inside int32.  numpy is imported by this scan alone.
+* ``general``: all 2^(n^2) (0,1) matrices, n <= 5, one set of distinct
+  rows at a time.  Permuting the rows of A permutes the columns of A^{-1},
+  so all n! row orders share one inverse entry sum, and an invertible
+  matrix has distinct nonzero rows.  Each such row set costs two exact
+  fraction-free determinants, det(A) and det(A + J), and counts n! times.
 * ``w-determinant``: all 2^(n(n-1)/2) members of the (1,2) family, n <= 6,
   with honest fraction-free determinants per member.
 
-The general and (1,2) scans accept an arbitrary contiguous sub-range of the
-packed index, so partial distributions from any partition of the range
-merge (associatively and commutatively) to the same result as a single
-pass; ``jobs`` splits them over worker processes.  The witness kept per sum
-is the matrix with the smallest packed word, which makes witness selection
-independent of the scan order and of the parallel split.
+The witness kept per sum is the matrix with the smallest packed word, which
+makes witness selection independent of the scan order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construct import construct_with_sum
 from .fibonacci import fib
-from .linalg import (InvariantError, Triangular01, adjugate_exact,
-                     determinant_exact, entry_sum, invert_unit_triangular,
+from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
+                     determinant_exact, inverse_column_sums,
                      inverse_sum_via_determinant)
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
@@ -116,18 +113,6 @@ class SumDistribution:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def merge(self, other: "SumDistribution") -> "SumDistribution":
-        if (self.family, self.n) != (other.family, other.n):
-            raise ValueError("cannot merge distributions of different families")
-        counts = dict(self.counts)
-        for s, c in other.counts.items():
-            counts[s] = counts.get(s, 0) + c
-        wit = dict(self.witness_words)
-        for s, w in other.witness_words.items():
-            if s not in wit or w < wit[s]:
-                wit[s] = w
-        return SumDistribution(self.family, self.n, counts, wit)
-
     def witness_rows(self, s) -> list:
         word = self.witness_words[s]
         if self.family == "triangular":
@@ -154,37 +139,6 @@ class SumDistribution:
         if include_witnesses:
             out["witnesses"] = {key(s): self.witness_rows(s) for s in self.achieved}
         return out
-
-
-def _split_ranges(total: int, parts: int) -> list:
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _worker_count(jobs: int) -> int:
-    """Worker processes for a scan: ``jobs``, clamped to the machine's cores."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _run_parallel(worker, n: int, total: int, jobs: int) -> SumDistribution:
-    ranges = _split_ranges(total, _worker_count(jobs))
-    if len(ranges) == 1:
-        return worker((n, 0, total))
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        parts = list(pool.map(worker, [(n, lo, hi) for lo, hi in ranges]))
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.merge(part)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -287,125 +241,66 @@ def max_abs_row_sum_vector(n: int) -> tuple:
 # General (0,1) family
 
 
-_PERM_TABLES = {}
-_POP16 = None
-
-
-def _popcount_table():
-    global _POP16
-    if _POP16 is None:
-        import numpy as np
-
-        t = np.arange(1 << 16, dtype=np.int32)
-        p = np.zeros(1 << 16, dtype=np.int32)
-        while t.any():
-            p += t & 1
-            t >>= 1
-        _POP16 = p
-    return _POP16
-
-
-def _perm_tables(n: int):
-    if n not in _PERM_TABLES:
-        masks = []
-        signs = []
-        for p in itertools.permutations(range(n)):
-            masks.append(sum(1 << (i * n + p[i]) for i in range(n)))
-            sign = 1
-            seen = [False] * n
-            for i in range(n):
-                if not seen[i]:
-                    j = i
-                    length = 0
-                    while not seen[j]:
-                        seen[j] = True
-                        j = p[j]
-                        length += 1
-                    if length % 2 == 0:
-                        sign = -sign
-            signs.append(sign)
-        _PERM_TABLES[n] = (masks, signs)
-    return _PERM_TABLES[n]
-
-
-def _scan_general_worker(args) -> SumDistribution:
-    return _scan_general_range(*args)
-
-
-def _scan_general_range(n: int, lo: int, hi: int,
-                        chunk: int = 1 << 20) -> SumDistribution:
-    """Scan packed (0,1) matrices in [lo, hi); singular ones are skipped.
-
-    det(A) and det(A + J) are expanded over all n! permutations at once:
-    a permutation contributes its sign to det(A) when all its cells are
-    ones, and sign * 2^(number of its cells that are ones) to det(A + J).
-    Sums are recorded as exact rationals.
-    """
-    import numpy as np
-
-    dist = SumDistribution("general", n)
-    masks, signs = _perm_tables(n)
-    pop = _popcount_table()
-    shift = 1 << 32
-    # int32 throughout: words < 2^25 and both determinants are bounded by
-    # the Hadamard bound of a 5x5 matrix with entries <= 2 (under 2^11).
-    for start in range(lo, hi, chunk):
-        words = np.arange(start, min(start + chunk, hi), dtype=np.int32)
-        det = np.zeros(len(words), dtype=np.int32)
-        detj = np.zeros(len(words), dtype=np.int32)
-        for m, s in zip(masks, signs):
-            s = np.int32(s)
-            hits = words & m
-            ones = pop[hits & 0xFFFF] + pop[hits >> 16]
-            det += s * (ones == n)       # all n permutation cells are ones
-            detj += np.left_shift(s, ones)
-        keep = det != 0
-        words, det, detj = words[keep], det[keep], detj[keep]
-        num = detj - det
-        g = np.gcd(num, det)
-        p = (num // g).astype(np.int64)
-        q = (det // g).astype(np.int64)
-        neg = q < 0
-        p[neg] = -p[neg]
-        q[neg] = -q[neg]
-        codes = p * shift + q
-        uniq, first, cnt = np.unique(codes, return_index=True, return_counts=True)
-        for code, f, c in zip(uniq.tolist(), first.tolist(), cnt.tolist()):
-            den = code % shift
-            s = Fraction(int((code - den) // shift), int(den))
-            dist.counts[s] = dist.counts.get(s, 0) + int(c)
-            w = int(words[f])
-            if s not in dist.witness_words or w < dist.witness_words[s]:
-                dist.witness_words[s] = w
-    return dist
-
-
-def enumerate_general(n: int, jobs: int = 1) -> SumDistribution:
+def enumerate_general(n: int) -> SumDistribution:
     """Exhaustive inverse-sum distribution over all invertible (0,1)
-    matrices of size n (3 <= n <= 5).  Sums are exact rationals."""
+    matrices of size n (3 <= n <= 5).  Sums are exact rationals.
+
+    Visits each set of n distinct nonzero row codes once (code bit j is
+    column j) and counts it n! times.  Row 0 holds the lowest word bits, so
+    the set's smallest packed word puts its codes in decreasing order, and
+    increasing code tuples come in increasing order of that word: the first
+    set to reach a pair (det(A + J) - det(A), det(A)) is its witness.
+    """
     if not 3 <= n <= 5:
         raise ValueError(
-            f"n={n} out of supported range 3..5: the scan visits 2^(n^2) "
-            f"matrices (2^25 at n=5, 2^36 at n=6 is beyond desk scale); "
+            f"n={n} out of supported range 3..5: the scan visits C(2^n - 1, n) "
+            f"row sets (169 911 at n=5; 6.8e7 at n=6 is beyond desk scale); "
             "for larger n use hill_climb_general")
-    return _run_parallel(_scan_general_worker, n, 1 << (n * n), jobs)
+    bits = [[(c >> j) & 1 for j in range(n)] for c in range(1 << n)]
+    plus = [[x + 1 for x in row] for row in bits]
+    pairs = {}  # (det(A + J) - det(A), det(A)) -> [row sets, smallest word]
+    for codes in itertools.combinations(range(1, 1 << n), n):
+        det = _bareiss([bits[c][:] for c in codes])
+        if det == 0:
+            continue
+        key = (_bareiss([plus[c][:] for c in codes]) - det, det)
+        entry = pairs.get(key)
+        if entry is None:
+            word = 0
+            for c in codes:
+                word = (word << n) | c
+            pairs[key] = [1, word]
+        else:
+            entry[0] += 1
+    dist = SumDistribution("general", n)
+    counts = dist.counts
+    wit = dist.witness_words
+    orders = math.factorial(n)
+    for (num, det), (sets, word) in pairs.items():
+        s = Fraction(num, det)
+        counts[s] = counts.get(s, 0) + sets * orders
+        if s not in wit or word < wit[s]:
+            wit[s] = word
+    return dist
 
 
 # ---------------------------------------------------------------------------
 # (1,2) determinant family
 
 
-def _scan_w_worker(args) -> SumDistribution:
-    return _scan_w_range(*args)
-
-
-def _scan_w_range(n: int, lo: int, hi: int) -> SumDistribution:
+def enumerate_w_determinants(n: int) -> SumDistribution:
+    """Exhaustive determinant distribution over the (1,2) family (n <= 6)."""
+    bits = n * (n - 1) // 2
+    if not 3 <= n <= 6:
+        raise ValueError(
+            f"n={n} out of supported range 3..6: the scan computes "
+            f"2^(n(n-1)/2) = 2^{bits} determinants")
     dist = SumDistribution("w-determinant", n)
     counts = dist.counts
     wit = dist.witness_words
     cells = _lower_cells(n)
     base = [[1 if j > i else 2 if j == i else 1 for j in range(n)] for i in range(n)]
-    for word in range(lo, hi):
+    for word in range(1 << bits):
         rows = [list(r) for r in base]
         w = word
         k = 0
@@ -415,21 +310,11 @@ def _scan_w_range(n: int, lo: int, hi: int) -> SumDistribution:
                 rows[i][j] = 2
             w >>= 1
             k += 1
-        d = determinant_exact(rows)
+        d = _bareiss(rows)
         counts[d] = counts.get(d, 0) + 1
-        if d not in wit or word < wit[d]:
+        if d not in wit:  # words ascend, so the first is the smallest
             wit[d] = word
     return dist
-
-
-def enumerate_w_determinants(n: int, jobs: int = 1) -> SumDistribution:
-    """Exhaustive determinant distribution over the (1,2) family (n <= 6)."""
-    bits = n * (n - 1) // 2
-    if not 3 <= n <= 6:
-        raise ValueError(
-            f"n={n} out of supported range 3..6: the scan computes "
-            f"2^(n(n-1)/2) = 2^{bits} determinants")
-    return _run_parallel(_scan_w_worker, n, 1 << bits, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +531,6 @@ def verify_theorem_range(n: int, constructive_limit: int = 20) -> TheoremRangeRe
     missing = []
     for s in interval:
         matrix = construct_with_sum(n, s)
-        if entry_sum(invert_unit_triangular(matrix.rows())) != s:
+        if sum(inverse_column_sums(matrix.rows())) != s:
             missing.append(s)
     return TheoremRangeReport(n, low, high, "constructive", tuple(missing), ())

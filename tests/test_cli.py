@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import fibsum
-from fibsum.cli import main
+from fibsum import fibonacci
+from fibsum.cli import build_parser, main
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
 from fibsum.matrixio import format_matrix, parse_matrix
 
@@ -38,6 +39,22 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "identities", "--max-n", "60")
         assert code == 0
         assert "PASS" in out
+
+    def test_fib_above_limit_refused_before_computing(self, capsys):
+        cached = len(fibonacci._cache)
+        limit = fibonacci.FIB_INDEX_LIMIT
+        code, out, err = run(capsys, "fib", str(limit + 1))
+        assert code == 1 and out == ""
+        assert f"FIB_INDEX_LIMIT = {limit}" in err
+        assert len(fibonacci._cache) == cached
+
+    def test_identities_above_limit_refused_before_computing(self, capsys):
+        cached = len(fibonacci._cache)
+        limit = fibonacci.IDENTITY_MAX_N
+        code, out, err = run(capsys, "identities", "--max-n", str(limit + 1))
+        assert code == 1 and out == ""
+        assert f"IDENTITY_MAX_N = {limit}" in err
+        assert len(fibonacci._cache) == cached
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -179,6 +196,11 @@ class TestEnumerate:
                            "--n", "12", "--jobs", "1")
         assert code == 1
 
+    def test_jobs_defaults_to_one(self):
+        args = build_parser().parse_args(["enumerate", "--family", "general",
+                                          "--n", "3"])
+        assert args.jobs == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, capsys, jobs):
         code, out, err = run(capsys, "enumerate", "--family", "triangular",
@@ -188,35 +210,33 @@ class TestEnumerate:
         assert "jobs must be >= 1" in err
 
 
-# Runs commands through fibsum.cli.main in a fresh interpreter, prints
-# whether numpy got imported, then prints the general family's report.
+# Runs commands through fibsum.cli.main in a fresh interpreter, every
+# enumerate family included, then prints whether numpy got imported.
 NUMPY_FREE_CHILD = """\
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from fibsum.cli import main
 for argv in (["enumerate", "--family", "triangular", "--n", "5"],
+             ["enumerate", "--family", "general", "--n", "3"],
+             ["enumerate", "--family", "w", "--n", "4"],
              ["search", "--n", "4", "--direction", "max", "--restarts", "3"],
              ["verify", "--suite", "all", "--n", "6", "--samples", "5",
-              "--count", "5"]):
+              "--count", "5"],
+             ["identities", "--max-n", "20"]):
     with contextlib.redirect_stdout(io.StringIO()):
         if main(argv) != 0:
             sys.exit(f"{argv} failed")
 print("numpy" in sys.modules)
-main(["enumerate", "--family", "general", "--n", "3", "--jobs", "1", "--json"])
 """
 
 
-class TestLazyNumpy:
-    def test_only_the_general_scan_imports_numpy(self, capsys):
+class TestNoNumpy:
+    def test_no_command_imports_numpy(self):
         src = str(Path(fibsum.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, src],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        first, _, report = proc.stdout.partition("\n")
-        assert first == "False"
-        _, expected, _ = run(capsys, "enumerate", "--family", "general",
-                             "--n", "3", "--jobs", "1", "--json")
-        assert report == expected
+        assert proc.stdout == "False\n"
 
 
 class TestSearch:

@@ -29,6 +29,12 @@ class TestFib:
         with pytest.raises(ValueError):
             fib(-3)
 
+    def test_limit_is_inclusive(self):
+        limit = fibonacci.FIB_INDEX_LIMIT
+        assert fib(limit) == fib(limit - 1) + fib(limit - 2)
+        with pytest.raises(ValueError, match="FIB_INDEX_LIMIT"):
+            fib(limit + 1)
+
     def test_prefix_sum(self):
         assert fib_prefix_sum(0) == 0
         for m in range(1, 30):
@@ -54,6 +60,12 @@ class TestLemma1:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             check_lemma1(0)
+
+    def test_rejects_n_above_limit_before_computing(self):
+        cached = len(fibonacci._cache)
+        with pytest.raises(ValueError, match="IDENTITY_MAX_N"):
+            check_lemma1(fibonacci.IDENTITY_MAX_N + 1)
+        assert len(fibonacci._cache) == cached
 
 
 class TestRestrictedRepresentation:

@@ -7,8 +7,8 @@ from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            determinant_exact, entry_sum, identity,
                            invert_general_exact, invert_unit_triangular,
-                           inverse_sum_via_determinant, row_sum_vector,
-                           transpose)
+                           inverse_column_sums, inverse_sum_via_determinant,
+                           row_sum_vector, transpose)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
@@ -120,6 +120,22 @@ class TestRowSumVector:
                 cols = tuple(sum(inv[i][j] for i in range(n)) for j in range(n))
                 assert row_sum_vector(a) == cols
                 assert row_sum_vector(a)[0] == 1
+
+    def test_rational_entries_match_inverse(self):
+        rng = random.Random(11)
+        for n in (1, 3, 5, 8):
+            rows = [[Fraction(int(i == j)) if j <= i
+                     else Fraction(rng.randint(0, 7), rng.randint(1, 7))
+                     for j in range(n)] for i in range(n)]
+            inv = invert_unit_triangular(rows)
+            cols = [sum(inv[i][j] for i in range(n)) for j in range(n)]
+            assert inverse_column_sums(rows) == cols
+            assert sum(inverse_column_sums(rows)) == entry_sum(inv)
+
+    def test_helper_refuses_non_upper_triangular(self):
+        for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="triangular"):
+                inverse_column_sums(rows)
 
     def test_dominance_bound_exhaustive_to_n7(self):
         # No member of the family beats (1, 1, F_2, ..., F_{n-1}) in absolute

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,10 @@ from fibsum.fibonacci import fib
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, entry_sum, invert_unit_triangular,
                            inverse_sum_via_determinant)
-from fibsum.search import (RankOneState, SearchConfig, SumDistribution,
-                           _exact_div, _scan_general_range, _split_ranges,
-                           _worker_count, enumerate_general,
-                           enumerate_triangular, enumerate_w_determinants,
-                           hill_climb_general, max_abs_row_sum_vector,
-                           verify_theorem_range)
+from fibsum.search import (RankOneState, SearchConfig, _exact_div,
+                           enumerate_general, enumerate_triangular,
+                           enumerate_w_determinants, hill_climb_general,
+                           max_abs_row_sum_vector, verify_theorem_range)
 
 from oracles import (det_cofactor, hill_climb_two_determinants,
                      scan_triangular_range)
@@ -55,22 +52,6 @@ class TestEnumerateTriangular:
         for s in dist.achieved:
             rows = dist.witness_rows(s)
             assert entry_sum(invert_unit_triangular(rows)) == s
-
-    def test_range_partition_merges_to_full(self):
-        n = 5
-        total = 1 << 10
-        rng = random.Random(3)
-        cuts = sorted(rng.sample(range(1, total), 4))
-        bounds = [0] + cuts + [total]
-        parts = [scan_triangular_range(n, lo, hi)
-                 for lo, hi in zip(bounds, bounds[1:])]
-        rng.shuffle(parts)
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merged.merge(p)
-        full = scan_triangular_range(n, 0, total)
-        assert merged.counts == full.counts
-        assert merged.witness_words == full.witness_words
 
     def test_matches_gray_code_oracle(self):
         # The row-sum state DP against the Gray-code scan it replaced, which
@@ -137,9 +118,10 @@ class TestEnumerateGeneral:
         assert Fraction(3, 2) in dist.counts
 
     def test_n4_distribution_against_bareiss_loop(self):
-        # Cross-validate the vectorized scan against the scalar
-        # fraction-free path over all 2^16 matrices.
-        counts = {}
+        # Cross-validate the row-set scan against the two-determinant
+        # formula on every one of the 2^16 matrices, in word order, so the
+        # first word reaching a sum is its smallest witness.
+        counts, first = {}, {}
         for word in range(1 << 16):
             rows = [[(word >> (4 * i + j)) & 1 for j in range(4)]
                     for i in range(4)]
@@ -148,7 +130,32 @@ class TestEnumerateGeneral:
             except ValueError:
                 continue
             counts[s] = counts.get(s, 0) + 1
-        assert enumerate_general(4).counts == counts
+            first.setdefault(s, word)
+        dist = enumerate_general(4)
+        assert dist.counts == counts
+        assert dist.witness_words == first
+
+    def test_n5_pinned_to_permutation_kernel(self):
+        # Counts and smallest witness words at n = 5 as recorded from the
+        # numpy permutation-expansion kernel that the row-set scan replaced.
+        recorded = {
+            "-1": (9600, 1118711), "0": (187200, 1118583),
+            "1/2": (9600, 1130235), "1": (4388400, 1118495),
+            "5/4": (3720, 3586811), "4/3": (57600, 1257085),
+            "7/5": (1200, 7720894), "3/2": (1040400, 1127163),
+            "8/5": (2400, 3594046), "5/3": (152640, 1256061),
+            "7/4": (22200, 3319358), "9/5": (3600, 3324633),
+            "2": (5352000, 1118487), "9/4": (3600, 3324632),
+            "7/3": (22200, 1256060), "5/2": (152640, 1127067),
+            "8/3": (2400, 1256028), "3": (1040400, 1118483),
+            "7/2": (1200, 1127064), "4": (57600, 1118481),
+            "5": (3720, 1118480),
+        }
+        dist = enumerate_general(5)
+        assert dist.counts == {Fraction(s): c for s, (c, _) in recorded.items()}
+        assert dist.witness_words == {Fraction(s): w
+                                      for s, (_, w) in recorded.items()}
+        assert dist.total == 12_514_320
 
     def test_n4_extremes(self):
         dist = enumerate_general(4)
@@ -160,14 +167,6 @@ class TestEnumerateGeneral:
             tri = set(enumerate_triangular(n).counts)
             gen = set(enumerate_general(n).counts)
             assert {Fraction(s) for s in tri} <= gen
-
-    def test_range_split_merges_to_full(self):
-        full = _scan_general_range(3, 0, 1 << 9)
-        a = _scan_general_range(3, 0, 300)
-        b = _scan_general_range(3, 300, 1 << 9)
-        merged = b.merge(a)
-        assert merged.counts == full.counts
-        assert merged.witness_words == full.witness_words
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="hill_climb_general"):
@@ -207,15 +206,6 @@ class TestEnumerateWDeterminants:
         for n in (3, 4, 5):
             tri = enumerate_triangular(n).achieved
             assert enumerate_w_determinants(n).achieved == [1 + s for s in tri]
-
-    def test_range_split_merges_to_full(self):
-        from fibsum.search import _scan_w_range
-        full = _scan_w_range(5, 0, 1 << 10)
-        parts = [_scan_w_range(5, lo, hi)
-                 for lo, hi in ((0, 100), (100, 700), (700, 1 << 10))]
-        merged = parts[2].merge(parts[0]).merge(parts[1])
-        assert merged.counts == full.counts
-        assert merged.witness_words == full.witness_words
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -337,26 +327,6 @@ class TestRankOneState:
             state.neighbour(0, 1, 1)
 
 
-class TestWorkerCount:
-    def test_clamped_to_cores(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        assert _worker_count(1) == 1
-        assert _worker_count(4) == 4
-        assert _worker_count(10 ** 6) == 4
-        assert len(_split_ranges(1 << 28, _worker_count(10 ** 6))) == 4
-
-    def test_unknown_core_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert _worker_count(8) == 1
-
-    def test_below_one_rejected(self):
-        for jobs in (0, -3):
-            with pytest.raises(ValueError, match="jobs must be >= 1"):
-                _worker_count(jobs)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            enumerate_general(3, jobs=0)
-
-
 class TestMaxAbsRowSumVector:
     def test_fibonacci_bound_n1_to_9(self):
         for n in range(1, 10):
@@ -395,12 +365,6 @@ class TestVerifyTheoremRange:
 
 
 class TestSumDistribution:
-    def test_merge_rejects_mismatched(self):
-        a = SumDistribution("triangular", 4)
-        b = SumDistribution("triangular", 5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_json_dict_shape(self):
         dist = enumerate_triangular(4)
         payload = dist.to_json_dict()
