@@ -20,7 +20,7 @@ from . import __version__
 from .construct import (construct_w_matrix, construct_with_sum,
                         extremal_pattern_matrix, sample_g_matrix,
                         small_extremal)
-from .fibonacci import check_corollary3, check_corollary4, check_lemma1, fib
+from .fibonacci import check_lemma1, corollary_failures, fib
 from .linalg import (SingularMatrixError, determinant_exact, entry_sum,
                      invert_general_exact, invert_unit_triangular,
                      inverse_column_sums, inverse_sum_via_determinant)
@@ -130,14 +130,10 @@ def _suite_corollaries(max_n: int) -> list:
     checks.append(CheckResult(
         "lemma1-identities", {"max_n": max_n}, lem.all_pass,
         f"failures: {lem.failures()}" if not lem.all_pass else "three identities hold"))
-    bad3 = [n for n in range(5, max_n + 1) if not check_corollary3(n)]
-    checks.append(CheckResult(
-        "corollary3-identity", {"max_n": max_n}, not bad3,
-        f"failures at n = {bad3}" if bad3 else "holds for n = 5..%d" % max_n))
-    bad4 = [n for n in range(6, max_n + 1) if not check_corollary4(n)]
-    checks.append(CheckResult(
-        "corollary4-identity", {"max_n": max_n}, not bad4,
-        f"failures at n = {bad4}" if bad4 else "holds for n = 6..%d" % max_n))
+    for k, bad, low in zip((3, 4), corollary_failures(max_n), (5, 6)):
+        checks.append(CheckResult(
+            f"corollary{k}-identity", {"max_n": max_n}, not bad,
+            f"failures at n = {bad}" if bad else f"holds for n = {low}..{max_n}"))
     return checks
 
 
@@ -292,8 +288,7 @@ def cmd_identities(args) -> int:
         raise ValueError(f"--max-n must be >= {_SUITE_MIN_N['corollaries']}, "
                          f"got {args.max_n}: corollary 4 starts at n = 6")
     report = check_lemma1(args.max_n)
-    bad3 = [n for n in range(5, args.max_n + 1) if not check_corollary3(n)]
-    bad4 = [n for n in range(6, args.max_n + 1) if not check_corollary4(n)]
+    bad3, bad4 = corollary_failures(args.max_n)
     ok = report.all_pass and not bad3 and not bad4
     if args.json:
         _write_json(args, {
@@ -306,10 +301,9 @@ def cmd_identities(args) -> int:
     else:
         print(f"lemma1 identities (n <= {args.max_n}): "
               f"{'PASS' if report.all_pass else 'FAIL ' + str(report.failures())}")
-        print(f"corollary3 identity (n <= {args.max_n}): "
-              f"{'PASS' if not bad3 else 'FAIL at ' + str(bad3)}")
-        print(f"corollary4 identity (n <= {args.max_n}): "
-              f"{'PASS' if not bad4 else 'FAIL at ' + str(bad4)}")
+        for k, bad in ((3, bad3), (4, bad4)):
+            print(f"corollary{k} identity (n <= {args.max_n}): "
+                  f"{'PASS' if not bad else 'FAIL at ' + str(bad)}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

@@ -194,3 +194,20 @@ def check_corollary4(n: int) -> bool:
     lhs += 6 * (-1) ** (n - 4) * fib(n - 4)
     rhs = (-1) ** n * fib(n - 1) - (n - 2)
     return lhs == rhs
+
+
+def corollary_failures(max_n: int) -> tuple:
+    """The n <= max_n at which corollary 3 (n >= 5) and corollary 4 (n >= 6)
+    fail.  Both weighted sums are n A - B, with A and B running sums of
+    (-1)^i F_i and i (-1)^i F_i over i, so each n costs O(1)."""
+    bad3, bad4 = [], []
+    alt = walt = 0  # A and B over i <= n - 5 at the top of each pass
+    for n in range(5, max_n + 1):
+        sign = -1 if n % 2 else 1  # (-1)^n = (-1)^(n-4) = -(-1)^(n-3)
+        if n > 5 and n * alt - walt + 6 * sign * fib(n - 4) != sign * fib(n - 1) - n + 2:
+            bad4.append(n)
+        term = sign * fib(n - 4)
+        alt, walt = alt + term, walt + (n - 4) * term
+        if n * alt - walt - 4 * sign * fib(n - 3) != -sign * fib(n - 1) - n + 2:
+            bad3.append(n)
+    return bad3, bad4

@@ -1,24 +1,24 @@
 """Exhaustive enumeration and heuristic search over (0,1) matrix families.
 
-Three families are enumerated exhaustively at desk scale, each by one
-algorithm in one process:
+Three families are enumerated exhaustively at desk scale in one process,
+the first two by one algorithm:
 
 * ``triangular``: all 2^(n(n-1)/2) (0,1) unit upper triangular matrices,
-  n <= 9, by a dynamic programme over inverse row sums rather than a visit
-  to each matrix.  The inverse row sums obey u_{n-1} = 1 and
-  u_r = 1 - (sum of u_j over the ones in row r), so once rows n-1 .. r are
-  fixed, the rest of the matrix sees only the ordered tuple
-  (u_r, ..., u_{n-1}).  Each state keeps its matrix count and its smallest
-  packed prefix; higher rows hold the more significant bits, which makes
-  the smallest prefix per state give the smallest word per sum.  At n = 9
-  the last level has 29 044 states for 2^36 matrices.
+  n <= 9, by a dynamic programme over inverse column sums, left to right.
+  They obey w_0 = 1 and w_j = 1 - (sum of w_i over the ones in column j),
+  so the columns after j see only the tuple (w_0, ..., w_j).  Each state
+  keeps its matrix count and smallest word prefix; prefix and completion
+  own disjoint bits, so this gives the smallest word per sum.  At n = 9 the
+  last level has 29 044 states for 2^36 matrices.
+* ``w-determinant``: all 2^(n(n-1)/2) members J + L of the (1,2) family,
+  L (0,1) unit lower triangular, n <= 9.  The relabelling
+  det(J + L) = 1 + S(L^T), S the inverse entry sum, makes this the same DP
+  over L^T in the family's word layout, each sum shifted by one.
 * ``general``: all 2^(n^2) (0,1) matrices, n <= 5, one set of distinct
   rows at a time.  Permuting the rows of A permutes the columns of A^{-1},
   so all n! row orders share one inverse entry sum, and an invertible
   matrix has distinct nonzero rows.  Each such row set costs two exact
   fraction-free determinants, det(A) and det(A + J), and counts n! times.
-* ``w-determinant``: all 2^(n(n-1)/2) members of the (1,2) family, n <= 6,
-  with honest fraction-free determinants per member.
 
 The witness kept per sum is the matrix with the smallest packed word, which
 makes witness selection independent of the scan order.
@@ -72,14 +72,11 @@ def _word_to_general_rows(n: int, word: int) -> list:
     return [[(word >> (i * n + j)) & 1 for j in range(n)] for i in range(n)]
 
 
-def _lower_cells(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i)]
-
-
 def _word_to_w_rows(n: int, word: int) -> list:
-    rows = [[1 if j > i else 2 if j == i else 1 for j in range(n)] for i in range(n)]
-    for k, (i, j) in enumerate(_lower_cells(n)):
-        rows[i][j] += (word >> k) & 1
+    rows = [[2 if j == i else 1 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] += (word >> _w_cell_bit(n, j, i)) & 1
     return rows
 
 
@@ -142,7 +139,7 @@ class SumDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Triangular family
+# Triangular and (1,2) families: one inverse column-sum DP
 
 
 def _subset_sums(values: tuple) -> dict:
@@ -161,80 +158,104 @@ def _subset_sums(values: tuple) -> dict:
     return out
 
 
-def _row_sum_levels(n: int):
-    """Walk the triangular family's inverse row sums from the bottom row up.
+def _column_places(n: int, j: int, cell_bit) -> list:
+    """places[v]: the word bits of the cells (i, j) for the rows i in mask v."""
+    places = [0]
+    for i in range(j):
+        bit = 1 << cell_bit(n, i, j)
+        places += [p | bit for p in places]
+    return places
 
-    For r = n-1 down to 1, yield the states after rows n-1 .. r are fixed: a
-    dict from the ordered tuple (u_r, ..., u_{n-1}) to [number of choices of
-    those rows, smallest packed prefix word].  Row r owns the mask bits from
-    its offset upward (row 0 lowest, as in :class:`Triangular01`), and a row
-    choice v gives u_r = 1 - (sum of u_{r+1+t} over the bits t of v).  Row
-    choices with equal subset sums lead to the same tuple and merge.
+
+def _column_sum_levels(n: int, cell_bit):
+    """Walk the inverse column sums of the (0,1) unit upper triangular
+    matrices of size n from the left, cell (i, j) at word bit
+    ``cell_bit(n, i, j)``.
+
+    For j = 1 .. n-2, yield the states after columns 0 .. j are fixed: a dict
+    from (w_0, ..., w_j) to [number of choices of those columns, smallest
+    word prefix].  A column choice v gives w_j = 1 - (sum of w_t over the
+    bits t of v); choices with equal subset sums merge.  Bits that increase
+    down each column keep the mask order, so the smallest mask of a sum is
+    its smallest placed word.
     """
-    states = {(): [1, 0]}
-    for r in range(n - 1, 0, -1):
-        off = r * (n - 1) - r * (r - 1) // 2
+    states = {(1,): [1, 0]}
+    for j in range(1, n - 1):
+        places = _column_places(n, j, cell_bit)
         nxt = {}
         for tup, (count, prefix) in states.items():
             for s, (mult, v) in _subset_sums(tup).items():
-                nxt[(1 - s,) + tup] = [count * mult, prefix | (v << off)]
+                nxt[tup + (1 - s,)] = [count * mult, prefix | places[v]]
         states = nxt
         yield states
 
 
-def enumerate_triangular(n: int) -> SumDistribution:
-    """Exhaustive inverse-sum distribution over all (0,1) unit upper
-    triangular matrices of size n (3 <= n <= 9).
-
-    Row 0, the least significant block, folds straight from the states of
-    :func:`_row_sum_levels` into the distribution: its choice v gives the
-    sum 1 + sum(state) - subsetsum(v), with word prefix | v.
-    """
+def _column_sum_distribution(family: str, n: int, cell_bit,
+                             shift: int) -> SumDistribution:
+    """Distribution of shift + inverse entry sum over the (0,1) unit upper
+    triangular matrices of size n (3 <= n <= 9), folding the last column."""
     bits = n * (n - 1) // 2
     if not 3 <= n <= 9:
         raise ValueError(
             f"n={n} out of supported range 3..9 for 2^(n(n-1)/2) = 2^{bits} "
-            "matrices: the row-sum states grow over tenfold per size "
+            "matrices: the column-sum states grow over tenfold per size "
             "(2821 at n = 8, 29044 at n = 9, 411727 at n = 10)")
-    dist = SumDistribution("triangular", n)
+    dist = SumDistribution(family, n)
     counts = dist.counts
     wit = dist.witness_words
-    for states in _row_sum_levels(n):
+    for states in _column_sum_levels(n, cell_bit):
         pass
+    places = _column_places(n, n - 1, cell_bit)
     for tup, (count, prefix) in states.items():
-        base = 1 + sum(tup)
+        base = shift + 1 + sum(tup)
         for ss, (mult, v) in _subset_sums(tup).items():
             s = base - ss
             counts[s] = counts.get(s, 0) + count * mult
-            w = prefix | v
+            w = prefix | places[v]
             if s not in wit or w < wit[s]:
                 wit[s] = w
     if dist.total != 1 << bits:
         raise InvariantError(
-            f"row-sum states count {dist.total} matrices, not 2^{bits}")
+            f"column-sum states count {dist.total} matrices, not 2^{bits}")
     return dist
+
+
+def _w_cell_bit(n: int, i: int, j: int) -> int:
+    """Word bit of upper cell (i, j) of L^T for the (1,2) member J + L."""
+    return j * (j - 1) // 2 + i
+
+
+def enumerate_triangular(n: int) -> SumDistribution:
+    """Exhaustive inverse-sum distribution over all (0,1) unit upper
+    triangular matrices of size n (3 <= n <= 9)."""
+    return _column_sum_distribution("triangular", n, Triangular01.bit_index, 0)
+
+
+def enumerate_w_determinants(n: int) -> SumDistribution:
+    """Exhaustive determinant distribution over the (1,2) family J + L,
+    L (0,1) unit lower triangular (3 <= n <= 9), with no determinant:
+    det(J + L) = 1 + S(L^T), S the inverse entry sum, so the column-sum
+    states of L^T, which grow over tenfold per size, give it shifted by 1."""
+    return _column_sum_distribution("w-determinant", n, _w_cell_bit, 1)
 
 
 def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
     whole triangular family, computed exhaustively (n <= 9).
 
-    Column sums obey c_0 = 1, c_j = 1 - (sum of c_i over the ones in column
-    j), the row-sum recursion read backwards, so the achievable prefixes
-    (c_0, ..., c_k) are the reversed row-sum states of length k + 1 and
-    coordinate k is the maximum of |u| over those states' first entries.
-    The last coordinate is 1 - s for a subset sum s of a state, whose
-    extremes are the sums of its negative and of its positive entries.
+    Coordinate k < n-1 is the largest |w_k| over the column-sum states at
+    column k.  The last, 1 - s for a subset sum s of a state, is extreme at
+    the sums of the state's negative and of its positive entries.
     """
     if not 1 <= n <= 9:
         raise ValueError(f"n={n} out of supported range 1..9")
-    maxima = []
-    states = {(): None}  # n = 1: no row above row 0
-    for states in _row_sum_levels(n):
-        maxima.append(max(abs(tup[0]) for tup in states))
+    maxima = [1]
+    states = {(1,): None}
+    for states in _column_sum_levels(n, Triangular01.bit_index):
+        maxima.append(max(abs(tup[-1]) for tup in states))
     maxima.append(max(max(1 - sum(x for x in tup if x < 0),
                           sum(x for x in tup if x > 0) - 1) for tup in states))
-    return tuple(maxima)
+    return tuple(maxima[:n])  # n = 1 has no column after w_0
 
 
 # ---------------------------------------------------------------------------
@@ -281,39 +302,6 @@ def enumerate_general(n: int) -> SumDistribution:
         counts[s] = counts.get(s, 0) + sets * orders
         if s not in wit or word < wit[s]:
             wit[s] = word
-    return dist
-
-
-# ---------------------------------------------------------------------------
-# (1,2) determinant family
-
-
-def enumerate_w_determinants(n: int) -> SumDistribution:
-    """Exhaustive determinant distribution over the (1,2) family (n <= 6)."""
-    bits = n * (n - 1) // 2
-    if not 3 <= n <= 6:
-        raise ValueError(
-            f"n={n} out of supported range 3..6: the scan computes "
-            f"2^(n(n-1)/2) = 2^{bits} determinants")
-    dist = SumDistribution("w-determinant", n)
-    counts = dist.counts
-    wit = dist.witness_words
-    cells = _lower_cells(n)
-    base = [[1 if j > i else 2 if j == i else 1 for j in range(n)] for i in range(n)]
-    for word in range(1 << bits):
-        rows = [list(r) for r in base]
-        w = word
-        k = 0
-        while w:
-            if w & 1:
-                i, j = cells[k]
-                rows[i][j] = 2
-            w >>= 1
-            k += 1
-        d = _bareiss(rows)
-        counts[d] = counts.get(d, 0) + 1
-        if d not in wit:  # words ascend, so the first is the smallest
-            wit[d] = word
     return dist
 
 

@@ -3,8 +3,9 @@
 These share no code path with the library: determinants by recursive
 cofactor expansion, inverses through the adjugate. Slow, only for small
 matrices inside tests.  The exceptions are replaced library kernels kept
-as the references for their successors: the two-determinant hill climb and
-the Gray-code triangular scan.
+as the references for their successors: the two-determinant hill climb,
+the Gray-code triangular scan, the ordered row-sum triangular DP and the
+per-word Bareiss scan of the (1,2) family.
 """
 
 import random
@@ -207,4 +208,82 @@ def scan_triangular_range(n, lo, hi):
         bump(1, 0)
         return dist
     ranged(max(n - 2, 0), 0, 1)
+    return dist
+
+
+def _subset_sums(values):
+    """Subset sum -> [number of subsets, smallest mask], bit t for values[t]."""
+    sums = [0]
+    for x in values:
+        sums += [s + x for s in sums]
+    out = {}
+    for mask, s in enumerate(sums):
+        if s in out:
+            out[s][0] += 1
+        else:
+            out[s] = [1, mask]
+    return out
+
+
+def row_sum_levels(n):
+    """Walk the triangular family's inverse row sums from the bottom row up.
+
+    For r = n-1 down to 1, yield the states after rows n-1 .. r are fixed: a
+    dict from the ordered tuple (u_r, ..., u_{n-1}) to [number of choices of
+    those rows, smallest packed prefix word].  Row r owns the mask bits from
+    its offset upward (row 0 lowest, as in ``Triangular01``), and a row
+    choice v gives u_r = 1 - (sum of u_{r+1+t} over the bits t of v).
+    """
+    states = {(): [1, 0]}
+    for r in range(n - 1, 0, -1):
+        off = r * (n - 1) - r * (r - 1) // 2
+        nxt = {}
+        for tup, (count, prefix) in states.items():
+            for s, (mult, v) in _subset_sums(tup).items():
+                nxt[(1 - s,) + tup] = [count * mult, prefix | (v << off)]
+        states = nxt
+        yield states
+
+
+def enumerate_triangular_by_rows(n):
+    """The triangular distribution from the ordered row-sum DP: row 0, the
+    least significant block, folds from the last states, its choice v giving
+    the sum 1 + sum(state) - subsetsum(v) and the word prefix | v.  Higher
+    rows hold the more significant bits, so the witnesses are exact."""
+    from fibsum.search import SumDistribution
+
+    dist = SumDistribution("triangular", n)
+    counts = dist.counts
+    wit = dist.witness_words
+    for states in row_sum_levels(n):
+        pass
+    for tup, (count, prefix) in states.items():
+        base = 1 + sum(tup)
+        for ss, (mult, v) in _subset_sums(tup).items():
+            s = base - ss
+            counts[s] = counts.get(s, 0) + count * mult
+            w = prefix | v
+            if s not in wit or w < wit[s]:
+                wit[s] = w
+    return dist
+
+
+def w_determinants_bareiss(n):
+    """The (1,2) determinant distribution by one fraction-free determinant
+    per word.  Word bit k adds 1 to the k-th cell below the diagonal, the
+    cells taken row by row; words ascend, so the first is the witness."""
+    from fibsum.linalg import _bareiss
+    from fibsum.search import SumDistribution
+
+    dist = SumDistribution("w-determinant", n)
+    counts = dist.counts
+    wit = dist.witness_words
+    cells = [(i, j) for i in range(n) for j in range(i)]
+    for word in range(1 << len(cells)):
+        rows = [[2 if j == i else 1 for j in range(n)] for i in range(n)]
+        for k, (i, j) in enumerate(cells):
+            rows[i][j] += (word >> k) & 1
+        d = _bareiss(rows)
+        counts[d] = counts.get(d, 0) + 1
+        wit.setdefault(d, word)
     return dist

@@ -176,10 +176,11 @@ def test_criterion_07_identities_to_90():
 
 
 def test_criterion_08_w_determinants():
-    """Determinant scan matches [3 - F_{n-1}, 3 + F_{n-1}] for n = 3..6;
-    the (1,2) constructor round-trips every admissible target for n <= 20."""
+    """Exhaustive determinant distribution matches [3 - F_{n-1}, 3 + F_{n-1}]
+    for n = 3..9; the (1,2) constructor round-trips every admissible target
+    for n <= 20."""
     scan_ok = True
-    for n in range(3, 7):
+    for n in range(3, 10):
         low, high = 3 - fib(n - 1), 3 + fib(n - 1)
         dist = enumerate_w_determinants(n)
         scan_ok &= dist.achieved == list(range(low, high + 1))

@@ -2,9 +2,9 @@ import pytest
 
 from fibsum import fibonacci
 from fibsum.fibonacci import (SignedFibRepresentation, check_corollary3,
-                              check_corollary4, check_lemma1, fib,
-                              fib_prefix_sum, restricted_representation,
-                              signed_representation)
+                              check_corollary4, check_lemma1,
+                              corollary_failures, fib, fib_prefix_sum,
+                              restricted_representation, signed_representation)
 from fibsum.linalg import InvariantError
 
 
@@ -146,6 +146,23 @@ class TestCorollaries:
     def test_up_to_90(self):
         assert all(check_corollary3(n) for n in range(5, 91))
         assert all(check_corollary4(n) for n in range(6, 91))
+
+    def test_running_sums_match_per_n_checks(self, monkeypatch):
+        # Every n <= 300, with the true sequence and with one Fibonacci
+        # number perturbed, so that both sides report the same failures.
+        def per_n(max_n):
+            return ([n for n in range(5, max_n + 1) if not check_corollary3(n)],
+                    [n for n in range(6, max_n + 1) if not check_corollary4(n)])
+
+        assert corollary_failures(300) == per_n(300) == ([], [])
+        for k in (1, 3, 17, 120):
+            monkeypatch.setattr(fibonacci, "fib",
+                                lambda i, k=k: fib(i) + (i == k))
+            bad = corollary_failures(300)
+            assert bad == per_n(300), k
+            assert bad[0] and bad[1] and bad[0][0] > k
+        monkeypatch.undo()
+        assert corollary_failures(4) == corollary_failures(5) == ([], [])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

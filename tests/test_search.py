@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from fibsum import search
 from fibsum.fibonacci import fib
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
-                           adjugate_exact, entry_sum, invert_unit_triangular,
-                           inverse_sum_via_determinant)
+                           adjugate_exact, determinant_exact, entry_sum,
+                           invert_unit_triangular, inverse_sum_via_determinant)
 from fibsum.search import (RankOneState, SearchConfig, _exact_div,
                            enumerate_general, enumerate_triangular,
                            enumerate_w_determinants, hill_climb_general,
                            max_abs_row_sum_vector, verify_theorem_range)
 
-from oracles import (det_cofactor, hill_climb_two_determinants,
-                     scan_triangular_range)
+from oracles import (det_cofactor, enumerate_triangular_by_rows,
+                     hill_climb_two_determinants, scan_triangular_range,
+                     w_determinants_bareiss)
 
 
 class TestEnumerateTriangular:
@@ -62,18 +63,28 @@ class TestEnumerateTriangular:
             assert dist.counts == oracle.counts, n
             assert dist.witness_words == oracle.witness_words, n
 
-    def test_state_count_mismatch_raises(self, monkeypatch):
-        levels = search._row_sum_levels
+    def test_matches_row_sum_oracle(self):
+        # The column-sum DP against the ordered row-sum DP it replaced:
+        # equal counts and equal smallest witnesses.
+        for n in range(3, 9):
+            dist = enumerate_triangular(n)
+            oracle = enumerate_triangular_by_rows(n)
+            assert dist.counts == oracle.counts, n
+            assert dist.witness_words == oracle.witness_words, n
 
-        def lose_one(n):
-            # The all-ones tuple (every row empty) is a state at every level.
-            for states in levels(n):
+    def test_state_count_mismatch_raises(self, monkeypatch):
+        levels = search._column_sum_levels
+
+        def lose_one(n, cell_bit):
+            # The all-ones tuple (every column empty) is a state at every level.
+            for states in levels(n, cell_bit):
                 yield {t: [c - (t == (1,) * len(t)), p]
                        for t, (c, p) in states.items()}
 
-        monkeypatch.setattr(search, "_row_sum_levels", lose_one)
-        with pytest.raises(InvariantError, match="not 2\\^10"):
-            enumerate_triangular(5)
+        monkeypatch.setattr(search, "_column_sum_levels", lose_one)
+        for scan in (enumerate_triangular, enumerate_w_determinants):
+            with pytest.raises(InvariantError, match="not 2\\^10"):
+                scan(5)
 
     def test_out_of_range_errors_mention_state_count(self):
         with pytest.raises(ValueError, match="2"):
@@ -188,17 +199,33 @@ class TestEnumerateWDeterminants:
         assert dist.max_sum == 3 + fib(5) == 8
 
     def test_witnesses_match_pattern_and_det(self):
-        from fibsum.linalg import determinant_exact
         dist = enumerate_w_determinants(4)
         for d in dist.achieved:
             rows = dist.witness_rows(d)
             assert determinant_exact(rows) == d
-            for i in range(4):
-                for j in range(4):
-                    if j > i:
-                        assert rows[i][j] == 1
-                    elif j == i:
-                        assert rows[i][j] == 2
+            assert_w_pattern(rows)
+
+    def test_matches_bareiss_oracle(self):
+        # The column-sum DP against the per-word Bareiss scan it replaced:
+        # equal counts and equal smallest witnesses.
+        for n in range(3, 7):
+            dist = enumerate_w_determinants(n)
+            oracle = w_determinants_bareiss(n)
+            assert dist.counts == oracle.counts, n
+            assert dist.witness_words == oracle.witness_words, n
+
+    def test_n7_to_n9_shifted_triangular(self):
+        # Beyond the Bareiss oracle: det(J + L) = 1 + S(L^T) shifts the
+        # triangular counts by one, and each witness is checked directly.
+        for n in range(7, 10):
+            dist = enumerate_w_determinants(n)
+            tri = enumerate_triangular(n)
+            assert dist.counts == {1 + s: c for s, c in tri.counts.items()}, n
+            assert dist.total == 1 << (n * (n - 1) // 2)
+            for d in dist.achieved:
+                rows = dist.witness_rows(d)
+                assert_w_pattern(rows)
+                assert determinant_exact(rows) == d, (n, d)
 
     def test_matches_shifted_triangular_set(self):
         # det over the (1,2) family = 1 + inverse sums of the transposed
@@ -208,8 +235,32 @@ class TestEnumerateWDeterminants:
             assert enumerate_w_determinants(n).achieved == [1 + s for s in tri]
 
     def test_out_of_range(self):
+        with pytest.raises(ValueError, match="column-sum states"):
+            enumerate_w_determinants(10)
         with pytest.raises(ValueError):
-            enumerate_w_determinants(7)
+            enumerate_w_determinants(2)
+
+
+def assert_w_pattern(rows):
+    """1 above the diagonal, 2 on it, 1 or 2 below it."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            assert rows[i][j] in ((1,) if j > i else (2,) if j == i else (1, 2))
+
+
+class TestWordLayouts:
+    def test_bijective_and_increasing_down_columns(self):
+        # The column-sum DP keeps the smallest mask per subset sum as the
+        # smallest placed word, which needs each column's bits to increase
+        # with the row; both layouts must also number the N cells 0..N-1.
+        for cell_bit in (Triangular01.bit_index, search._w_cell_bit):
+            for n in range(1, 13):
+                bits = [cell_bit(n, i, j) for j in range(n) for i in range(j)]
+                assert sorted(bits) == list(range(n * (n - 1) // 2)), n
+                for j in range(n):
+                    column = [cell_bit(n, i, j) for i in range(j)]
+                    assert column == sorted(set(column)), (n, j)
 
 
 class TestHillClimb:
