@@ -12,15 +12,15 @@ from .fibonacci import (Lemma1Report, SignedFibRepresentation, check_corollary3,
                         restricted_representation, signed_representation)
 from .linalg import (InvariantError, SingularMatrixError, Triangular01,
                      adjugate_exact, determinant_exact, entry_sum, identity,
-                     invert_general_exact, invert_unit_triangular,
-                     inverse_column_sums, inverse_sum_via_determinant,
-                     row_sum_vector, transpose)
+                     invert_unit_triangular, inverse_column_sums,
+                     inverse_sum_via_determinant, row_sum_vector, transpose)
 from .matrixio import MatrixFormatError, format_matrix, parse_matrix
 from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                      SearchConfig, SearchExhaustedError, SearchResult,
-                     SumDistribution, TheoremRangeReport, enumerate_general,
+                     SumDistribution, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
-                     hill_climb_general, max_abs_row_sum_vector,
+                     hill_climb_general, max_abs_row_sum_vector)
+from .verify import (CheckResult, TheoremRangeReport, VerificationReport,
                      verify_theorem_range)
 
 __all__ = [
@@ -33,13 +33,14 @@ __all__ = [
     "check_corollary4", "check_lemma1", "fib", "restricted_representation",
     "signed_representation",
     "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
-    "determinant_exact", "entry_sum", "identity", "invert_general_exact",
-    "invert_unit_triangular", "inverse_column_sums",
-    "inverse_sum_via_determinant", "row_sum_vector", "transpose",
+    "determinant_exact", "entry_sum", "identity", "invert_unit_triangular",
+    "inverse_column_sums", "inverse_sum_via_determinant", "row_sum_vector",
+    "transpose",
     "MatrixFormatError", "format_matrix", "parse_matrix",
     "KNOWN_GENERAL_MAX_7X7", "KNOWN_GENERAL_MIN_7X7", "SearchConfig",
     "SearchExhaustedError", "SearchResult", "SumDistribution",
-    "TheoremRangeReport", "enumerate_general", "enumerate_triangular",
-    "enumerate_w_determinants", "hill_climb_general",
-    "max_abs_row_sum_vector", "verify_theorem_range",
+    "enumerate_general", "enumerate_triangular", "enumerate_w_determinants",
+    "hill_climb_general", "max_abs_row_sum_vector",
+    "CheckResult", "TheoremRangeReport", "VerificationReport",
+    "verify_theorem_range",
 ]

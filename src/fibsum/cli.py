@@ -13,22 +13,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .construct import (construct_w_matrix, construct_with_sum,
-                        extremal_pattern_matrix, sample_g_matrix,
-                        small_extremal)
-from .fibonacci import check_lemma1, corollary_failures, fib
-from .linalg import (SingularMatrixError, determinant_exact, entry_sum,
-                     invert_general_exact, invert_unit_triangular,
-                     inverse_column_sums, inverse_sum_via_determinant)
+                        extremal_pattern_matrix)
+from .fibonacci import fib
+from .linalg import (SingularMatrixError, adjugate_exact, entry_sum,
+                     invert_unit_triangular)
 from .matrixio import MatrixFormatError, format_matrix, format_scalar, parse_matrix
-from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
-                     SearchConfig, SearchExhaustedError, enumerate_general,
+from .search import (SearchConfig, SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
-                     hill_climb_general, verify_theorem_range)
+                     hill_climb_general)
+from .verify import (SUITE_SIZES, SUITES, VerificationReport, identity_failures,
+                     suite_sizes)
+# cmd_verify looks the suites up by these names, the ones bench/tracer.py wraps.
+from .verify import suite_corollaries as _suite_corollaries
+from .verify import suite_gsampling as _suite_gsampling
+from .verify import suite_pattern as _suite_pattern
+from .verify import suite_remark as _suite_remark
+from .verify import suite_theorem as _suite_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,196 +85,6 @@ def _read_matrix(args):
 
 
 # ---------------------------------------------------------------------------
-# Verification plumbing
-
-
-@dataclass
-class CheckResult:
-    name: str
-    parameters: dict
-    passed: bool
-    detail: str
-
-
-@dataclass
-class VerificationReport:
-    suite: str
-    checks: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": sum(c.passed for c in self.checks),
-            "failed": sum(not c.passed for c in self.checks),
-            "checks": [
-                {"name": c.name, "parameters": c.parameters,
-                 "pass": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
-def _suite_theorem(n: int) -> list:
-    report = verify_theorem_range(n)
-    detail = (f"interval [{report.low}, {report.high}], method {report.method}")
-    if report.missing:
-        detail += f", missing sums {list(report.missing)}"
-    if report.unexpected:
-        detail += f", sums outside interval {list(report.unexpected)}"
-    return [CheckResult("theorem-range", {"n": n}, report.ok, detail)]
-
-
-def _suite_corollaries(max_n: int) -> list:
-    checks = []
-    lem = check_lemma1(max_n)
-    checks.append(CheckResult(
-        "lemma1-identities", {"max_n": max_n}, lem.all_pass,
-        f"failures: {lem.failures()}" if not lem.all_pass else "three identities hold"))
-    for k, bad, low in zip((3, 4), corollary_failures(max_n), (5, 6)):
-        checks.append(CheckResult(
-            f"corollary{k}-identity", {"max_n": max_n}, not bad,
-            f"failures at n = {bad}" if bad else f"holds for n = {low}..{max_n}"))
-    return checks
-
-
-def _suite_pattern(max_n: int) -> list:
-    checks = []
-    bad_inverse = []
-    bad_sum = []
-    for n in range(5, max_n + 1):
-        for l in (2, 3):
-            matrix, predicted = extremal_pattern_matrix(n, l)
-            actual = invert_unit_triangular(matrix.rows())
-            if actual != predicted:
-                bad_inverse.append((n, l))
-            expected = 2 - fib(n - 1) if (n + l) % 2 == 0 else 2 + fib(n - 1)
-            if entry_sum(actual) != expected:
-                bad_sum.append((n, l))
-    checks.append(CheckResult(
-        "pattern-predicted-inverse", {"n": f"5..{max_n}", "l": [2, 3]},
-        not bad_inverse,
-        f"mismatches: {bad_inverse}" if bad_inverse else "predicted inverse exact"))
-    checks.append(CheckResult(
-        "pattern-sum-parity", {"n": f"5..{max_n}", "l": [2, 3]}, not bad_sum,
-        f"mismatches: {bad_sum}" if bad_sum else "sums follow the n+l parity rule"))
-    bad_small = []
-    for n in (3, 4):
-        for kind, expected in (("maximizing", 2 + fib(n - 1)),
-                               ("minimizing", 2 - fib(n - 1))):
-            m = small_extremal(n, kind)
-            if sum(inverse_column_sums(m.rows())) != expected:
-                bad_small.append((n, kind))
-    checks.append(CheckResult(
-        "small-extremal-sums", {"n": [3, 4]}, not bad_small,
-        f"mismatches: {bad_small}" if bad_small else "n = 3, 4 extremal sums exact"))
-    return checks
-
-
-def _suite_remark(max_n: int, count: int, seed: int) -> list:
-    import random
-
-    from .linalg import Triangular01
-
-    checks = []
-    got_min = inverse_sum_via_determinant([list(r) for r in KNOWN_GENERAL_MIN_7X7])
-    got_max = inverse_sum_via_determinant([list(r) for r in KNOWN_GENERAL_MAX_7X7])
-    checks.append(CheckResult(
-        "known-7x7-records", {}, (got_min, got_max) == (Fraction(-7), Fraction(11)),
-        f"inverse sums {got_min} and {got_max} (expected -7 and 11)"))
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(count):
-        n = rng.randint(3, max_n)
-        mask = rng.getrandbits(n * (n - 1) // 2)
-        matrix = Triangular01(n, mask)
-        direct = entry_sum(invert_unit_triangular(matrix.rows()))
-        formula = inverse_sum_via_determinant(matrix.rows())
-        if formula != direct:
-            bad += 1
-    checks.append(CheckResult(
-        "determinant-formula", {"count": count, "max_n": max_n, "seed": seed},
-        bad == 0, f"{bad} mismatches in {count} random triangular matrices"))
-    singular = [[1, 1], [1, 1]]
-    try:
-        inverse_sum_via_determinant(singular)
-        rejected = False
-    except SingularMatrixError:
-        rejected = True
-    checks.append(CheckResult(
-        "singular-rejected", {}, rejected,
-        "singular matrix raises SingularMatrixError" if rejected
-        else "singular matrix not rejected"))
-    return checks
-
-
-def _suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
-    checks = []
-    outside = []
-    for n in range(3, max_n + 1):
-        low, high = 2 - fib(n - 1), 2 + fib(n - 1)
-        for k in range(samples):
-            g = sample_g_matrix(n, seed + k, bound)
-            s = sum(inverse_column_sums(g.rows))
-            if not low <= s <= high:
-                outside.append((n, seed + k, s))
-    checks.append(CheckResult(
-        "gsampling-interval",
-        {"n": f"3..{max_n}", "samples": samples, "bound": bound, "seed": seed},
-        not outside,
-        f"sums outside interval: {outside[:5]}" if outside
-        else "all sampled inverse sums inside the closed interval"))
-    bad_ends = []
-    for n in range(3, max_n + 1):
-        if n <= 4:
-            mats = [small_extremal(n, "maximizing"), small_extremal(n, "minimizing")]
-        else:
-            mats = [extremal_pattern_matrix(n, 2)[0], extremal_pattern_matrix(n, 3)[0]]
-        sums = sorted(sum(inverse_column_sums(m.rows())) for m in mats)
-        if sums != [2 - fib(n - 1), 2 + fib(n - 1)]:
-            bad_ends.append((n, sums))
-    checks.append(CheckResult(
-        "gsampling-endpoints", {"n": f"3..{max_n}"}, not bad_ends,
-        f"mismatches: {bad_ends}" if bad_ends
-        else "both interval endpoints attained by (0,1) extremal matrices"))
-    return checks
-
-
-# Smallest --n at which every check of a suite covers a non-empty range:
-# corollary 4 starts at n = 6, the banded pattern at n = 5.
-_SUITE_MIN_N = {"theorem": 3, "corollaries": 6, "pattern": 5, "remark": 3,
-                "gsampling": 3}
-_SUITE_MIN_N["all"] = max(_SUITE_MIN_N.values())
-_SUITES = tuple(_SUITE_MIN_N)
-
-
-def _run_suite(args) -> VerificationReport:
-    checks = []
-    name = args.suite
-    if args.n is not None and args.n < _SUITE_MIN_N[name]:
-        raise ValueError(f"--suite {name} needs --n >= {_SUITE_MIN_N[name]}, "
-                         f"got {args.n}: a smaller n leaves a check with nothing to check")
-
-    def size(default: int) -> int:
-        return default if args.n is None else args.n
-
-    if name in ("theorem", "all"):
-        checks.extend(_suite_theorem(size(7)))
-    if name in ("corollaries", "all"):
-        checks.extend(_suite_corollaries(size(90)))
-    if name in ("pattern", "all"):
-        checks.extend(_suite_pattern(size(20)))
-    if name in ("remark", "all"):
-        checks.extend(_suite_remark(size(10), args.count, args.seed))
-    if name in ("gsampling", "all"):
-        checks.extend(_suite_gsampling(size(8), args.samples, args.bound, args.seed))
-    return VerificationReport(name, checks)
-
-
-# ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
@@ -284,27 +98,26 @@ def cmd_fib(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    if args.max_n < _SUITE_MIN_N["corollaries"]:
-        raise ValueError(f"--max-n must be >= {_SUITE_MIN_N['corollaries']}, "
+    minimum = SUITE_SIZES["corollaries"][1]
+    if args.max_n < minimum:
+        raise ValueError(f"--max-n must be >= {minimum}, "
                          f"got {args.max_n}: corollary 4 starts at n = 6")
-    report = check_lemma1(args.max_n)
-    bad3, bad4 = corollary_failures(args.max_n)
-    ok = report.all_pass and not bad3 and not bad4
+    lemma1, bad3, bad4 = identity_failures(args.max_n)
     if args.json:
         _write_json(args, {
             "max_n": args.max_n,
-            "lemma1_pass": report.all_pass,
-            "lemma1_failures": report.failures(),
+            "lemma1_pass": not lemma1,
+            "lemma1_failures": lemma1,
             "corollary3_pass": not bad3,
             "corollary4_pass": not bad4,
         })
     else:
         print(f"lemma1 identities (n <= {args.max_n}): "
-              f"{'PASS' if report.all_pass else 'FAIL ' + str(report.failures())}")
+              f"{'PASS' if not lemma1 else 'FAIL ' + str(lemma1)}")
         for k, bad in ((3, bad3), (4, bad4)):
             print(f"corollary{k} identity (n <= {args.max_n}): "
                   f"{'PASS' if not bad else 'FAIL at ' + str(bad)}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED if lemma1 or bad3 or bad4 else EXIT_OK
 
 
 def cmd_invert(args) -> int:
@@ -358,15 +171,14 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_wmatrix(args) -> int:
-    w = construct_w_matrix(args.n, args.det)
-    rows = w.to_rows()
-    det = determinant_exact(rows)
-    if det != 0:
-        inverse = invert_general_exact(rows)
-        s = entry_sum(inverse)
+    rows = construct_w_matrix(args.n, args.det).to_rows()
+    try:
+        det, adj = adjugate_exact(rows)
+    except SingularMatrixError:
+        det, inverse, s = 0, None, None
     else:
-        inverse = None
-        s = None
+        inverse = [[Fraction(x, det) for x in row] for row in adj]
+        s = entry_sum(inverse)
     if args.json:
         _write_json(args, {
             "n": args.n,
@@ -426,17 +238,20 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = _run_suite(args)
+    extra = {"remark": (args.count, args.seed),
+             "gsampling": (args.samples, args.bound, args.seed)}
+    checks = []
+    for name, n in suite_sizes(args.suite, args.n).items():
+        checks.extend(globals()[f"_suite_{name}"](n, *extra.get(name, ())))
+    report = VerificationReport(args.suite, checks)
     if args.json:
         _write_json(args, report.to_json_dict())
     else:
-        for check in report.checks:
+        for check in checks:
             status = "PASS" if check.passed else "FAIL"
             params = " ".join(f"{k}={v}" for k, v in sorted(check.parameters.items()))
             print(f"{status} {check.name} [{params}] {check.detail}")
-        total = len(report.checks)
-        failed = sum(not c.passed for c in report.checks)
-        print(f"{total - failed}/{total} checks passed")
+        print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return EXIT_OK if report.all_pass else EXIT_VERIFY_FAILED
 
 
@@ -518,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
-    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--n", type=int, default=None,
                    help="size bound; meaning depends on the suite")
     p.add_argument("--count", type=int, default=200,

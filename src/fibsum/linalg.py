@@ -269,32 +269,6 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     return sign * prev, [[sign * x for x in r[n:]] for r in m]
 
 
-def invert_general_exact(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact rational inverse of an arbitrary square matrix.
-
-    Gauss-Jordan elimination over ``Fraction``; raises
-    :class:`SingularMatrixError` when no pivot can be found.
-    """
-    n = _dimension(rows)
-    work = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular, no inverse exists")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return inv
-
-
 def inverse_sum_via_determinant(rows: Sequence[Sequence[int]]) -> Fraction:
     """Entry sum of the inverse, computed from two determinants.
 

@@ -32,11 +32,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .construct import construct_with_sum
-from .fibonacci import fib
 from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
-                     determinant_exact, inverse_column_sums,
-                     inverse_sum_via_determinant)
+                     determinant_exact, inverse_sum_via_determinant)
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
 # fall outside the triangular range [-6, 10].
@@ -471,54 +468,3 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
             f"best sum {best} from the climb, {verified} from determinants")
     return SearchResult(tuple(tuple(row) for row in best_rows), verified,
                         steps_total, restarts_run)
-
-
-# ---------------------------------------------------------------------------
-# Range verification
-
-
-@dataclass(frozen=True)
-class TheoremRangeReport:
-    """Result of checking that every integer in [2 - F_{n-1}, 2 + F_{n-1}]
-    is achieved (and nothing outside it)."""
-
-    n: int
-    low: int
-    high: int
-    method: str
-    missing: tuple
-    unexpected: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.unexpected
-
-
-def verify_theorem_range(n: int, constructive_limit: int = 20) -> TheoremRangeReport:
-    """Check full-interval achievability of inverse entry sums.
-
-    n <= 8 is settled by exhaustive enumeration; above that, each target in the
-    interval is round-tripped through the constructor (bounded by
-    ``constructive_limit``, default 20, to keep runtimes at desk scale).
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    bound = fib(n - 1)
-    low, high = 2 - bound, 2 + bound
-    interval = range(low, high + 1)
-    if n <= 8:
-        dist = enumerate_triangular(n)
-        achieved = set(dist.counts)
-        missing = tuple(s for s in interval if s not in achieved)
-        unexpected = tuple(sorted(achieved - set(interval)))
-        return TheoremRangeReport(n, low, high, "exhaustive", missing, unexpected)
-    if n > constructive_limit:
-        raise ValueError(
-            f"n={n} exceeds the constructive check limit {constructive_limit}; "
-            "raise constructive_limit explicitly for longer runs")
-    missing = []
-    for s in interval:
-        matrix = construct_with_sum(n, s)
-        if sum(inverse_column_sums(matrix.rows())) != s:
-            missing.append(s)
-    return TheoremRangeReport(n, low, high, "constructive", tuple(missing), ())

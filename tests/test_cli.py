@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 import fibsum
 from fibsum import fibonacci
 from fibsum.cli import build_parser, main
+from fibsum.fibonacci import fib
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
 from fibsum.matrixio import format_matrix, parse_matrix
 
 from fixtures import BANDED_9_L2
+from oracles import invert_adjugate
 
 
 def run(capsys, *argv):
@@ -102,6 +105,21 @@ class TestConstructCommands:
         assert payload["det"] == 6
         assert determinant_exact(payload["matrix"]) == 6
         assert payload["sum"] is not None
+
+    def test_wmatrix_inverse_matches_adjugate_oracle(self, capsys):
+        for n in range(3, 8):
+            bound = fib(n - 1)
+            for det in range(3 - bound, 4 + bound):
+                code, payload, _ = run_json(capsys, "wmatrix", "--n", str(n),
+                                            "--det", str(det))
+                assert code == 0 and payload["det"] == det
+                if det == 0:
+                    assert payload["inverse"] is None and payload["sum"] is None
+                    continue
+                expected = invert_adjugate(payload["matrix"])
+                inverse = [[Fraction(x) for x in row] for row in payload["inverse"]]
+                assert inverse == expected
+                assert Fraction(payload["sum"]) == sum(map(sum, expected))
 
     def test_wmatrix_singular_target(self, capsys):
         code, payload, _ = run_json(capsys, "wmatrix", "--n", "5", "--det", "0")

@@ -6,9 +6,9 @@ import pytest
 from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            determinant_exact, entry_sum, identity,
-                           invert_general_exact, invert_unit_triangular,
-                           inverse_column_sums, inverse_sum_via_determinant,
-                           row_sum_vector, transpose)
+                           invert_unit_triangular, inverse_column_sums,
+                           inverse_sum_via_determinant, row_sum_vector,
+                           transpose)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
@@ -206,22 +206,6 @@ class TestInverseSumViaDeterminant:
         rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
         assert determinant_exact(rows) == 2
         assert inverse_sum_via_determinant(rows) == Fraction(3, 2)
-
-
-class TestInvertGeneralExact:
-    def test_matches_adjugate_oracle(self):
-        rng = random.Random(4242)
-        done = 0
-        while done < 50:
-            rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-            if det_cofactor(rows) == 0:
-                continue
-            assert invert_general_exact(rows) == invert_adjugate(rows)
-            done += 1
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            invert_general_exact([[1, 2], [2, 4]])
 
 
 def assert_adjugate_matches_oracles(rows):

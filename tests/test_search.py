@@ -12,7 +12,8 @@ from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
 from fibsum.search import (RankOneState, SearchConfig, _exact_div,
                            enumerate_general, enumerate_triangular,
                            enumerate_w_determinants, hill_climb_general,
-                           max_abs_row_sum_vector, verify_theorem_range)
+                           max_abs_row_sum_vector)
+from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
 
 from oracles import (det_cofactor, enumerate_triangular_by_rows,
                      hill_climb_two_determinants, scan_triangular_range,
@@ -410,9 +411,10 @@ class TestVerifyTheoremRange:
         assert (report.low, report.high) == (2 - fib(8), 2 + fib(8))
 
     def test_limit_enforced(self):
-        with pytest.raises(ValueError, match="constructive_limit"):
-            verify_theorem_range(25)
-        assert verify_theorem_range(21, constructive_limit=21).ok
+        assert CONSTRUCTIVE_MAX_N == 20
+        for n in (21, 25):
+            with pytest.raises(ValueError, match="CONSTRUCTIVE_MAX_N = 20"):
+                verify_theorem_range(n)
 
 
 class TestSumDistribution:
