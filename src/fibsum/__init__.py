@@ -13,7 +13,8 @@ from .fibonacci import (Lemma1Report, SignedFibRepresentation, check_corollary3,
 from .linalg import (InvariantError, SingularMatrixError, Triangular01,
                      adjugate_exact, determinant_exact, entry_sum, identity,
                      invert_unit_triangular, inverse_column_sums,
-                     inverse_sum_via_determinant, row_sum_vector, transpose)
+                     inverse_entry_sum, inverse_sum_via_determinant,
+                     row_sum_vector, transpose)
 from .matrixio import MatrixFormatError, format_matrix, parse_matrix
 from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                      SearchConfig, SearchExhaustedError, SearchResult,
@@ -34,8 +35,8 @@ __all__ = [
     "signed_representation",
     "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
     "determinant_exact", "entry_sum", "identity", "invert_unit_triangular",
-    "inverse_column_sums", "inverse_sum_via_determinant", "row_sum_vector",
-    "transpose",
+    "inverse_column_sums", "inverse_entry_sum", "inverse_sum_via_determinant",
+    "row_sum_vector", "transpose",
     "MatrixFormatError", "format_matrix", "parse_matrix",
     "KNOWN_GENERAL_MAX_7X7", "KNOWN_GENERAL_MIN_7X7", "SearchConfig",
     "SearchExhaustedError", "SearchResult", "SumDistribution",

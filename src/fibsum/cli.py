@@ -25,7 +25,8 @@ from .matrixio import MatrixFormatError, format_matrix, format_scalar, parse_mat
 from .search import (SearchConfig, SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
                      hill_climb_general)
-from .verify import (SUITE_SIZES, SUITES, VerificationReport, identity_failures,
+from .verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES, SUITES,
+                     VerificationReport, check_options, identity_failures,
                      suite_sizes)
 # cmd_verify looks the suites up by these names, the ones bench/tracer.py wraps.
 from .verify import suite_corollaries as _suite_corollaries
@@ -240,8 +241,10 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     extra = {"remark": (args.count, args.seed),
              "gsampling": (args.samples, args.bound, args.seed)}
+    sizes = suite_sizes(args.suite, args.n)
+    check_options(args.samples, args.count, args.bound)
     checks = []
-    for name, n in suite_sizes(args.suite, args.n).items():
+    for name, n in sizes.items():
         checks.extend(globals()[f"_suite_{name}"](n, *extra.get(name, ())))
     report = VerificationReport(args.suite, checks)
     if args.json:
@@ -337,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="size bound; meaning depends on the suite")
     p.add_argument("--count", type=int, default=200,
-                   help="random checks for the remark suite")
+                   help=f"random checks for the remark suite, 1..{MAX_COUNT}")
     p.add_argument("--samples", type=int, default=1000,
-                   help="samples per size for the gsampling suite")
+                   help=f"samples per size for the gsampling suite, 1..{MAX_SAMPLES}")
     p.add_argument("--bound", type=int, default=16,
-                   help="denominator bound for the gsampling suite")
+                   help=f"denominator bound for the gsampling suite, 1..{MAX_BOUND}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

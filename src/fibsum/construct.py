@@ -295,14 +295,22 @@ class GMatrix:
         n = len(self.rows)
         if n == 0 or any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square and non-empty")
-        for i in range(n):
-            for j in range(n):
-                v = self.rows[i][j]
-                if j == i and v != 1:
-                    raise ValueError("diagonal entries must be 1")
-                if j < i and v != 0:
-                    raise ValueError("entries below the diagonal must be 0")
-                if j > i and not 0 <= v <= 1:
+        # Checked on each entry's integer numerator and (positive)
+        # denominator, which skips Fraction's rich comparisons.
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                try:
+                    num, den = v.numerator, v.denominator
+                except AttributeError:
+                    raise ValueError(f"entry ({i}, {j}) is not an int or a Fraction: "
+                                     f"{v!r}") from None
+                if j == i:
+                    if num != den:
+                        raise ValueError("diagonal entries must be 1")
+                elif j < i:
+                    if num:
+                        raise ValueError("entries below the diagonal must be 0")
+                elif not 0 <= num <= den:
                     raise ValueError("strictly upper entries must lie in [0, 1]")
 
     @property
@@ -313,30 +321,30 @@ class GMatrix:
         return [list(r) for r in self.rows]
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     """Deterministic pseudo-random member of the continuous relaxation.
 
     Strictly upper entries are exact rationals p/q with 0 <= p <= q <=
     ``denominator_bound``, drawn cell by cell in row-major order from a
-    stream seeded by ``seed``.  Exact rationals keep the closed-interval
+    stream seeded by ``seed``: ``randint(1, bound)`` for q, then
+    ``randint(0, q)`` for p.  Exact rationals keep the closed-interval
     bound on the inverse entry sum testable with no rounding slack.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be >= 1")
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(Fraction(0))
-            elif j == i:
-                row.append(Fraction(1))
-            else:
-                q = rng.randint(1, denominator_bound)
-                p = rng.randint(0, q)
-                row.append(Fraction(p, q))
+        row = [_ZERO] * i
+        row.append(_ONE)
+        for _ in range(i + 1, n):
+            q = randint(1, denominator_bound)
+            row.append(Fraction(randint(0, q), q))
         rows.append(tuple(row))
     return GMatrix(tuple(rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -174,6 +175,49 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
                 s -= a * wi
         w.append(s)
     return w
+
+
+def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
+
+    The forward substitution of :func:`inverse_column_sums`, run in
+    integers over one common denominator.  Let d_j be the lcm of the
+    denominators above the diagonal in column j and E_j = d_0 d_1 ... d_j.
+    Then W_j = E_j w_j is an integer:
+    W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
+    with each inner sum taken by Horner's rule, and the entry sum is
+    (sum of W_j E_{n-1} / E_j) / E_{n-1}, one Fraction built at the end.
+    No gcd is taken on the way.  Scaling column by column keeps E_{n-1}
+    near the product of the column lcms; one lcm d over the whole matrix
+    would carry d^(n-1), far larger once n and the denominators grow.
+    Int input gives an int, input with a Fraction entry a Fraction.
+    """
+    n = _dimension(rows)
+    for i, r in enumerate(rows):
+        if r[i] != 1 or any(r[:i]):
+            raise ValueError("matrix is not unit upper triangular")
+    scales = []  # d_j
+    w = []       # W_j
+    e = 1        # E_j
+    total = 0    # E_j (w_0 + ... + w_j)
+    for j in range(n):
+        column = [rows[i][j] for i in range(j)]
+        try:
+            d = lcm(*[x.denominator for x in column])
+        except AttributeError:
+            raise ValueError("entries must be int or Fraction") from None
+        acc = 0
+        for i, x in enumerate(column):
+            acc *= scales[i]
+            if x:
+                acc += w[i] * x.numerator * (d // x.denominator)
+        e *= d
+        scales.append(d)
+        w.append(e - acc)
+        total = total * d + w[-1]
+    if e == 1 and not any(isinstance(x, Fraction) for r in rows for x in r):
+        return total
+    return Fraction(total, e)
 
 
 def row_sum_vector(a: Triangular01) -> tuple:

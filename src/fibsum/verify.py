@@ -22,10 +22,23 @@ from . import construct, fibonacci, linalg, search
 # targets in the interval costs one constructor round trip.
 CONSTRUCTIVE_MAX_N = 20
 
-# name: (default n, smallest n at which every check of the suite covers a
-# non-empty range; corollary 4 starts at n = 6, the banded pattern at n = 5).
-SUITE_SIZES = {"theorem": (7, 3), "corollaries": (90, 6), "pattern": (20, 5),
-               "remark": (10, 3), "gsampling": (8, 3)}
+# name: (default n, smallest n, largest n).  The smallest n is the first at
+# which every check of the suite covers a non-empty range (corollary 4 starts
+# at n = 6, the banded pattern at n = 5).  The largest n is the one past
+# which the suite would run for more than a few minutes on one core of a
+# 2-vCPU Xeon host: the pattern suite grows about as n^3.6 (9 s at n = 160,
+# 23 s at 200), remark at 60 with MAX_COUNT draws takes about 60 s, and
+# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 90 s.
+# Theorem and corollaries stop where their checks do.
+SUITE_SIZES = {"theorem": (7, 3, CONSTRUCTIVE_MAX_N),
+               "corollaries": (90, 6, fibonacci.IDENTITY_MAX_N),
+               "pattern": (20, 5, 200), "remark": (10, 3, 60),
+               "gsampling": (8, 3, 20)}
+# Largest --samples (gsampling samples per n), --count (remark draws) and
+# --bound (gsampling denominators), sized with the largest n above.
+MAX_SAMPLES = 10_000
+MAX_COUNT = 10_000
+MAX_BOUND = 10**6
 SUITES = (*SUITE_SIZES, "all")
 
 
@@ -69,13 +82,28 @@ def _check(name: str, parameters: dict, failures, prefix: str,
 def suite_sizes(suite: str, n: int | None = None) -> dict:
     """The suites that ``suite`` names (``all`` names every one), each mapped
     to the n it runs at: ``n`` when given, else the suite's default.  Raises
-    ValueError when n is below the smallest n of any of them."""
+    ValueError when n is below the smallest n of any of them or above the
+    largest n of any of them."""
     names = tuple(SUITE_SIZES) if suite == "all" else (suite,)
     minimum = max(SUITE_SIZES[name][1] for name in names)
+    maximum = min(SUITE_SIZES[name][2] for name in names)
     if n is not None and n < minimum:
         raise ValueError(f"--suite {suite} needs --n >= {minimum}, got {n}: "
                          "a smaller n leaves a check with nothing to check")
+    if n is not None and n > maximum:
+        raise ValueError(f"--suite {suite} needs --n <= {maximum}, got {n}: "
+                         "SUITE_SIZES bounds n so that each suite ends in minutes")
     return {name: SUITE_SIZES[name][0] if n is None else n for name in names}
+
+
+def check_options(samples: int, count: int, bound: int) -> None:
+    """Raise ValueError unless each of ``samples``, ``count`` and ``bound``
+    lies between 1 and its named limit."""
+    for flag, value, name, limit in (("--samples", samples, "MAX_SAMPLES", MAX_SAMPLES),
+                                     ("--count", count, "MAX_COUNT", MAX_COUNT),
+                                     ("--bound", bound, "MAX_BOUND", MAX_BOUND)):
+        if not 1 <= value <= limit:
+            raise ValueError(f"{flag} must lie in 1..{name} = {limit}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +147,8 @@ def verify_theorem_range(n: int) -> TheoremRangeReport:
         unexpected = tuple(sorted(achieved - set(interval)))
         return TheoremRangeReport(n, low, high, "exhaustive", missing, unexpected)
     missing = tuple(s for s in interval
-                    if sum(linalg.inverse_column_sums(
-                        construct.construct_with_sum(n, s).rows())) != s)
+                    if linalg.inverse_entry_sum(
+                        construct.construct_with_sum(n, s).rows()) != s)
     return TheoremRangeReport(n, low, high, "constructive", missing, ())
 
 
@@ -181,7 +209,7 @@ def suite_pattern(max_n: int) -> list:
         for kind, expected in (("maximizing", 2 + fib(n - 1)),
                                ("minimizing", 2 - fib(n - 1))):
             m = construct.small_extremal(n, kind)
-            if sum(linalg.inverse_column_sums(m.rows())) != expected:
+            if linalg.inverse_entry_sum(m.rows()) != expected:
                 bad_small.append((n, kind))
     band = {"n": f"5..{max_n}", "l": [2, 3]}
     return [
@@ -238,7 +266,7 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
         low, high = 2 - fib(n - 1), 2 + fib(n - 1)
         for k in range(samples):
             g = construct.sample_g_matrix(n, seed + k, bound)
-            s = sum(linalg.inverse_column_sums(g.rows))
+            s = linalg.inverse_entry_sum(g.rows)
             if not low <= s <= high:
                 outside.append((n, seed + k, s))
     bad_ends = []
@@ -248,7 +276,7 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
                     construct.small_extremal(n, "minimizing")]
         else:
             mats = [construct.extremal_pattern_matrix(n, l)[0] for l in (2, 3)]
-        sums = sorted(sum(linalg.inverse_column_sums(m.rows())) for m in mats)
+        sums = sorted(linalg.inverse_entry_sum(m.rows()) for m in mats)
         if sums != [2 - fib(n - 1), 2 + fib(n - 1)]:
             bad_ends.append((n, sums))
     return [

@@ -4,8 +4,9 @@ These share no code path with the library: determinants by recursive
 cofactor expansion, inverses through the adjugate. Slow, only for small
 matrices inside tests.  The exceptions are replaced library kernels kept
 as the references for their successors: the two-determinant hill climb,
-the Gray-code triangular scan, the ordered row-sum triangular DP and the
-per-word Bareiss scan of the (1,2) family.
+the Gray-code triangular scan, the ordered row-sum triangular DP, the
+per-word Bareiss scan of the (1,2) family, and the relaxation sampler and
+its comparison validator.
 """
 
 import random
@@ -287,3 +288,42 @@ def w_determinants_bareiss(n):
         counts[d] = counts.get(d, 0) + 1
         wit.setdefault(d, word)
     return dist
+
+
+def sample_g_rows(n, seed, bound):
+    """The rows of ``sample_g_matrix(n, seed, bound)`` as its first version
+    drew them: per strictly upper cell in row-major order, q = randint(1,
+    bound) then p = randint(0, q).  Pins the seeded stream."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j < i:
+                row.append(Fraction(0))
+            elif j == i:
+                row.append(Fraction(1))
+            else:
+                q = rng.randint(1, bound)
+                p = rng.randint(0, q)
+                row.append(Fraction(p, q))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def g_matrix_valid(rows):
+    """Whether ``GMatrix`` validation as first written, by comparisons of
+    the entries with 0 and 1, accepts ``rows``."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        return False
+    for i in range(n):
+        for j in range(n):
+            v = rows[i][j]
+            if j == i and v != 1:
+                return False
+            if j < i and v != 0:
+                return False
+            if j > i and not 0 <= v <= 1:
+                return False
+    return True

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsum.construct import (BandPartition, GMatrix, WMatrix, band_partition,
                               construct_w_matrix, construct_with_sum,
@@ -11,10 +13,12 @@ from fibsum.fibonacci import fib
 from fibsum import construct
 from fibsum.fibonacci import SignedFibRepresentation
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
-                           entry_sum, invert_unit_triangular, row_sum_vector)
+                           entry_sum, invert_unit_triangular, inverse_entry_sum,
+                           row_sum_vector)
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
+from oracles import g_matrix_valid, sample_g_rows
 
 
 def expected_dominant_vector(n):
@@ -69,6 +73,21 @@ class TestConstructWithSum:
             construct_with_sum(7, -7)
         with pytest.raises(ValueError):
             construct_with_sum(2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2 - fib(n - 1), 2 + fib(n - 1)))))
+    def test_hits_every_admissible_sum(self, case):
+        n, target = case
+        rows = construct_with_sum(n, target).rows()
+        assert inverse_entry_sum(rows) == target
+        assert entry_sum(invert_unit_triangular(rows)) == target
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_refuses_sums_just_outside(self, n):
+        for target in (1 - fib(n - 1), 3 + fib(n - 1)):
+            with pytest.raises(ValueError, match="not achievable"):
+                construct_with_sum(n, target)
 
     def test_wrong_representation_raises(self, monkeypatch):
         # A representation of the wrong value must be caught by the
@@ -264,3 +283,49 @@ class TestSampleGMatrix:
             sample_g_matrix(5, 0, 0)
         with pytest.raises(ValueError):
             GMatrix(((Fraction(1), Fraction(3, 2)), (Fraction(0), Fraction(1))))
+
+    @pytest.mark.parametrize("bound", [1, 16, 1000])
+    def test_stream_pinned(self, bound):
+        # The draws fix every seeded result of the gsampling suite, so a
+        # faster sampler must reproduce the first one's rows exactly.
+        for n in range(3, 11):
+            for seed in range(50):
+                assert sample_g_matrix(n, seed, bound).rows == sample_g_rows(n, seed, bound)
+
+    def test_float_entry_refused(self):
+        for rows in (((1.0, Fraction(1, 2)), (0, 1)),
+                     ((1, 0.5), (0, 1)),
+                     ((1, 0), (0.0, 1))):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                GMatrix(rows)
+
+
+ENTRY = st.one_of(st.integers(-1, 2),
+                  st.fractions(min_value=-1, max_value=2, max_denominator=6))
+
+
+@st.composite
+def near_g_matrices(draw):
+    """Square matrices of int and Fraction entries in [-1, 2]: a valid
+    relaxation member with up to two cells overwritten by arbitrary
+    entries, so that accepted and refused matrices both come up often."""
+    n = draw(st.integers(1, 4))
+    upper = st.one_of(st.sampled_from([0, 1]),
+                      st.fractions(min_value=0, max_value=1, max_denominator=6))
+    rows = [[draw(upper) if j > i else
+             draw(st.sampled_from([int(i == j), Fraction(int(i == j))]))
+             for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ENTRY)
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_g_matrices())
+def test_g_matrix_validation_matches_comparison_oracle(rows):
+    try:
+        GMatrix(rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == g_matrix_valid(rows)

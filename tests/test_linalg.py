@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fibsum.construct import sample_g_matrix
 from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            determinant_exact, entry_sum, identity,
                            invert_unit_triangular, inverse_column_sums,
-                           inverse_sum_via_determinant, row_sum_vector,
-                           transpose)
+                           inverse_entry_sum, inverse_sum_via_determinant,
+                           row_sum_vector, transpose)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
@@ -145,6 +148,56 @@ class TestRowSumVector:
             assert max_abs_row_sum_vector(n) == expected
 
 
+class TestInverseEntrySum:
+    @pytest.mark.parametrize("bound", [1, 16, 1000])
+    def test_matches_both_substitutions_on_samples(self, bound):
+        for n in range(3, 11):
+            for seed in range(25):
+                rows = sample_g_matrix(n, seed, bound).rows
+                s = inverse_entry_sum(rows)
+                assert isinstance(s, Fraction)
+                assert s == entry_sum(invert_unit_triangular(rows))
+                assert s == sum(inverse_column_sums(rows))
+
+    def test_every_01_triangular_matrix_to_n5_gives_an_int(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                rows = Triangular01(n, mask).rows()
+                s = inverse_entry_sum(rows)
+                assert type(s) is int
+                assert s == sum(inverse_column_sums(rows))
+
+    def test_large_denominators(self):
+        # Column-wise scaling keeps the integers near the product of the
+        # column lcms; the result must still be exact.
+        rows = sample_g_matrix(14, 3, 10**6).rows
+        assert inverse_entry_sum(rows) == sum(inverse_column_sums(rows))
+
+    def test_integral_fraction_input_stays_a_fraction(self):
+        rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        s = inverse_entry_sum(rows)
+        assert s == 3 and isinstance(s, Fraction)
+
+    def test_planted_negative_entry(self):
+        # The verify suite's planted fault: -100 above the diagonal puts
+        # +100 in the inverse.
+        rows = identity(5)
+        rows[0][1] = -100
+        assert inverse_entry_sum(rows) == 105
+
+    def test_refuses_not_unit_upper_triangular(self):
+        for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]],
+                     [[1, 0], [Fraction(1, 3), 1]], [[Fraction(1, 2), 0], [0, 1]]):
+            with pytest.raises(ValueError, match="unit upper triangular"):
+                inverse_entry_sum(rows)
+        with pytest.raises(ValueError, match="square"):
+            inverse_entry_sum([[1, 0]])
+
+    def test_refuses_non_rational_entries(self):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            inverse_entry_sum([[1, 0.5], [0, 1]])
+
+
 class TestDeterminant:
     def test_unit_triangular_is_one(self):
         rng = random.Random(5)
@@ -279,6 +332,29 @@ class TestTriangular01:
             Triangular01.from_rows([[1, 0], [1, 1]])
         with pytest.raises(ValueError):
             Triangular01.from_rows([[1, 0], [0, 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+    def test_packed_word_round_trips(self, case):
+        n, mask = case
+        a = Triangular01(n, mask)
+        assert Triangular01.from_rows(a.rows()) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2).map(lambda bits: (n, bits))))
+    def test_every_matrix_has_one_packed_word(self, case):
+        # from_rows inverts rows() on matrices as well as on words, so the
+        # packing is a bijection onto [0, 2^(n(n-1)/2)).
+        n, bits = case
+        it = iter(bits)
+        rows = [[1 if i == j else (next(it) if j > i else 0) for j in range(n)]
+                for i in range(n)]
+        a = Triangular01.from_rows(rows)
+        assert 0 <= a.upper_mask < 1 << (n * (n - 1) // 2)
+        assert a.rows() == rows
 
     def test_mask_range_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsum.matrixio import (MatrixFormatError, format_matrix, format_scalar,
                              parse_matrix, parse_scalar)
@@ -47,3 +49,26 @@ def test_errors():
         parse_matrix("1\n1/0\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("0\n")
+
+
+SCALARS = st.one_of(st.integers(-10**30, 10**30),
+                    st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCALARS)
+def test_scalar_round_trip_property(value):
+    assert parse_scalar(format_scalar(value)) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(SCALARS, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_matrix_write_read_round_trip(rows):
+    parsed = parse_matrix(format_matrix(rows))
+    assert parsed == rows
+    # Whole numbers come back as ints, the rest as Fractions in lowest terms.
+    assert all(type(x) is int if x == int(x) else type(x) is Fraction
+               for row in parsed for x in row)
+    assert format_matrix(parsed) == format_matrix(rows)

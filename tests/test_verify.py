@@ -12,7 +12,8 @@ import pytest
 import fibsum
 from fibsum import cli, construct, fibonacci, linalg, search
 from fibsum.linalg import SingularMatrixError, Triangular01
-from fibsum.verify import SUITE_SIZES, suite_sizes
+from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES,
+                           suite_sizes)
 
 
 def run(capsys, *argv):
@@ -183,7 +184,7 @@ class TestPlantedFaults:
 
 class TestSuiteSizes:
     def test_defaults_and_all(self):
-        defaults = {name: default for name, (default, _) in SUITE_SIZES.items()}
+        defaults = {name: default for name, (default, *_) in SUITE_SIZES.items()}
         assert suite_sizes("all") == defaults
         assert suite_sizes("pattern") == {"pattern": 20}
         assert suite_sizes("all", 9) == dict.fromkeys(SUITE_SIZES, 9)
@@ -192,6 +193,66 @@ class TestSuiteSizes:
         with pytest.raises(ValueError, match="--n >= 6"):
             suite_sizes("all", 5)
         assert suite_sizes("theorem", 3) == {"theorem": 3}
+
+    def test_all_takes_the_smallest_maximum(self):
+        largest = min(top for _, _, top in SUITE_SIZES.values())
+        assert suite_sizes("all", largest) == dict.fromkeys(SUITE_SIZES, largest)
+        with pytest.raises(ValueError, match=f"--n <= {largest}"):
+            suite_sizes("all", largest + 1)
+
+
+def refuse_every_suite(monkeypatch):
+    """Make every suite fail the test if it is called."""
+    def refuse(*args):
+        raise AssertionError("a suite started past a refused limit")
+
+    for name in SUITE_SIZES:
+        monkeypatch.setattr(cli, f"_suite_{name}", refuse)
+
+
+class TestLimits:
+    @pytest.mark.parametrize("suite", [*SUITE_SIZES, "all"])
+    def test_n_above_largest_refused_before_work(self, capsys, monkeypatch, suite):
+        names = SUITE_SIZES if suite == "all" else [suite]
+        largest = min(SUITE_SIZES[name][2] for name in names)
+        refuse_every_suite(monkeypatch)
+        code = cli.main(["verify", "--suite", suite, "--n", str(largest + 1)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"--n <= {largest}, got {largest + 1}" in captured.err
+
+    @pytest.mark.parametrize("flag, name, limit", [
+        ("--samples", "MAX_SAMPLES", MAX_SAMPLES), ("--count", "MAX_COUNT", MAX_COUNT),
+        ("--bound", "MAX_BOUND", MAX_BOUND)])
+    @pytest.mark.parametrize("suite", ["all", "gsampling", "remark"])
+    def test_option_above_limit_refused_before_work(self, capsys, monkeypatch,
+                                                    suite, flag, name, limit):
+        refuse_every_suite(monkeypatch)
+        for value in (limit + 1, 0):
+            code = cli.main(["verify", "--suite", suite, flag, str(value)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert f"{flag} must lie in 1..{name} = {limit}, got {value}" in captured.err
+
+    def test_largest_values_accepted(self, capsys, monkeypatch):
+        seen = {}
+
+        def record(name):
+            def suite(*args):
+                seen[name] = args
+                return []
+            return suite
+
+        for name in SUITE_SIZES:
+            monkeypatch.setattr(cli, f"_suite_{name}", record(name))
+        largest = min(top for _, _, top in SUITE_SIZES.values())
+        code = cli.main(["verify", "--suite", "all", "--n", str(largest),
+                         "--samples", str(MAX_SAMPLES), "--count", str(MAX_COUNT),
+                         "--bound", str(MAX_BOUND), "--seed", "3"])
+        assert code == 0
+        assert seen["gsampling"] == (largest, MAX_SAMPLES, MAX_BOUND, 3)
+        assert seen["remark"] == (largest, MAX_COUNT, 3)
+        capsys.readouterr()
 
 
 def load_tracer():
