@@ -22,7 +22,8 @@ from .fibonacci import fib
 from .linalg import (SingularMatrixError, adjugate_exact, entry_sum,
                      invert_unit_triangular)
 from .matrixio import MatrixFormatError, format_matrix, format_scalar, parse_matrix
-from .search import (SearchConfig, SearchExhaustedError, enumerate_general,
+from .search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
+                     SearchConfig, SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
                      hill_climb_general)
 from .verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES, SUITES,
@@ -326,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common],
                        help="hill-climb the general (0,1) family")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"matrix size, 3..{SEARCH_MAX_N}")
     p.add_argument("--direction", choices=("max", "min"), required=True)
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--max-steps", type=int, default=300, dest="max_steps")
+    p.add_argument("--restarts", type=int, default=200,
+                   help=f"random start matrices, 1..{SEARCH_MAX_RESTARTS}")
+    p.add_argument("--max-steps", type=int, default=300, dest="max_steps",
+                   help=f"improving flips per restart, 1..{SEARCH_MAX_STEPS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_search)

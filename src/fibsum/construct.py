@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rng import randbelow
 from .fibonacci import fib, signed_representation
 from .linalg import (InvariantError, Matrix, Triangular01, identity,
                      inverse_column_sums, transpose)
@@ -329,22 +330,24 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     """Deterministic pseudo-random member of the continuous relaxation.
 
     Strictly upper entries are exact rationals p/q with 0 <= p <= q <=
-    ``denominator_bound``, drawn cell by cell in row-major order from a
-    stream seeded by ``seed``: ``randint(1, bound)`` for q, then
-    ``randint(0, q)`` for p.  Exact rationals keep the closed-interval
-    bound on the inverse entry sum testable with no rounding slack.
+    ``denominator_bound``, drawn cell by cell in row-major order from
+    ``random.Random(seed)``: ``randint(1, bound)`` for q, then
+    ``randint(0, q)`` for p, both taken straight from ``getrandbits`` by
+    :func:`fibsum._rng.randbelow`, word for word as ``randint`` takes them.
+    Exact rationals keep the closed-interval bound on the inverse entry sum
+    testable with no rounding slack.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be >= 1")
-    randint = random.Random(seed).randint
+    getrandbits = random.Random(seed).getrandbits
     rows = []
     for i in range(n):
         row = [_ZERO] * i
         row.append(_ONE)
         for _ in range(i + 1, n):
-            q = randint(1, denominator_bound)
-            row.append(Fraction(randint(0, q), q))
+            q = 1 + randbelow(getrandbits, denominator_bound)
+            row.append(Fraction(randbelow(getrandbits, q + 1), q))
         rows.append(tuple(row))
     return GMatrix(tuple(rows))

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._rng import randbelow, shuffle
 from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
                      determinant_exact, inverse_sum_via_determinant)
 
@@ -306,6 +307,19 @@ def enumerate_general(n: int) -> SumDistribution:
 # Heuristic search in the general family
 
 
+# Largest n, restarts and max_steps a search takes, each sized so that it
+# alone, with the rest at the defaults, ends in minutes on one core.  A
+# restart costs about 0.5 ms at n = 7, 1.7 ms at n = 12 and 0.3 s at n = 64,
+# so n = 64 at 200 restarts takes about a minute, and SEARCH_MAX_RESTARTS
+# about a minute at n = 7.  Climbs stop at a local optimum within 50 steps
+# at every n measured, so only a climb that keeps improving meets
+# SEARCH_MAX_STEPS: a step at n = 7 takes at most about 0.06 ms, so 200
+# restarts that all ran SEARCH_MAX_STEPS steps would take about two minutes.
+SEARCH_MAX_N = 64
+SEARCH_MAX_RESTARTS = 100_000
+SEARCH_MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and seeding for random-restart hill climbing."""
@@ -317,12 +331,15 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
+        for name, value, low, limit_name, limit in (
+                ("n", self.n, 3, "SEARCH_MAX_N", SEARCH_MAX_N),
+                ("restarts", self.restarts, 1, "SEARCH_MAX_RESTARTS", SEARCH_MAX_RESTARTS),
+                ("max_steps", self.max_steps, 1, "SEARCH_MAX_STEPS", SEARCH_MAX_STEPS)):
+            if not low <= value <= limit:
+                raise ValueError(f"{name} must lie in {low}..{limit_name} = {limit}, "
+                                 f"got {value}")
         if self.direction not in ("max", "min"):
             raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
-        if self.restarts < 1 or self.max_steps < 1:
-            raise ValueError("restarts and max_steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -390,8 +407,20 @@ class RankOneState:
         """Add d to a_ij, given (det2, total2) from :meth:`neighbour`."""
         det = self.det
         adj_row = self.adj[j]
-        self.adj = [[_exact_div(det2 * x - d * row[i] * y, det)
-                     for x, y in zip(row, adj_row)] for row in self.adj]
+        adj_row_sum = sum(adj_row)
+        adj = []
+        for r, row in enumerate(self.adj):
+            c = d * row[i]
+            new = [(det2 * x - c * y) // det for x, y in zip(row, adj_row)]
+            # Floor remainders all share the sign of D, so the row's
+            # remainders vanish exactly when its quotients sum to the sum
+            # of its numerators over D.
+            if sum(new) * det != det2 * sum(row) - c * adj_row_sum:
+                raise InvariantError(
+                    f"rank-one update: adjugate row {r} leaves a remainder "
+                    f"on division by {det}")
+            adj.append(new)
+        self.adj = adj
         self.rows[i][j] += d
         self.det = det2
         self._sum_adjugate()
@@ -410,23 +439,30 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     are always rejected.  Deterministic for a given config; the reported sum
     is re-verified by exact arithmetic before returning.
 
+    Restart r draws from ``random.Random((seed << 20) ^ r)``: each start
+    cell as ``randint(0, 1)``, row-major, and each step's order as a
+    ``shuffle`` of the n^2 cells.  The draws are taken straight from
+    ``getrandbits`` by :mod:`fibsum._rng`, word for word as those methods
+    take them, so the results are theirs.
+
     Flips are scored by :class:`RankOneState` in O(1) exact integer
     arithmetic, with no determinant; each start matrix is cross-checked
     against the two-determinant objective.
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1
+    cells = [divmod(b, n) for b in range(n * n)]
     best_rows = None
     best = None
     steps_total = 0
     restarts_run = 0
     for r in range(config.restarts):
-        rng = random.Random((config.seed << 20) ^ r)
+        getrandbits = random.Random((config.seed << 20) ^ r).getrandbits
         restarts_run += 1
         rows = None
         for _ in range(200):
-            cand = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-            if determinant_exact(cand) != 0:
+            cand = [[randbelow(getrandbits, 2) for _ in range(n)] for _ in range(n)]
+            if _bareiss([row[:] for row in cand]) != 0:
                 rows = cand
                 break
         if rows is None:
@@ -439,11 +475,10 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
                 f"determinants give {start}")
         for _ in range(config.max_steps):
             improved = False
-            order = list(range(n * n))
-            rng.shuffle(order)
+            order = cells[:]
+            shuffle(order, getrandbits)
             det, total = state.det, state.total
-            for b in order:
-                i, j = divmod(b, n)
+            for i, j in order:
                 d = 1 - 2 * rows[i][j]
                 det2, total2 = state.neighbour(i, j, d)
                 # T'/D' - T/D has the sign of (T' D - T D') D D'.

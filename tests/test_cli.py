@@ -13,6 +13,8 @@ from fibsum.cli import build_parser, main
 from fibsum.fibonacci import fib
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
 from fibsum.matrixio import format_matrix, parse_matrix
+from fibsum.search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
+                           SearchConfig, SearchResult)
 
 from fixtures import BANDED_9_L2
 from oracles import invert_adjugate
@@ -271,6 +273,45 @@ class TestSearch:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag, name, low, limit", [
+        ("--n", "SEARCH_MAX_N", 3, SEARCH_MAX_N),
+        ("--restarts", "SEARCH_MAX_RESTARTS", 1, SEARCH_MAX_RESTARTS),
+        ("--max-steps", "SEARCH_MAX_STEPS", 1, SEARCH_MAX_STEPS)])
+    def test_limit_plus_one_refused_before_work(self, capsys, monkeypatch,
+                                                flag, name, low, limit):
+        def refuse(config):
+            pytest.fail(f"hill_climb_general ran with {config}")
+
+        monkeypatch.setattr("fibsum.cli.hill_climb_general", refuse)
+        field = flag[2:].replace("-", "_")
+        for value in (limit + 1, low - 1):
+            options = {"--n": "5", "--restarts": "3", "--max-steps": "5", flag: str(value)}
+            argv = [x for item in options.items() for x in item]
+            code, out, err = run(capsys, "search", "--direction", "max", *argv)
+            assert code == 1 and out == ""
+            assert f"{field} must lie in {low}..{name} = {limit}, got {value}" in err
+
+    def test_limits_accepted_and_shown(self, capsys, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return SearchResult(((1,),), Fraction(1), 0, config.restarts)
+
+        monkeypatch.setattr("fibsum.cli.hill_climb_general", record)
+        code, payload, _ = run_json(
+            capsys, "search", "--n", str(SEARCH_MAX_N), "--direction", "min",
+            "--restarts", str(SEARCH_MAX_RESTARTS),
+            "--max-steps", str(SEARCH_MAX_STEPS), "--seed", "4")
+        assert code == 0 and payload["restarts_used"] == SEARCH_MAX_RESTARTS
+        assert seen == [SearchConfig(SEARCH_MAX_N, "min", SEARCH_MAX_RESTARTS,
+                                     SEARCH_MAX_STEPS, 4)]
+        code, out, _ = run(capsys, "search", "--help")
+        assert code == 0
+        for shown in (f"3..{SEARCH_MAX_N}", f"1..{SEARCH_MAX_RESTARTS}",
+                      f"1..{SEARCH_MAX_STEPS}"):
+            assert shown in out
 
 
 class TestVerify:

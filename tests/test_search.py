@@ -371,6 +371,14 @@ class TestRankOneState:
         with pytest.raises(InvariantError, match="remainder"):
             _exact_div(7, 2)
 
+    def test_inexact_adjugate_update_raises(self):
+        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        det2, total2 = state.neighbour(0, 1, -1)
+        assert (state.det, det2) == (2, 1)
+        state.adj[2][2] += 1  # its numerator moves by D' = 1, odd against D = 2
+        with pytest.raises(InvariantError, match="row 2 leaves a remainder"):
+            state.apply(0, 1, -1, det2, total2)
+
     def test_corrupted_adjugate_detected(self):
         state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert state.det == 2

@@ -278,3 +278,18 @@ class TestBenchmarkHooks:
         layers += ["construct.sample_g", "construct.extremal",
                    "linalg.inv_tri.int", "fibonacci.identities"]
         assert [layer for layer in layers if not t.calls.get(layer)] == []
+
+    def test_tracer_sees_the_climb_and_its_start_scores(self, capsys):
+        # The tracer wraps hill_climb_general and search._objective by name,
+        # so a climb that stops scoring its starts through _objective
+        # leaves search.climb.objective empty.
+        tracer = load_tracer()
+        t = tracer.install(fibsum, cli, search, linalg, construct, fibonacci)
+        try:
+            assert cli.main(["search", "--n", "5", "--direction", "max",
+                             "--restarts", "3", "--json"]) == 0
+        finally:
+            t.restore()
+        capsys.readouterr()
+        layers = ["search.climb", "search.climb.objective"]
+        assert [layer for layer in layers if not t.calls.get(layer)] == []
