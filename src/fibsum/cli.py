@@ -16,12 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .construct import (construct_w_matrix, construct_with_sum,
-                        extremal_pattern_matrix)
+from .construct import (CONSTRUCT_MAX_N, construct_w_matrix,
+                        construct_with_sum, extremal_pattern_matrix)
 from .fibonacci import fib
 from .linalg import (SingularMatrixError, adjugate_exact, entry_sum,
                      invert_unit_triangular)
-from .matrixio import MatrixFormatError, format_matrix, format_scalar, parse_matrix
+from .matrixio import (MatrixFormatError, format_matrix, format_scalar,
+                       json_scalar, parse_matrix)
 from .search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
                      SearchConfig, SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
@@ -50,14 +51,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _exact_json(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return x
-
-
 def _rows_json(rows):
-    return [[_exact_json(x) for x in row] for row in rows]
+    return [[json_scalar(x) for x in row] for row in rows]
 
 
 def _write_text(args, text: str) -> None:
@@ -131,7 +126,7 @@ def cmd_invert(args) -> int:
             "n": len(rows),
             "matrix": _rows_json(rows),
             "inverse": _rows_json(inverse),
-            "sum": _exact_json(s),
+            "sum": json_scalar(s),
         })
     else:
         _write_text(args, format_matrix(inverse) + f"# entry sum = {format_scalar(s)}\n")
@@ -187,7 +182,7 @@ def cmd_wmatrix(args) -> int:
             "matrix": rows,
             "det": det,
             "inverse": _rows_json(inverse) if inverse is not None else None,
-            "sum": _exact_json(s) if s is not None else None,
+            "sum": json_scalar(s),
         })
     else:
         _write_text(args, format_matrix(rows) + f"# determinant = {det}\n")
@@ -227,7 +222,7 @@ def cmd_search(args) -> int:
             "restarts": args.restarts,
             "max_steps": args.max_steps,
             "seed": args.seed,
-            "best_sum": _exact_json(result.best_sum),
+            "best_sum": json_scalar(result.best_sum),
             "steps_taken": result.steps_taken,
             "restarts_used": result.restarts_used,
             "matrix": [list(r) for r in result.best_matrix],
@@ -294,21 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common],
                        help="construct a matrix with a prescribed inverse sum")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"matrix size, 3..{CONSTRUCT_MAX_N}")
     p.add_argument("--sum", type=int, required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("extremal", parents=[common],
                        help="banded extremal matrix with Fibonacci-patterned inverse")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"matrix size, 5..{CONSTRUCT_MAX_N}")
     p.add_argument("--l", type=int, choices=(2, 3), required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("wmatrix", parents=[common],
                        help="(1,2)-matrix with a prescribed determinant")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"matrix size, 3..{CONSTRUCT_MAX_N}")
     p.add_argument("--det", type=int, required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_wmatrix)

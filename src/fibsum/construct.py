@@ -18,41 +18,28 @@ from .fibonacci import fib, signed_representation
 from .linalg import (InvariantError, Matrix, Triangular01, identity,
                      inverse_column_sums, transpose)
 
+# Largest n any constructor here builds, checked before any work.  The
+# pattern suite checks the banded matrices up to n = 200, where `fibsum
+# wmatrix` takes about 4 s on one core (45 s at n = 400), almost all of it
+# in the exact adjugate.
+CONSTRUCT_MAX_N = 200
+
+
+def _check_size(n: int) -> None:
+    if n > CONSTRUCT_MAX_N:
+        raise ValueError(f"n must be <= CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # Dominant-vector matrices
 
 
 def _dominant_rows(n: int) -> Matrix:
-    if n == 1:
-        return [[1]]
-    if n == 2:
-        # The identity: its inverse column sums are (1, 1), the coordinate-wise
-        # maximum over both 2x2 members of the family.
-        return identity(2)
-    m = n - 2
-    core = _dominant_rows(m)
-    c = inverse_column_sums(core)
-    # Two parity branches pin down the last two coordinates: with x = 1 the
-    # final column realizes +/- sum|c_i|, and alpha picks out the c_i of one
-    # sign so the next-to-last column realizes the F_{n-2} bound.
-    if n % 2 == 1:
-        alpha = [1 if (i % 2 == 1 and i >= 3) else 0 for i in range(1, m + 1)]
-        beta = [alpha[i] + (1 if c[i] > 0 else -1) for i in range(m)]
-    else:
-        alpha = [1 if (i == 1 or i % 2 == 0) else 0 for i in range(1, m + 1)]
-        beta = [alpha[i] - (1 if c[i] > 0 else -1) for i in range(m)]
-    if any(b not in (0, 1) for b in beta):
-        raise InvariantError(
-            f"dominant matrix n={n}: last column entries {beta} are not 0/1")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        rows[i][:m] = core[i]
-        rows[i][n - 2] = alpha[i]
-        rows[i][n - 1] = beta[i]
-    rows[n - 2][n - 2] = 1
-    rows[n - 2][n - 1] = 1  # x = 1
-    rows[n - 1][n - 1] = 1
-    return rows
+    # The leading n x n block of one fixed matrix: row 0 has ones at the
+    # even offsets from the diagonal, every later row at offset 0 and at
+    # the odd offsets.
+    return [[int(j == i or (j > i and (j - i) % 2 == (i > 0))) for j in range(n)]
+            for i in range(n)]
 
 
 def dominant_matrix(n: int) -> Triangular01:
@@ -64,6 +51,7 @@ def dominant_matrix(n: int) -> Triangular01:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_size(n)
     return Triangular01.from_rows(_dominant_rows(n))
 
 
@@ -83,6 +71,7 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
     """
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
+    _check_size(n)
     bound = fib(n - 1)
     low, high = 2 - bound, 2 + bound
     if not low <= target_sum <= high:
@@ -107,7 +96,7 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
         rows[i][n - 2] = a
         rows[i][n - 1] = b
         check += (1 - a - b) * c[i]
-    rows[n - 2][n - 2] = 1  # x = 0: cell (n-2, n-1) stays 0
+    rows[n - 2][n - 2] = 1  # cell (n-2, n-1) stays 0: identity rows
     rows[n - 1][n - 1] = 1
     if check != target_sum:
         raise InvariantError(
@@ -125,6 +114,7 @@ def toeplitz_sum_two(n: int) -> Triangular01:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    _check_size(n)
     rows = [[1 if j >= i and (j - i) % 2 == 0 else 0 for j in range(n)]
             for i in range(n)]
     return Triangular01.from_rows(rows)
@@ -138,10 +128,8 @@ def toeplitz_sum_two(n: int) -> Triangular01:
 class BandPartition:
     """Partition of the strictly upper cells into bands S_0 .. S_{n-l-1}.
 
-    ``band_of`` maps each 0-indexed cell (row, col), col > row, to its band.
-    The top band is the first two rows of the last l columns; band i is
-    grown from band i+1 by stepping one cell left or one cell down; S_0
-    collects the leftovers (2 cells when l=2, 4 when l=3).
+    ``band_of`` maps each 0-indexed cell (row, col), col > row, to its band,
+    as :func:`band_partition` gives it.
     """
 
     n: int
@@ -163,29 +151,26 @@ class BandPartition:
 
 
 def band_partition(n: int, l: int) -> BandPartition:
-    """Build the band partition by growing from the top-right seed block."""
+    """The band partition in closed form.
+
+    With k = max(r, 1), cell (r, c) lies in band max(0, min(c - k, n - l - k)).
+    In each row r >= 1 the last l columns lie in band n - l - r and the band
+    falls by one per step left from there; row 0 repeats row 1 column by
+    column.  So the top band n - l - 1 is the first two rows of the last l
+    columns, and S_0 holds the cells that would fall below band 1 (2 cells
+    when l = 2, 4 when l = 3).
+    """
     if l not in (2, 3):
         raise ValueError(f"tail width l must be 2 or 3, got {l}")
     if n < 5:
         raise ValueError(f"band partition requires n >= 5, got {n} "
                          "(use small_extremal for n = 3, 4)")
-    top = n - l - 1
+    _check_size(n)
     band = {}
-    frontier = [(r, c) for r in (0, 1) for c in range(n - l, n)]
-    for cell in frontier:
-        band[cell] = top
-    for i in range(top - 1, 0, -1):
-        grown = []
-        for (r, c) in frontier:
-            for cand in ((r, c - 1), (r + 1, c)):  # left of / below a member
-                rr, cc = cand
-                if 0 <= rr < cc < n and cand not in band:
-                    band[cand] = i
-                    grown.append(cand)
-        frontier = grown
     for r in range(n):
+        k = max(r, 1)
         for c in range(r + 1, n):
-            band.setdefault((r, c), 0)
+            band[(r, c)] = max(0, min(c - k, n - l - k))
     return BandPartition(n, l, band)
 
 
@@ -272,6 +257,7 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
     """
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
+    _check_size(n)
     bound = fib(n - 1)
     low, high = 3 - bound, 3 + bound
     if not low <= det <= high:
@@ -339,6 +325,7 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    _check_size(n)
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be >= 1")
     getrandbits = random.Random(seed).getrandbits

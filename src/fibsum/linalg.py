@@ -190,12 +190,15 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     No gcd is taken on the way.  Scaling column by column keeps E_{n-1}
     near the product of the column lcms; one lcm d over the whole matrix
     would carry d^(n-1), far larger once n and the denominators grow.
-    Int input gives an int, input with a Fraction entry a Fraction.
+    All-int input takes the plain substitution and gives an int; any other
+    input a Fraction.
     """
     n = _dimension(rows)
     for i, r in enumerate(rows):
         if r[i] != 1 or any(r[:i]):
             raise ValueError("matrix is not unit upper triangular")
+    if all(isinstance(x, int) for r in rows for x in r):
+        return sum(inverse_column_sums(rows))
     scales = []  # d_j
     w = []       # W_j
     e = 1        # E_j
@@ -215,8 +218,6 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         scales.append(d)
         w.append(e - acc)
         total = total * d + w[-1]
-    if e == 1 and not any(isinstance(x, Fraction) for r in rows for x in r):
-        return total
     return Fraction(total, e)
 
 

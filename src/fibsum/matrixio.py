@@ -23,6 +23,14 @@ def format_scalar(x) -> str:
     return str(x)
 
 
+def json_scalar(x):
+    """An exact scalar for JSON: an int, or a Fraction with denominator 1,
+    as an int; any other Fraction as its "p/q" string."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else str(x)
+    return x
+
+
 def parse_scalar(token: str):
     try:
         if "/" in token:

@@ -34,7 +34,8 @@ from fractions import Fraction
 
 from ._rng import randbelow, shuffle
 from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
-                     determinant_exact, inverse_sum_via_determinant)
+                     inverse_sum_via_determinant)
+from .matrixio import format_scalar, json_scalar
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
 # fall outside the triangular range [-6, 10].
@@ -117,22 +118,17 @@ class SumDistribution:
         return _word_to_w_rows(self.n, word)
 
     def to_json_dict(self, include_witnesses: bool = True) -> dict:
-        def key(s):
-            return str(s)
-
-        def val(s):
-            return int(s) if isinstance(s, int) or s.denominator == 1 else str(s)
-
         out = {
             "family": self.family,
             "n": self.n,
-            "min": val(self.min_sum),
-            "max": val(self.max_sum),
-            "achieved": [val(s) for s in self.achieved],
-            "counts": {key(s): self.counts[s] for s in self.achieved},
+            "min": json_scalar(self.min_sum),
+            "max": json_scalar(self.max_sum),
+            "achieved": [json_scalar(s) for s in self.achieved],
+            "counts": {format_scalar(s): self.counts[s] for s in self.achieved},
         }
         if include_witnesses:
-            out["witnesses"] = {key(s): self.witness_rows(s) for s in self.achieved}
+            out["witnesses"] = {format_scalar(s): self.witness_rows(s)
+                                for s in self.achieved}
         return out
 
 
@@ -350,12 +346,8 @@ class SearchResult:
     restarts_used: int
 
 
-def _objective(rows) -> Fraction | None:
-    d = determinant_exact(rows)
-    if d == 0:
-        return None
-    shifted = [[x + 1 for x in r] for r in rows]
-    return Fraction(determinant_exact(shifted) - d, d)
+def _objective(rows) -> Fraction:
+    return inverse_sum_via_determinant(rows)
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -5,8 +5,9 @@ cofactor expansion, inverses through the adjugate. Slow, only for small
 matrices inside tests.  The exceptions are replaced library kernels kept
 as the references for their successors: the two-determinant hill climb,
 the Gray-code triangular scan, the ordered row-sum triangular DP, the
-per-word Bareiss scan of the (1,2) family, and the relaxation sampler and
-its comparison validator.
+per-word Bareiss scan of the (1,2) family, the relaxation sampler and its
+comparison validator, the recursive dominant-matrix builder and the
+frontier growth of the band partition.
 """
 
 import random
@@ -327,3 +328,72 @@ def g_matrix_valid(rows):
             if j > i and not 0 <= v <= 1:
                 return False
     return True
+
+
+def dominant_rows_recursive(n):
+    """The dominant-vector matrix's rows as its first builder made them:
+    the (n-2) x (n-2) core recursively, then the last two columns from the
+    core's inverse column sums in two parity branches.  The reference for
+    the closed form in ``fibsum.construct``."""
+    from fibsum.linalg import InvariantError, identity, inverse_column_sums
+
+    if n == 1:
+        return [[1]]
+    if n == 2:
+        # The identity: its inverse column sums are (1, 1), the coordinate-wise
+        # maximum over both 2x2 members of the family.
+        return identity(2)
+    m = n - 2
+    core = dominant_rows_recursive(m)
+    c = inverse_column_sums(core)
+    # Two parity branches pin down the last two coordinates: with x = 1 the
+    # final column realizes +/- sum|c_i|, and alpha picks out the c_i of one
+    # sign so the next-to-last column realizes the F_{n-2} bound.
+    if n % 2 == 1:
+        alpha = [1 if (i % 2 == 1 and i >= 3) else 0 for i in range(1, m + 1)]
+        beta = [alpha[i] + (1 if c[i] > 0 else -1) for i in range(m)]
+    else:
+        alpha = [1 if (i == 1 or i % 2 == 0) else 0 for i in range(1, m + 1)]
+        beta = [alpha[i] - (1 if c[i] > 0 else -1) for i in range(m)]
+    if any(b not in (0, 1) for b in beta):
+        raise InvariantError(
+            f"dominant matrix n={n}: last column entries {beta} are not 0/1")
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][:m] = core[i]
+        rows[i][n - 2] = alpha[i]
+        rows[i][n - 1] = beta[i]
+    rows[n - 2][n - 2] = 1
+    rows[n - 2][n - 1] = 1  # x = 1
+    rows[n - 1][n - 1] = 1
+    return rows
+
+
+def band_of_frontier(n, l):
+    """The band partition's ``band_of`` as its first builder grew it: the top
+    band is the first two rows of the last l columns, band i takes the cells
+    one step left of or below band i+1 not yet taken, and S_0 the rest.  The
+    reference for the closed form in ``fibsum.construct``."""
+    if l not in (2, 3):
+        raise ValueError(f"tail width l must be 2 or 3, got {l}")
+    if n < 5:
+        raise ValueError(f"band partition requires n >= 5, got {n} "
+                         "(use small_extremal for n = 3, 4)")
+    top = n - l - 1
+    band = {}
+    frontier = [(r, c) for r in (0, 1) for c in range(n - l, n)]
+    for cell in frontier:
+        band[cell] = top
+    for i in range(top - 1, 0, -1):
+        grown = []
+        for (r, c) in frontier:
+            for cand in ((r, c - 1), (r + 1, c)):  # left of / below a member
+                rr, cc = cand
+                if 0 <= rr < cc < n and cand not in band:
+                    band[cand] = i
+                    grown.append(cand)
+        frontier = grown
+    for r in range(n):
+        for c in range(r + 1, n):
+            band.setdefault((r, c), 0)
+    return band

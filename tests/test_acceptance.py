@@ -56,7 +56,7 @@ def test_criterion_01_theorem_exhaustive():
 
 def test_criterion_01_exhaustive_n8_n9():
     """Criterion 1 at n = 8 and 9: all 2^28 and 2^36 matrices, through the
-    row-sum state DP; every witness inverts to its sum."""
+    inverse column-sum DP; every witness inverts to its sum."""
     ok = True
     details = []
     for n in (8, 9):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fibsum
-from fibsum import fibonacci
+from fibsum import construct, fibonacci
 from fibsum.cli import build_parser, main
 from fibsum.fibonacci import fib
 from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
@@ -128,6 +128,23 @@ class TestConstructCommands:
         assert code == 0
         assert payload["det"] == 0
         assert payload["inverse"] is None and payload["sum"] is None
+
+    @pytest.mark.parametrize("command, low, target", [
+        ("construct", 3, ("--sum", "2")), ("extremal", 5, ("--l", "2")),
+        ("wmatrix", 3, ("--det", "3"))])
+    def test_size_limit_refused_before_work_and_shown(self, capsys, monkeypatch,
+                                                      command, low, target):
+        def work(*args):
+            pytest.fail(f"{command} started work above CONSTRUCT_MAX_N")
+
+        for name in ("fib", "_dominant_rows", "identity"):
+            monkeypatch.setattr(construct, name, work)
+        limit = construct.CONSTRUCT_MAX_N
+        code, out, err = run(capsys, command, "--n", str(limit + 1), *target)
+        assert code == 1 and out == ""
+        assert f"CONSTRUCT_MAX_N = {limit}, got {limit + 1}" in err
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and f"{low}..{limit}" in out
 
 
 class TestInvert:

@@ -4,21 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsum.construct import (BandPartition, GMatrix, WMatrix, band_partition,
-                              construct_w_matrix, construct_with_sum,
-                              dominant_matrix, extremal_pattern_matrix,
-                              sample_g_matrix, small_extremal,
-                              toeplitz_sum_two)
+from fibsum.construct import (CONSTRUCT_MAX_N, BandPartition, GMatrix, WMatrix,
+                              band_partition, construct_w_matrix,
+                              construct_with_sum, dominant_matrix,
+                              extremal_pattern_matrix, sample_g_matrix,
+                              small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
 from fibsum.fibonacci import SignedFibRepresentation
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
                            entry_sum, invert_unit_triangular, inverse_entry_sum,
                            row_sum_vector)
+from fibsum.verify import SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
-from oracles import g_matrix_valid, sample_g_rows
+from oracles import (band_of_frontier, dominant_rows_recursive, g_matrix_valid,
+                     sample_g_rows)
 
 
 def expected_dominant_vector(n):
@@ -47,6 +49,10 @@ class TestDominantMatrix:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dominant_matrix(0)
+
+    def test_rows_match_recursive_oracle(self):
+        for n in range(1, 81):
+            assert dominant_matrix(n).rows() == dominant_rows_recursive(n)
 
 
 class TestConstructWithSum:
@@ -149,6 +155,11 @@ class TestBandPartition:
         with pytest.raises(ValueError):
             band_partition(9, 4)
 
+    def test_band_of_matches_frontier_oracle(self):
+        for n in range(5, 201):
+            for l in (2, 3):
+                assert band_partition(n, l).band_of == band_of_frontier(n, l)
+
 
 class TestExtremalPattern:
     def test_reference_9x9_pairs(self):
@@ -201,6 +212,34 @@ class TestSmallExtremal:
             small_extremal(5, "maximizing")
         with pytest.raises(ValueError):
             small_extremal(3, "biggest")
+
+
+class TestSizeLimit:
+    def test_limit_covers_the_pattern_suite(self):
+        assert CONSTRUCT_MAX_N >= SUITE_SIZES["pattern"][2]
+
+    def test_limit_accepted(self):
+        assert len(band_partition(CONSTRUCT_MAX_N, 3).band_of) == (
+            CONSTRUCT_MAX_N * (CONSTRUCT_MAX_N - 1) // 2)
+
+    def test_limit_plus_one_refused_before_any_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
+
+        for name in ("fib", "signed_representation", "randbelow", "identity",
+                     "inverse_column_sums", "_dominant_rows", "Triangular01"):
+            monkeypatch.setattr(construct, name, work)
+        n = CONSTRUCT_MAX_N + 1
+        for build in (lambda: dominant_matrix(n),
+                      lambda: construct_with_sum(n, 2),
+                      lambda: toeplitz_sum_two(n),
+                      lambda: band_partition(n, 2),
+                      lambda: extremal_pattern_matrix(n, 3),
+                      lambda: construct_w_matrix(n, 3),
+                      lambda: sample_g_matrix(n, 0, 16)):
+            with pytest.raises(ValueError,
+                               match=f"CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, got {n}"):
+                build()
 
 
 class TestConstructWMatrix:

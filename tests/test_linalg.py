@@ -178,6 +178,16 @@ class TestInverseEntrySum:
         s = inverse_entry_sum(rows)
         assert s == 3 and isinstance(s, Fraction)
 
+    def test_one_fraction_entry_anywhere_gives_a_fraction(self):
+        base = Triangular01(4, 0b101101).rows()
+        expected = sum(inverse_column_sums(base))
+        for i in range(4):
+            for j in range(i, 4):
+                rows = [list(r) for r in base]
+                rows[i][j] = Fraction(rows[i][j])
+                s = inverse_entry_sum(rows)
+                assert isinstance(s, Fraction) and s == expected
+
     def test_planted_negative_entry(self):
         # The verify suite's planted fault: -100 above the diagonal puts
         # +100 in the inverse.

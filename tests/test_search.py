@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibsum import search
+from fibsum import linalg, search
 from fibsum.fibonacci import fib
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, determinant_exact, entry_sum,
@@ -298,11 +298,12 @@ class TestHillClimb:
                                 == hill_climb_two_determinants(cfg)), cfg
 
     def test_no_determinant_per_scored_flip(self, monkeypatch):
-        # Determinants go to the start draws and the start score only, so
-        # their number does not grow with the flips a longer climb scores.
+        # Determinants go to the start scores and the final re-verification
+        # only, so their number does not grow with the flips a longer climb
+        # scores.
         calls = []
-        original = search.determinant_exact
-        monkeypatch.setattr(search, "determinant_exact",
+        original = linalg.determinant_exact
+        monkeypatch.setattr(linalg, "determinant_exact",
                             lambda rows: calls.append(1) or original(rows))
         counts = []
         for max_steps in (1, 300):
@@ -314,6 +315,9 @@ class TestHillClimb:
         assert counts[0] == counts[1]
 
     def test_final_verifier_disagreement_raises(self, monkeypatch):
+        # _objective scores the starts with the same function, so it keeps
+        # the true one and only the final re-verification sees the fault.
+        monkeypatch.setattr(search, "_objective", inverse_sum_via_determinant)
         monkeypatch.setattr(search, "inverse_sum_via_determinant",
                             lambda rows: inverse_sum_via_determinant(rows) + 1)
         with pytest.raises(InvariantError, match="from determinants"):
