@@ -7,9 +7,8 @@ from .construct import (BandPartition, GMatrix, WMatrix, band_partition,
                         construct_w_matrix, construct_with_sum,
                         dominant_matrix, extremal_pattern_matrix,
                         sample_g_matrix, small_extremal, toeplitz_sum_two)
-from .fibonacci import (Lemma1Report, SignedFibRepresentation, check_corollary3,
-                        check_corollary4, check_lemma1, fib,
-                        restricted_representation, signed_representation)
+from .fibonacci import (Lemma1Report, check_corollary3, check_corollary4,
+                        check_lemma1, fib)
 from .linalg import (InvariantError, SingularMatrixError, Triangular01,
                      adjugate_exact, determinant_exact, entry_sum, identity,
                      invert_unit_triangular, inverse_column_sums,
@@ -30,9 +29,8 @@ __all__ = [
     "construct_w_matrix", "construct_with_sum", "dominant_matrix",
     "extremal_pattern_matrix", "sample_g_matrix", "small_extremal",
     "toeplitz_sum_two",
-    "Lemma1Report", "SignedFibRepresentation", "check_corollary3",
-    "check_corollary4", "check_lemma1", "fib", "restricted_representation",
-    "signed_representation",
+    "Lemma1Report", "check_corollary3", "check_corollary4", "check_lemma1",
+    "fib",
     "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
     "determinant_exact", "entry_sum", "identity", "invert_unit_triangular",
     "inverse_column_sums", "inverse_entry_sum", "inverse_sum_via_determinant",

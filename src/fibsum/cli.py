@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .construct import (CONSTRUCT_MAX_N, construct_w_matrix,
                         construct_with_sum, extremal_pattern_matrix)
 from .fibonacci import fib
-from .linalg import (SingularMatrixError, adjugate_exact, entry_sum,
-                     invert_unit_triangular)
+from .linalg import entry_sum, invert_unit_triangular
 from .matrixio import (MatrixFormatError, format_matrix, format_scalar,
                        json_scalar, parse_matrix)
 from .search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
@@ -168,14 +166,10 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_wmatrix(args) -> int:
-    rows = construct_w_matrix(args.n, args.det).to_rows()
-    try:
-        det, adj = adjugate_exact(rows)
-    except SingularMatrixError:
-        det, inverse, s = 0, None, None
-    else:
-        inverse = [[Fraction(x, det) for x in row] for row in adj]
-        s = entry_sum(inverse)
+    matrix = construct_w_matrix(args.n, args.det)
+    rows = matrix.to_rows()
+    det, inverse = matrix.det_and_inverse()
+    s = None if inverse is None else entry_sum(inverse)
     if args.json:
         _write_json(args, {
             "n": args.n,
@@ -276,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", parents=[common],
                        help="check the Fibonacci sum identities exactly")
-    p.add_argument("--max-n", type=int, default=90, dest="max_n")
+    _, low, high = SUITE_SIZES["corollaries"]
+    p.add_argument("--max-n", type=int, default=90, dest="max_n",
+                   help=f"largest n checked, {low}..{high}")
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("invert", parents=[common],

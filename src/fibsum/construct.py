@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rng import randbelow
-from .fibonacci import fib, signed_representation
-from .linalg import (InvariantError, Matrix, Triangular01, identity,
-                     inverse_column_sums, transpose)
+from .fibonacci import fib
+from .linalg import (InvariantError, Matrix, Triangular01, entry_sum,
+                     identity, invert_unit_triangular, inverse_column_sums,
+                     transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
 # pattern suite checks the banded matrices up to n = 200, where `fibsum
-# wmatrix` takes about 4 s on one core (45 s at n = 400), almost all of it
-# in the exact adjugate.
+# construct`, `extremal` and `wmatrix` each take under 0.5 s on one core.
 CONSTRUCT_MAX_N = 200
 
 
@@ -64,10 +64,14 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
 
     Valid targets are the integers in [2 - F_{n-1}, 2 + F_{n-1}].  The matrix
     is assembled in block form: the leading (n-2) x (n-2) block is the
-    dominant matrix, the last two rows are identity rows, and the last two
-    columns encode a one-sided signed Fibonacci representation of
-    ``target_sum`` - 2, one column pair (alpha_i, beta_i) per coefficient,
-    with the sign of the underlying column sum folded in.
+    dominant matrix, the last two rows are identity rows, and row i of the
+    core gets one column pair (a_i, b_i).  The identity rows give the sum 2,
+    and row i adds (1 - a_i - b_i) c_i to it, with c = (1, 1, -1, 2, -3, ...)
+    the core's inverse column sums.  One pass over c, last entry first,
+    takes each |c_i| that still fits in |target_sum - 2|, all with the sign
+    of target_sum - 2.  The greedy is exact because |c| = (1, 1, 1, 2, 3,
+    5, ...) has each term at most 1 plus the sum of the terms before it,
+    and the whole sum is F_{n-1}.
     """
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
@@ -81,18 +85,17 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
     m = n - 2
     core = _dominant_rows(m)
     c = inverse_column_sums(core)
-    coeffs = signed_representation(target_sum - 2, n).coeffs
+    sign = 1 if target_sum >= 2 else -1
+    remaining = abs(target_sum - 2)
     rows = [[0] * n for _ in range(n)]
     check = 2
-    for i in range(m):
+    for i in range(m - 1, -1, -1):
         rows[i][:m] = core[i]
-        t = coeffs[i] * (1 if c[i] > 0 else -1)
-        if t == 1:
-            a, b = 0, 0
-        elif t == 0:
-            a, b = 1, 0
+        if abs(c[i]) <= remaining:
+            remaining -= abs(c[i])
+            a = b = int(sign * c[i] < 0)  # adds sign * |c_i|
         else:
-            a, b = 1, 1
+            a, b = 1, 0  # adds nothing
         rows[i][n - 2] = a
         rows[i][n - 1] = b
         check += (1 - a - b) * c[i]
@@ -244,6 +247,21 @@ class WMatrix:
 
     def to_rows(self) -> Matrix:
         return [list(r) for r in self.rows]
+
+    def det_and_inverse(self) -> tuple:
+        """``(det, inverse)``, exactly; the inverse is None when det = 0.
+
+        W - J is a (0,1) unit lower triangular L, so with V = L^{-1} the
+        matrix determinant lemma gives det W = 1 + S(V), and
+        Sherman-Morrison W^{-1} = V - (V 1)(1^T V) / det W.
+        """
+        v = invert_unit_triangular([[x - 1 for x in row] for row in self.rows])
+        det = 1 + entry_sum(v)
+        if det == 0:
+            return 0, None
+        col_sums = [sum(col) for col in zip(*v)]
+        return det, [[Fraction(x * det - r * c, det) for x, c in zip(row, col_sums)]
+                     for row, r in zip(v, map(sum, v))]
 
 
 def construct_w_matrix(n: int, det: int) -> WMatrix:

@@ -1,4 +1,6 @@
-"""Fibonacci sequence (F_1 = F_2 = 1), identity checkers and representations.
+"""Fibonacci sequence (F_1 = F_2 = 1) and exact checkers of the identities
+the paper uses: the three classic sum identities and two alternating
+weighted sums.
 
 Indexing convention used throughout the package: F_1 = F_2 = 1 and
 F_k = F_{k-1} + F_{k-2}.  Negative or zero indices are rejected; the
@@ -10,8 +12,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-
-from .linalg import InvariantError
 
 # fib(k) caches every F_1 .. F_k, about 0.35 k^2 bits (4 MB at this limit,
 # 43 GB at k = 10^6), so larger indices are refused before any work.
@@ -35,14 +35,6 @@ def fib(k: int) -> int:
             while len(_cache) <= k:
                 _cache.append(_cache[-1] + _cache[-2])
     return _cache[k]
-
-
-def fib_prefix_sum(m: int) -> int:
-    """F_1 + F_2 + ... + F_m (0 for m <= 0)."""
-    if m <= 0:
-        return 0
-    fib(m)
-    return sum(_cache[1:m + 1])
 
 
 @dataclass(frozen=True)
@@ -89,91 +81,6 @@ def check_lemma1(n_max: int) -> Lemma1Report:
         even.append(1 + even_sum == fib(2 * n + 1))
         odd.append(odd_sum == fib(2 * n))
     return Lemma1Report(n_max, tuple(full), tuple(even), tuple(odd))
-
-
-def restricted_representation(target: int, max_fib_index: int) -> list:
-    """Write ``target`` as a sum of Fibonacci numbers with distinct indices.
-
-    Greedy, largest index first, drawing only from {F_1, ..., F_max}.
-    Returns the chosen indices in strictly decreasing order.  Any
-    0 <= target <= F_1 + ... + F_max is representable this way; since
-    F_1 = F_2 = 1 the descending scan naturally spends index 2 before
-    index 1, keeping index 1 in reserve as the final unit.
-    """
-    if target < 0:
-        raise ValueError(f"target must be non-negative, got {target}")
-    budget = fib_prefix_sum(max_fib_index)
-    if target > budget:
-        raise ValueError(
-            f"target {target} exceeds F_1+...+F_{max_fib_index} = {budget}")
-    indices = []
-    remaining = target
-    for k in range(max_fib_index, 0, -1):
-        fk = fib(k)
-        if fk <= remaining:
-            indices.append(k)
-            remaining -= fk
-    if remaining != 0:
-        raise InvariantError(
-            f"greedy Fibonacci representation of {target} left {remaining}")
-    return indices
-
-
-@dataclass(frozen=True)
-class SignedFibRepresentation:
-    """Coefficients u_1..u_{n-2} in {-1, 0, +1} over magnitudes (1, F_1, ..., F_{n-3}).
-
-    The represented value is u_1 * 1 + sum_{i>=2} u_i * F_{i-1}; its absolute
-    value never exceeds F_{n-1}.
-    """
-
-    n: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
-        if len(self.coeffs) != self.n - 2:
-            raise ValueError(f"expected {self.n - 2} coefficients")
-        if any(u not in (-1, 0, 1) for u in self.coeffs):
-            raise ValueError("coefficients must be -1, 0 or +1")
-
-    def magnitudes(self) -> tuple:
-        return tuple(1 if i == 1 else fib(i - 1) for i in range(1, self.n - 1))
-
-    @property
-    def value(self) -> int:
-        return sum(u * m for u, m in zip(self.coeffs, self.magnitudes()))
-
-
-def signed_representation(target: int, n: int) -> SignedFibRepresentation:
-    """One-sided signed representation of ``target`` over (1, F_1, ..., F_{n-3}).
-
-    All coefficients are >= 0 when target >= 0 and <= 0 when target <= 0
-    (signs are never mixed).  |target| = F_{n-1} uses every magnitude,
-    which covers the bound exactly because 1 + F_1 + ... + F_{n-3} = F_{n-1};
-    smaller values use a distinct-index greedy representation.
-    """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    bound = fib(n - 1)
-    if abs(target) > bound:
-        raise ValueError(
-            f"target {target} out of range: |target| must be <= F_{n - 1} = {bound}")
-    m = n - 2
-    coeffs = [0] * m
-    if target != 0:
-        sign = 1 if target > 0 else -1
-        magnitude = abs(target)
-        if magnitude == bound:
-            coeffs = [sign] * m
-        else:
-            for k in restricted_representation(magnitude, n - 3):
-                coeffs[k] = sign  # index k maps to coefficient position k+1
-    rep = SignedFibRepresentation(n, tuple(coeffs))
-    if rep.value != target:
-        raise InvariantError(f"signed representation of {target} has value {rep.value}")
-    return rep
 
 
 def check_corollary3(n: int) -> bool:

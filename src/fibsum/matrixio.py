@@ -8,11 +8,19 @@ ignored.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
 class MatrixFormatError(ValueError):
     """Malformed matrix text."""
+
+
+# ASCII only: int() also takes underscores, surrounding whitespace and
+# non-ASCII digits.
+_INT = r"[+-]?[0-9]+"
+_INTEGER = re.compile(_INT)
+_SCALAR = re.compile(rf"({_INT})(?:/([0-9]+))?")
 
 
 def format_scalar(x) -> str:
@@ -32,11 +40,13 @@ def json_scalar(x):
 
 
 def parse_scalar(token: str):
+    """An entry: ASCII ``[+-]digits``, optionally followed by ``/digits``."""
+    match = _SCALAR.fullmatch(token)
+    if match is None:
+        raise MatrixFormatError(f"bad matrix entry {token!r}")
+    num, den = match.groups()
     try:
-        if "/" in token:
-            num, den = token.split("/")
-            return Fraction(int(num), int(den))
-        return int(token)
+        return int(num) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFormatError(f"bad matrix entry {token!r}") from exc
 
@@ -53,10 +63,13 @@ def parse_matrix(text: str):
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise MatrixFormatError("empty matrix text")
+    bad_dimension = f"first line must be the dimension, got {lines[0]!r}"
+    if not _INTEGER.fullmatch(lines[0]):
+        raise MatrixFormatError(bad_dimension)
     try:
         n = int(lines[0])
-    except ValueError as exc:
-        raise MatrixFormatError(f"first line must be the dimension, got {lines[0]!r}") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise MatrixFormatError(bad_dimension) from exc
     if n < 1:
         raise MatrixFormatError(f"dimension must be positive, got {n}")
     if len(lines) - 1 != n:

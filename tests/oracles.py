@@ -6,12 +6,17 @@ matrices inside tests.  The exceptions are replaced library kernels kept
 as the references for their successors: the two-determinant hill climb,
 the Gray-code triangular scan, the ordered row-sum triangular DP, the
 per-word Bareiss scan of the (1,2) family, the relaxation sampler and its
-comparison validator, the recursive dominant-matrix builder and the
-frontier growth of the band partition.
+comparison validator, the recursive dominant-matrix builder, the
+frontier growth of the band partition and the signed Fibonacci
+representations that placed the any-sum constructor's column pairs.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+
+from fibsum.fibonacci import fib
+from fibsum.linalg import InvariantError
 
 
 def det_cofactor(rows):
@@ -397,3 +402,124 @@ def band_of_frontier(n, l):
         for c in range(r + 1, n):
             band.setdefault((r, c), 0)
     return band
+
+
+def fib_prefix_sum(m: int) -> int:
+    """F_1 + F_2 + ... + F_m (0 for m <= 0)."""
+    if m <= 0:
+        return 0
+    return sum(fib(k) for k in range(1, m + 1))
+
+
+def restricted_representation(target: int, max_fib_index: int) -> list:
+    """Write ``target`` as a sum of Fibonacci numbers with distinct indices.
+
+    Greedy, largest index first, drawing only from {F_1, ..., F_max}.
+    Returns the chosen indices in strictly decreasing order.  Any
+    0 <= target <= F_1 + ... + F_max is representable this way; since
+    F_1 = F_2 = 1 the descending scan naturally spends index 2 before
+    index 1, keeping index 1 in reserve as the final unit.
+    """
+    if target < 0:
+        raise ValueError(f"target must be non-negative, got {target}")
+    budget = fib_prefix_sum(max_fib_index)
+    if target > budget:
+        raise ValueError(
+            f"target {target} exceeds F_1+...+F_{max_fib_index} = {budget}")
+    indices = []
+    remaining = target
+    for k in range(max_fib_index, 0, -1):
+        fk = fib(k)
+        if fk <= remaining:
+            indices.append(k)
+            remaining -= fk
+    if remaining != 0:
+        raise InvariantError(
+            f"greedy Fibonacci representation of {target} left {remaining}")
+    return indices
+
+
+@dataclass(frozen=True)
+class SignedFibRepresentation:
+    """Coefficients u_1..u_{n-2} in {-1, 0, +1} over magnitudes (1, F_1, ..., F_{n-3}).
+
+    The represented value is u_1 * 1 + sum_{i>=2} u_i * F_{i-1}; its absolute
+    value never exceeds F_{n-1}.
+    """
+
+    n: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("n must be >= 3")
+        if len(self.coeffs) != self.n - 2:
+            raise ValueError(f"expected {self.n - 2} coefficients")
+        if any(u not in (-1, 0, 1) for u in self.coeffs):
+            raise ValueError("coefficients must be -1, 0 or +1")
+
+    def magnitudes(self) -> tuple:
+        return tuple(1 if i == 1 else fib(i - 1) for i in range(1, self.n - 1))
+
+    @property
+    def value(self) -> int:
+        return sum(u * m for u, m in zip(self.coeffs, self.magnitudes()))
+
+
+def signed_representation(target: int, n: int) -> SignedFibRepresentation:
+    """One-sided signed representation of ``target`` over (1, F_1, ..., F_{n-3}).
+
+    All coefficients are >= 0 when target >= 0 and <= 0 when target <= 0
+    (signs are never mixed).  |target| = F_{n-1} uses every magnitude,
+    which covers the bound exactly because 1 + F_1 + ... + F_{n-3} = F_{n-1};
+    smaller values use a distinct-index greedy representation.
+    """
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    bound = fib(n - 1)
+    if abs(target) > bound:
+        raise ValueError(
+            f"target {target} out of range: |target| must be <= F_{n - 1} = {bound}")
+    m = n - 2
+    coeffs = [0] * m
+    if target != 0:
+        sign = 1 if target > 0 else -1
+        magnitude = abs(target)
+        if magnitude == bound:
+            coeffs = [sign] * m
+        else:
+            for k in restricted_representation(magnitude, n - 3):
+                coeffs[k] = sign  # index k maps to coefficient position k+1
+    rep = SignedFibRepresentation(n, tuple(coeffs))
+    if rep.value != target:
+        raise InvariantError(f"signed representation of {target} has value {rep.value}")
+    return rep
+
+
+def construct_with_sum_by_representation(n, target_sum):
+    """``construct_with_sum(n, target_sum)`` as it was first placed: the
+    recursive dominant core, then one column pair per coefficient of the
+    one-sided signed Fibonacci representation of ``target_sum`` - 2, with
+    the sign of the core's column sum folded in.  The reference for the
+    greedy pass over the core's column sums in ``fibsum.construct``."""
+    from fibsum.linalg import Triangular01, inverse_column_sums
+
+    m = n - 2
+    core = dominant_rows_recursive(m)
+    c = inverse_column_sums(core)
+    coeffs = signed_representation(target_sum - 2, n).coeffs
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][:m] = core[i]
+        t = coeffs[i] * (1 if c[i] > 0 else -1)
+        if t == 1:
+            a, b = 0, 0
+        elif t == 0:
+            a, b = 1, 0
+        else:
+            a, b = 1, 1
+        rows[i][n - 2] = a
+        rows[i][n - 1] = b
+    rows[n - 2][n - 2] = 1
+    rows[n - 1][n - 1] = 1
+    return Triangular01.from_rows(rows)

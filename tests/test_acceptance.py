@@ -35,6 +35,17 @@ def _report(criterion, description, ok, detail=""):
     assert ok, line
 
 
+def _inverse_entry_sum(rows):
+    """1^T A^{-1} 1 for unit upper triangular A, as the sum of the x with
+    A x = 1, solved by back substitution from the last row up."""
+    n = len(rows)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = 1 - sum(row[j] * x[j] for j in range(i + 1, n))
+    return sum(x)
+
+
 def test_criterion_01_theorem_exhaustive():
     """n = 3..7: exhaustive scan hits exactly [2 - F_{n-1}, 2 + F_{n-1}]."""
     ok = True
@@ -79,7 +90,7 @@ def test_criterion_02_constructor_round_trip():
         for s in range(2 - bound, 2 + bound + 1):
             targets += 1
             matrix = construct_with_sum(n, s)
-            if entry_sum(invert_unit_triangular(matrix.rows())) != s:
+            if _inverse_entry_sum(matrix.rows()) != s:
                 failures.append((n, s))
     _report(2, "constructor round trip n=3..20", not failures,
             f"{targets} targets" + (f", failures {failures[:5]}" if failures else ""))
@@ -193,17 +204,6 @@ def test_criterion_08_w_determinants():
                 failures.append((n, det))
     _report(8, "(1,2)-matrix determinant range and constructor", scan_ok and not failures,
             f"failures {failures[:5]}" if failures else "")
-
-
-def _inverse_entry_sum(rows):
-    """1^T A^{-1} 1 for unit upper triangular A, as the sum of the x with
-    A x = 1, solved by back substitution from the last row up."""
-    n = len(rows)
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        x[i] = 1 - sum(row[j] * x[j] for j in range(i + 1, n))
-    return sum(x)
 
 
 def test_criterion_09_continuous_relaxation_sampling():

@@ -11,7 +11,8 @@ import fibsum
 from fibsum import construct, fibonacci
 from fibsum.cli import build_parser, main
 from fibsum.fibonacci import fib
-from fibsum.linalg import determinant_exact, entry_sum, invert_unit_triangular
+from fibsum.linalg import (SingularMatrixError, adjugate_exact,
+                           determinant_exact, entry_sum, invert_unit_triangular)
 from fibsum.matrixio import format_matrix, parse_matrix
 from fibsum.search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
                            SearchConfig, SearchResult)
@@ -60,6 +61,8 @@ class TestBasicCommands:
         assert code == 1 and out == ""
         assert f"IDENTITY_MAX_N = {limit}" in err
         assert len(fibonacci._cache) == cached
+        code, out, _ = run(capsys, "identities", "--help")
+        assert code == 0 and f"6..{limit}" in out
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -123,6 +126,26 @@ class TestConstructCommands:
                 assert inverse == expected
                 assert Fraction(payload["sum"]) == sum(map(sum, expected))
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_wmatrix_inverse_matches_adjugate_at_larger_n(self, capsys, n):
+        # Both interval ends, the singular target and det 3, against the
+        # fraction-free Gauss-Jordan adjugate.
+        bound = fib(n - 1)
+        for det in (3 - bound, 3 + bound, 0, 3):
+            code, payload, _ = run_json(capsys, "wmatrix", "--n", str(n),
+                                        "--det", str(det))
+            assert code == 0 and payload["det"] == det
+            if det == 0:
+                with pytest.raises(SingularMatrixError):
+                    adjugate_exact(payload["matrix"])
+                assert payload["inverse"] is None and payload["sum"] is None
+                continue
+            adj_det, adj = adjugate_exact(payload["matrix"])
+            expected = [[Fraction(x, adj_det) for x in row] for row in adj]
+            inverse = [[Fraction(x) for x in row] for row in payload["inverse"]]
+            assert adj_det == det and inverse == expected
+            assert Fraction(payload["sum"]) == entry_sum(expected)
+
     def test_wmatrix_singular_target(self, capsys):
         code, payload, _ = run_json(capsys, "wmatrix", "--n", "5", "--det", "0")
         assert code == 0
@@ -173,6 +196,14 @@ class TestInvert:
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n1 0\n"))
         code, _, err = run(capsys, "invert")
         assert code == 3
+
+    @pytest.mark.parametrize("entry", ["1_0", "\u0663", "1/-2", "1.0"])
+    def test_invert_non_ascii_decimal_entry_exits_3(self, capsys, monkeypatch, entry):
+        # int() would read "1_0" as 10 and the Arabic-Indic digit as 3.
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"2\n1 {entry}\n0 1\n"))
+        code, out, err = run(capsys, "invert")
+        assert code == 3 and out == ""
+        assert "bad matrix entry" in err
 
     def test_invert_non_triangular_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n1 1\n1 1\n"))

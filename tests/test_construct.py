@@ -11,16 +11,15 @@ from fibsum.construct import (CONSTRUCT_MAX_N, BandPartition, GMatrix, WMatrix,
                               small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
-from fibsum.fibonacci import SignedFibRepresentation
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
-                           entry_sum, invert_unit_triangular, inverse_entry_sum,
-                           row_sum_vector)
+                           entry_sum, identity, invert_unit_triangular,
+                           inverse_entry_sum, row_sum_vector)
 from fibsum.verify import SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
-from oracles import (band_of_frontier, dominant_rows_recursive, g_matrix_valid,
-                     sample_g_rows)
+from oracles import (band_of_frontier, construct_with_sum_by_representation,
+                     dominant_rows_recursive, g_matrix_valid, sample_g_rows)
 
 
 def expected_dominant_vector(n):
@@ -95,13 +94,26 @@ class TestConstructWithSum:
             with pytest.raises(ValueError, match="not achievable"):
                 construct_with_sum(n, target)
 
-    def test_wrong_representation_raises(self, monkeypatch):
-        # A representation of the wrong value must be caught by the
-        # round-trip check, which survives ``python -O``.
-        monkeypatch.setattr(construct, "signed_representation",
-                            lambda target, n: SignedFibRepresentation(n, (0,) * (n - 2)))
-        with pytest.raises(InvariantError, match="not 5"):
-            construct_with_sum(7, 5)
+    def test_matches_representation_oracle(self):
+        # The greedy pass over the core's column sums places every pair as
+        # the signed Fibonacci representation did: the same word for all
+        # 3 204 admissible sums at n = 3..16.
+        targets = 0
+        for n in range(3, 17):
+            bound = fib(n - 1)
+            for target in range(2 - bound, 2 + bound + 1):
+                assert (construct_with_sum(n, target)
+                        == construct_with_sum_by_representation(n, target)), (n, target)
+                targets += 1
+        assert targets == 3204
+
+    def test_planted_core_raises(self, monkeypatch):
+        # With the identity as the core, c = (1, ..., 1) sums to 5 < 8 at
+        # n = 7, so the pairs cannot reach the target; the round-trip check,
+        # which survives ``python -O``, must say so.
+        monkeypatch.setattr(construct, "_dominant_rows", identity)
+        with pytest.raises(InvariantError, match="give sum 7, not 10"):
+            construct_with_sum(7, 10)
 
 
 class TestToeplitzSumTwo:
@@ -226,8 +238,8 @@ class TestSizeLimit:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "signed_representation", "randbelow", "identity",
-                     "inverse_column_sums", "_dominant_rows", "Triangular01"):
+        for name in ("fib", "randbelow", "identity", "inverse_column_sums",
+                     "invert_unit_triangular", "_dominant_rows", "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         n = CONSTRUCT_MAX_N + 1
         for build in (lambda: dominant_matrix(n),

@@ -1,11 +1,16 @@
 import pytest
 
 from fibsum import fibonacci
-from fibsum.fibonacci import (SignedFibRepresentation, check_corollary3,
-                              check_corollary4, check_lemma1,
-                              corollary_failures, fib, fib_prefix_sum,
-                              restricted_representation, signed_representation)
+from fibsum.fibonacci import (check_corollary3, check_corollary4, check_lemma1,
+                              corollary_failures, fib)
 from fibsum.linalg import InvariantError
+
+# The signed Fibonacci representations are the reference that the any-sum
+# constructor's greedy placement is compared with (tests/test_construct.py),
+# so the representation tests below check that reference.
+import oracles
+from oracles import (SignedFibRepresentation, fib_prefix_sum,
+                     restricted_representation, signed_representation)
 
 
 class TestFib:
@@ -173,7 +178,7 @@ class TestCorollaries:
 
 class TestInvariantErrors:
     def test_signed_representation_checks_its_value(self, monkeypatch):
-        monkeypatch.setattr(fibonacci, "restricted_representation",
+        monkeypatch.setattr(oracles, "restricted_representation",
                             lambda target, max_fib_index: [])
         with pytest.raises(InvariantError, match="value 0"):
             signed_representation(3, 7)

@@ -51,6 +51,33 @@ def test_errors():
         parse_matrix("0\n")
 
 
+@pytest.mark.parametrize("token", [
+    "1_0",           # underscore digit grouping
+    "\u0663",        # ARABIC-INDIC DIGIT THREE
+    "\uff11",        # FULLWIDTH DIGIT ONE
+    "1/\u0663",      # non-ASCII denominator
+    " 1", "1 ", "\t1",  # surrounding whitespace
+    "1/-2", "1/+2",  # signed denominator
+    "++1", "-", "", "/2", "1/", "1/2/3",
+    "1.5", "1e3", "0x10", "inf",
+])
+def test_scalar_refuses_non_ascii_decimal_forms(token):
+    with pytest.raises(MatrixFormatError, match="bad matrix entry"):
+        parse_scalar(token)
+
+
+@pytest.mark.parametrize("dimension", ["0_2", "\u0662", "\uff12", "2.0", "2/1",
+                                       "1" * 5000])
+def test_dimension_refuses_non_ascii_decimal_forms(dimension):
+    # int() reads the first three as 2, which the body below would fit.
+    with pytest.raises(MatrixFormatError, match="first line must be the dimension"):
+        parse_matrix(f"{dimension}\n1 0\n0 1\n")
+
+
+def test_signs_and_leading_zeros_accepted():
+    assert parse_matrix("+2\n+1 -0\n007 -3/06\n") == [[1, 0], [7, Fraction(-1, 2)]]
+
+
 SCALARS = st.one_of(st.integers(-10**30, 10**30),
                     st.fractions(max_denominator=10**12))
 
