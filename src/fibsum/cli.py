@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .construct import (CONSTRUCT_MAX_N, construct_w_matrix,
@@ -21,8 +22,9 @@ from .fibonacci import fib
 from .linalg import entry_sum, invert_unit_triangular
 from .matrixio import (MatrixFormatError, format_matrix, format_scalar,
                        json_scalar, parse_matrix)
-from .search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
-                     SearchConfig, SearchExhaustedError, enumerate_general,
+from .search import (GENERAL_MAX_N, SEARCH_MAX_N, SEARCH_MAX_RESTARTS,
+                     SEARCH_MAX_STEPS, TRIANGULAR_MAX_N, SearchConfig,
+                     SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
                      hill_climb_general)
 from .verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES, SUITES,
@@ -81,171 +83,139 @@ def _read_matrix(args):
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
+#
+# Each handler returns (exit code, JSON payload, text) and writes nothing:
+# `main` writes the payload under --json and the text otherwise.
 
 
-def cmd_fib(args) -> int:
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _with_inverse(head: dict, rows, inverse) -> tuple:
+    s = entry_sum(inverse)
+    return (EXIT_OK, {**head, "matrix": rows, "inverse": inverse, "sum": s},
+            format_matrix(rows) + f"# inverse entry sum = {s}\n")
+
+
+def cmd_fib(args) -> tuple:
     value = fib(args.k)
-    if args.json:
-        _write_json(args, {"k": args.k, "value": value})
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"k": args.k, "value": value}, f"{value}\n"
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> tuple:
     minimum = SUITE_SIZES["corollaries"][1]
     if args.max_n < minimum:
         raise ValueError(f"--max-n must be >= {minimum}, "
                          f"got {args.max_n}: corollary 4 starts at n = 6")
     lemma1, bad3, bad4 = identity_failures(args.max_n)
-    if args.json:
-        _write_json(args, {
-            "max_n": args.max_n,
-            "lemma1_pass": not lemma1,
-            "lemma1_failures": lemma1,
-            "corollary3_pass": not bad3,
-            "corollary4_pass": not bad4,
-        })
-    else:
-        print(f"lemma1 identities (n <= {args.max_n}): "
-              f"{'PASS' if not lemma1 else 'FAIL ' + str(lemma1)}")
-        for k, bad in ((3, bad3), (4, bad4)):
-            print(f"corollary{k} identity (n <= {args.max_n}): "
-                  f"{'PASS' if not bad else 'FAIL at ' + str(bad)}")
-    return EXIT_VERIFY_FAILED if lemma1 or bad3 or bad4 else EXIT_OK
+    payload = {
+        "max_n": args.max_n,
+        "lemma1_pass": not lemma1,
+        "lemma1_failures": lemma1,
+        "corollary3_pass": not bad3,
+        "corollary4_pass": not bad4,
+    }
+    text = _lines([f"lemma1 identities (n <= {args.max_n}): "
+                   f"{'PASS' if not lemma1 else 'FAIL ' + str(lemma1)}"]
+                  + [f"corollary{k} identity (n <= {args.max_n}): "
+                     f"{'PASS' if not bad else 'FAIL at ' + str(bad)}"
+                     for k, bad in ((3, bad3), (4, bad4))])
+    return EXIT_VERIFY_FAILED if lemma1 or bad3 or bad4 else EXIT_OK, payload, text
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args) -> tuple:
     rows = _read_matrix(args)
+    if len(rows) > CONSTRUCT_MAX_N:
+        raise ValueError(f"n must be <= CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, "
+                         f"got {len(rows)}: inversion grows about as n^3")
     inverse = invert_unit_triangular(rows)
     s = entry_sum(inverse)
-    if args.json:
-        _write_json(args, {
-            "n": len(rows),
-            "matrix": _rows_json(rows),
-            "inverse": _rows_json(inverse),
-            "sum": json_scalar(s),
-        })
-    else:
-        _write_text(args, format_matrix(inverse) + f"# entry sum = {format_scalar(s)}\n")
-    return EXIT_OK
+    payload = {
+        "n": len(rows),
+        "matrix": _rows_json(rows),
+        "inverse": _rows_json(inverse),
+        "sum": json_scalar(s),
+    }
+    return EXIT_OK, payload, format_matrix(inverse) + f"# entry sum = {format_scalar(s)}\n"
 
 
-def cmd_construct(args) -> int:
-    matrix = construct_with_sum(args.n, args.sum)
-    rows = matrix.rows()
-    inverse = invert_unit_triangular(rows)
-    if args.json:
-        _write_json(args, {
-            "n": args.n,
-            "matrix": rows,
-            "inverse": inverse,
-            "sum": entry_sum(inverse),
-        })
-    else:
-        _write_text(args, format_matrix(rows)
-                    + f"# inverse entry sum = {entry_sum(inverse)}\n")
-    return EXIT_OK
+def cmd_construct(args) -> tuple:
+    rows = construct_with_sum(args.n, args.sum).rows()
+    return _with_inverse({"n": args.n}, rows, invert_unit_triangular(rows))
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> tuple:
     matrix, predicted = extremal_pattern_matrix(args.n, args.l)
-    rows = matrix.rows()
-    if args.json:
-        _write_json(args, {
-            "n": args.n,
-            "l": args.l,
-            "matrix": rows,
-            "inverse": predicted,
-            "sum": entry_sum(predicted),
-        })
-    else:
-        _write_text(args, format_matrix(rows)
-                    + f"# inverse entry sum = {entry_sum(predicted)}\n")
-    return EXIT_OK
+    return _with_inverse({"n": args.n, "l": args.l}, matrix.rows(), predicted)
 
 
-def cmd_wmatrix(args) -> int:
+def cmd_wmatrix(args) -> tuple:
     matrix = construct_w_matrix(args.n, args.det)
     rows = matrix.to_rows()
     det, inverse = matrix.det_and_inverse()
-    s = None if inverse is None else entry_sum(inverse)
-    if args.json:
-        _write_json(args, {
-            "n": args.n,
-            "matrix": rows,
-            "det": det,
-            "inverse": _rows_json(inverse) if inverse is not None else None,
-            "sum": json_scalar(s),
-        })
-    else:
-        _write_text(args, format_matrix(rows) + f"# determinant = {det}\n")
-    return EXIT_OK
+    payload = {"n": args.n, "matrix": rows, "det": det, "inverse": None, "sum": None}
+    if inverse is not None:
+        # W = J + L with S(L^{-1}) = det - 1, so Sherman-Morrison gives
+        # S(W^{-1}) = S(L^{-1}) - S(L^{-1})^2 / det = (det - 1) / det.
+        payload.update(inverse=_rows_json(inverse),
+                       sum=json_scalar(Fraction(det - 1, det)))
+    return EXIT_OK, payload, format_matrix(rows) + f"# determinant = {det}\n"
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple:
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
-    if args.family == "triangular":
-        dist = enumerate_triangular(args.n)
-    elif args.family == "general":
-        dist = enumerate_general(args.n)
-    else:
-        dist = enumerate_w_determinants(args.n)
+    scan = {"triangular": enumerate_triangular, "general": enumerate_general,
+            "w": enumerate_w_determinants}[args.family]
+    dist = scan(args.n)
     payload = dist.to_json_dict(include_witnesses=not args.no_witnesses)
-    if args.json:
-        _write_json(args, payload)
-    else:
-        print(f"family {dist.family}  n {dist.n}  matrices {dist.total}")
-        print(f"min {payload['min']}  max {payload['max']}")
-        print("sum count")
-        for s in dist.achieved:
-            print(f"{format_scalar(s)} {dist.counts[s]}")
-    return EXIT_OK
+    text = _lines([f"family {dist.family}  n {dist.n}  matrices {dist.total}",
+                   f"min {payload['min']}  max {payload['max']}",
+                   "sum count",
+                   *(f"{format_scalar(s)} {dist.counts[s]}" for s in dist.achieved)])
+    return EXIT_OK, payload, text
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple:
     config = SearchConfig(n=args.n, direction=args.direction,
                           restarts=args.restarts, max_steps=args.max_steps,
                           seed=args.seed)
     result = hill_climb_general(config)
-    if args.json:
-        _write_json(args, {
-            "n": args.n,
-            "direction": args.direction,
-            "restarts": args.restarts,
-            "max_steps": args.max_steps,
-            "seed": args.seed,
-            "best_sum": json_scalar(result.best_sum),
-            "steps_taken": result.steps_taken,
-            "restarts_used": result.restarts_used,
-            "matrix": [list(r) for r in result.best_matrix],
-        })
-    else:
-        _write_text(args, format_matrix(result.best_matrix)
-                    + f"# inverse entry sum = {format_scalar(result.best_sum)}\n"
-                    + f"# steps = {result.steps_taken}, restarts = {result.restarts_used}\n")
-    return EXIT_OK
+    payload = {
+        "n": args.n,
+        "direction": args.direction,
+        "restarts": args.restarts,
+        "max_steps": args.max_steps,
+        "seed": args.seed,
+        "best_sum": json_scalar(result.best_sum),
+        "steps_taken": result.steps_taken,
+        "restarts_used": result.restarts_used,
+        "matrix": [list(r) for r in result.best_matrix],
+    }
+    text = (format_matrix(result.best_matrix)
+            + f"# inverse entry sum = {format_scalar(result.best_sum)}\n"
+            + f"# steps = {result.steps_taken}, restarts = {result.restarts_used}\n")
+    return EXIT_OK, payload, text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     extra = {"remark": (args.count, args.seed),
              "gsampling": (args.samples, args.bound, args.seed)}
     sizes = suite_sizes(args.suite, args.n)
-    check_options(args.samples, args.count, args.bound)
+    check_options(args.samples, args.count, args.bound, args.seed)
     checks = []
     for name, n in sizes.items():
         checks.extend(globals()[f"_suite_{name}"](n, *extra.get(name, ())))
     report = VerificationReport(args.suite, checks)
-    if args.json:
-        _write_json(args, report.to_json_dict())
-    else:
-        for check in checks:
-            status = "PASS" if check.passed else "FAIL"
-            params = " ".join(f"{k}={v}" for k, v in sorted(check.parameters.items()))
-            print(f"{status} {check.name} [{params}] {check.detail}")
-        print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    return EXIT_OK if report.all_pass else EXIT_VERIFY_FAILED
+    lines = []
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        params = " ".join(f"{k}={v}" for k, v in sorted(check.parameters.items()))
+        lines.append(f"{status} {check.name} [{params}] {check.detail}")
+    lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
+    return (EXIT_OK if report.all_pass else EXIT_VERIFY_FAILED,
+            report.to_json_dict(), _lines(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive scan of a matrix family")
     p.add_argument("--family", choices=("triangular", "general", "w"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"matrix size, 3..{TRIANGULAR_MAX_N} for triangular and w, "
+                        f"3..{GENERAL_MAX_N} for general")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for existing scripts and must be >= 1, but "
                         "has no effect: every family runs in one process")
@@ -328,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"random start matrices, 1..{SEARCH_MAX_RESTARTS}")
     p.add_argument("--max-steps", type=int, default=300, dest="max_steps",
                    help=f"improving flips per restart, 1..{SEARCH_MAX_STEPS}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random start matrices, >= 0")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_search)
 
@@ -343,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"samples per size for the gsampling suite, 1..{MAX_SAMPLES}")
     p.add_argument("--bound", type=int, default=16,
                    help=f"denominator bound for the gsampling suite, 1..{MAX_BOUND}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the remark and gsampling draws, >= 0")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -359,7 +333,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        if args.json:
+            _write_json(args, payload)
+        else:
+            _write_text(args, text)
+        return code
     except (MatrixFormatError, OSError) as exc:
         print(f"fibsum: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

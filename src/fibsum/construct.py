@@ -346,6 +346,9 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     _check_size(n)
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be >= 1")
+    if seed < 0:
+        # random.Random seeds with |seed|: -5 would replay seed 5.
+        raise ValueError(f"seed must be >= 0, got {seed}")
     getrandbits = random.Random(seed).getrandbits
     rows = []
     for i in range(n):

@@ -4,19 +4,20 @@ Three families are enumerated exhaustively at desk scale in one process,
 the first two by one algorithm:
 
 * ``triangular``: all 2^(n(n-1)/2) (0,1) unit upper triangular matrices,
-  n <= 9, by a dynamic programme over inverse column sums, left to right.
-  They obey w_0 = 1 and w_j = 1 - (sum of w_i over the ones in column j),
-  so the columns after j see only the tuple (w_0, ..., w_j).  Each state
-  keeps its matrix count and smallest word prefix; prefix and completion
-  own disjoint bits, so this gives the smallest word per sum.  At n = 9 the
-  last level has 29 044 states for 2^36 matrices.
+  n <= TRIANGULAR_MAX_N, by a dynamic programme over inverse column sums,
+  left to right.  They obey w_0 = 1 and w_j = 1 - (sum of w_i over the
+  ones in column j), so the columns after j see only the tuple
+  (w_0, ..., w_j).  Each state keeps its matrix count and smallest word
+  prefix; prefix and completion own disjoint bits, so this gives the
+  smallest word per sum.  At n = 9 the last level has 29 044 states for
+  2^36 matrices.
 * ``w-determinant``: all 2^(n(n-1)/2) members J + L of the (1,2) family,
-  L (0,1) unit lower triangular, n <= 9.  The relabelling
+  L (0,1) unit lower triangular, n <= TRIANGULAR_MAX_N.  The relabelling
   det(J + L) = 1 + S(L^T), S the inverse entry sum, makes this the same DP
   over L^T in the family's word layout, each sum shifted by one.
-* ``general``: all 2^(n^2) (0,1) matrices, n <= 5, one set of distinct
-  rows at a time.  Permuting the rows of A permutes the columns of A^{-1},
-  so all n! row orders share one inverse entry sum, and an invertible
+* ``general``: all 2^(n^2) (0,1) matrices, n <= GENERAL_MAX_N, one set of
+  distinct rows at a time.  Permuting the rows of A permutes the columns of
+  A^{-1}, so all n! row orders share one inverse entry sum, and an invertible
   matrix has distinct nonzero rows.  Each such row set costs two exact
   fraction-free determinants, det(A) and det(A + J), and counts n! times.
 
@@ -57,6 +58,12 @@ KNOWN_GENERAL_MAX_7X7 = (
     (0, 0, 0, 0, 0, 1, 0),
     (1, 1, 0, 0, 0, 0, 1),
 )
+
+
+# Largest n of the exhaustive scans, which all start at n = 3.  Each
+# refusal says how fast the scan's work grows past its limit.
+TRIANGULAR_MAX_N = 9
+GENERAL_MAX_N = 5
 
 
 class SearchExhaustedError(RuntimeError):
@@ -187,13 +194,14 @@ def _column_sum_levels(n: int, cell_bit):
 def _column_sum_distribution(family: str, n: int, cell_bit,
                              shift: int) -> SumDistribution:
     """Distribution of shift + inverse entry sum over the (0,1) unit upper
-    triangular matrices of size n (3 <= n <= 9), folding the last column."""
+    triangular matrices of size n (3 <= n <= TRIANGULAR_MAX_N), folding the
+    last column."""
     bits = n * (n - 1) // 2
-    if not 3 <= n <= 9:
+    if not 3 <= n <= TRIANGULAR_MAX_N:
         raise ValueError(
-            f"n={n} out of supported range 3..9 for 2^(n(n-1)/2) = 2^{bits} "
-            "matrices: the column-sum states grow over tenfold per size "
-            "(2821 at n = 8, 29044 at n = 9, 411727 at n = 10)")
+            f"n={n} out of supported range 3..TRIANGULAR_MAX_N = {TRIANGULAR_MAX_N} "
+            f"for 2^(n(n-1)/2) = 2^{bits} matrices: the column-sum states grow "
+            "over tenfold per size (2821 at n = 8, 29044 at n = 9, 411727 at n = 10)")
     dist = SumDistribution(family, n)
     counts = dist.counts
     wit = dist.witness_words
@@ -221,15 +229,16 @@ def _w_cell_bit(n: int, i: int, j: int) -> int:
 
 def enumerate_triangular(n: int) -> SumDistribution:
     """Exhaustive inverse-sum distribution over all (0,1) unit upper
-    triangular matrices of size n (3 <= n <= 9)."""
+    triangular matrices of size n (3 <= n <= TRIANGULAR_MAX_N)."""
     return _column_sum_distribution("triangular", n, Triangular01.bit_index, 0)
 
 
 def enumerate_w_determinants(n: int) -> SumDistribution:
     """Exhaustive determinant distribution over the (1,2) family J + L,
-    L (0,1) unit lower triangular (3 <= n <= 9), with no determinant:
-    det(J + L) = 1 + S(L^T), S the inverse entry sum, so the column-sum
-    states of L^T, which grow over tenfold per size, give it shifted by 1."""
+    L (0,1) unit lower triangular (3 <= n <= TRIANGULAR_MAX_N), with no
+    determinant: det(J + L) = 1 + S(L^T), S the inverse entry sum, so the
+    column-sum states of L^T, which grow over tenfold per size, give it
+    shifted by 1."""
     return _column_sum_distribution("w-determinant", n, _w_cell_bit, 1)
 
 
@@ -258,7 +267,7 @@ def max_abs_row_sum_vector(n: int) -> tuple:
 
 def enumerate_general(n: int) -> SumDistribution:
     """Exhaustive inverse-sum distribution over all invertible (0,1)
-    matrices of size n (3 <= n <= 5).  Sums are exact rationals.
+    matrices of size n (3 <= n <= GENERAL_MAX_N).  Sums are exact rationals.
 
     Visits each set of n distinct nonzero row codes once (code bit j is
     column j) and counts it n! times.  Row 0 holds the lowest word bits, so
@@ -266,11 +275,11 @@ def enumerate_general(n: int) -> SumDistribution:
     increasing code tuples come in increasing order of that word: the first
     set to reach a pair (det(A + J) - det(A), det(A)) is its witness.
     """
-    if not 3 <= n <= 5:
+    if not 3 <= n <= GENERAL_MAX_N:
         raise ValueError(
-            f"n={n} out of supported range 3..5: the scan visits C(2^n - 1, n) "
-            f"row sets (169 911 at n=5; 6.8e7 at n=6 is beyond desk scale); "
-            "for larger n use hill_climb_general")
+            f"n={n} out of supported range 3..GENERAL_MAX_N = {GENERAL_MAX_N}: "
+            "the scan visits C(2^n - 1, n) row sets (169 911 at n=5; 6.8e7 at "
+            "n=6 is beyond desk scale); for larger n use hill_climb_general")
     bits = [[(c >> j) & 1 for j in range(n)] for c in range(1 << n)]
     plus = [[x + 1 for x in row] for row in bits]
     pairs = {}  # (det(A + J) - det(A), det(A)) -> [row sets, smallest word]
@@ -336,6 +345,10 @@ class SearchConfig:
                                  f"got {value}")
         if self.direction not in ("max", "min"):
             raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
+        if self.seed < 0:
+            # random.Random seeds with |seed|, which would fold the negative
+            # seeds onto the positive ones.
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -433,7 +446,8 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
 
     Restart r draws from ``random.Random((seed << 20) ^ r)``: each start
     cell as ``randint(0, 1)``, row-major, and each step's order as a
-    ``shuffle`` of the n^2 cells.  The draws are taken straight from
+    ``shuffle`` of the n^2 cells.  Since seed >= 0 and r < SEARCH_MAX_RESTARTS
+    < 2^20, each (seed, restart) pair has a stream of its own.  The draws are taken straight from
     ``getrandbits`` by :mod:`fibsum._rng`, word for word as those methods
     take them, so the results are theirs.
 

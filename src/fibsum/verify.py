@@ -96,14 +96,17 @@ def suite_sizes(suite: str, n: int | None = None) -> dict:
     return {name: SUITE_SIZES[name][0] if n is None else n for name in names}
 
 
-def check_options(samples: int, count: int, bound: int) -> None:
+def check_options(samples: int, count: int, bound: int, seed: int) -> None:
     """Raise ValueError unless each of ``samples``, ``count`` and ``bound``
-    lies between 1 and its named limit."""
+    lies between 1 and its named limit, and ``seed`` is >= 0: ``random.Random``
+    seeds with |seed|, so a negative seed would replay a positive one."""
     for flag, value, name, limit in (("--samples", samples, "MAX_SAMPLES", MAX_SAMPLES),
                                      ("--count", count, "MAX_COUNT", MAX_COUNT),
                                      ("--bound", bound, "MAX_BOUND", MAX_BOUND)):
         if not 1 <= value <= limit:
             raise ValueError(f"{flag} must lie in 1..{name} = {limit}, got {value}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, adjugate_exact,
                            determinant_exact, entry_sum, invert_unit_triangular)
 from fibsum.matrixio import format_matrix, parse_matrix
-from fibsum.search import (SEARCH_MAX_N, SEARCH_MAX_RESTARTS, SEARCH_MAX_STEPS,
-                           SearchConfig, SearchResult)
+from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_N, SEARCH_MAX_RESTARTS,
+                           SEARCH_MAX_STEPS, TRIANGULAR_MAX_N, SearchConfig,
+                           SearchResult)
 
 from fixtures import BANDED_9_L2
 from oracles import invert_adjugate
@@ -146,6 +147,24 @@ class TestConstructCommands:
             assert adj_det == det and inverse == expected
             assert Fraction(payload["sum"]) == entry_sum(expected)
 
+    def test_wmatrix_sum_matches_entry_sum_to_n10(self, capsys):
+        # The command emits S(W^{-1}) as (det - 1) / det; sum the emitted
+        # inverse entry by entry instead, over every admissible det.
+        cases = 0
+        for n in range(3, 11):
+            bound = fib(n - 1)
+            for det in range(3 - bound, 4 + bound):
+                code, payload, _ = run_json(capsys, "wmatrix", "--n", str(n),
+                                            "--det", str(det))
+                assert code == 0
+                cases += 1
+                if det == 0:
+                    assert payload["inverse"] is None and payload["sum"] is None
+                    continue
+                inverse = [[Fraction(x) for x in row] for row in payload["inverse"]]
+                assert Fraction(payload["sum"]) == entry_sum(inverse)
+        assert cases == 182
+
     def test_wmatrix_singular_target(self, capsys):
         code, payload, _ = run_json(capsys, "wmatrix", "--n", "5", "--det", "0")
         assert code == 0
@@ -187,6 +206,25 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "--in", str(src), "--out", str(dst))
         assert code == 0
         assert parse_matrix(dst.read_text()) == [[1, -1, -1], [0, 1, 0], [0, 0, 1]]
+
+    def test_invert_above_limit_refused_before_work(self, capsys, monkeypatch):
+        def refuse(rows):
+            pytest.fail(f"inverted a {len(rows)} x {len(rows)} matrix")
+
+        limit = construct.CONSTRUCT_MAX_N
+        monkeypatch.setattr("fibsum.cli.invert_unit_triangular", refuse)
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_matrix(
+            [[1 if i == j else 0 for j in range(limit + 1)] for i in range(limit + 1)])))
+        code, out, err = run(capsys, "invert")
+        assert code == 1 and out == ""
+        assert f"CONSTRUCT_MAX_N = {limit}, got {limit + 1}" in err
+
+    def test_invert_at_limit_accepted(self, capsys, monkeypatch):
+        limit = construct.CONSTRUCT_MAX_N
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_matrix(
+            [[1 if i <= j else 0 for j in range(limit)] for i in range(limit)])))
+        code, payload, _ = run_json(capsys, "invert")
+        assert code == 0 and payload["n"] == limit and payload["sum"] == 1
 
     def test_invert_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "invert", "--in", str(tmp_path / "nope.txt"))
@@ -264,6 +302,18 @@ class TestEnumerate:
                            "--n", "12", "--jobs", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("family, limit, name", [
+        ("triangular", TRIANGULAR_MAX_N, "TRIANGULAR_MAX_N"),
+        ("w", TRIANGULAR_MAX_N, "TRIANGULAR_MAX_N"),
+        ("general", GENERAL_MAX_N, "GENERAL_MAX_N")])
+    def test_limit_plus_one_refused_and_ranges_shown(self, capsys, family, limit, name):
+        code, out, err = run(capsys, "enumerate", "--family", family,
+                             "--n", str(limit + 1))
+        assert code == 1 and out == ""
+        assert f"3..{name} = {limit}" in err
+        code, out, _ = run(capsys, "enumerate", "--help")
+        assert code == 0 and f"3..{limit}" in out
+
     def test_jobs_defaults_to_one(self):
         args = build_parser().parse_args(["enumerate", "--family", "general",
                                           "--n", "3"])
@@ -339,6 +389,18 @@ class TestSearch:
             code, out, err = run(capsys, "search", "--direction", "max", *argv)
             assert code == 1 and out == ""
             assert f"{field} must lie in {low}..{name} = {limit}, got {value}" in err
+
+    def test_negative_seed_refused_before_work(self, capsys, monkeypatch):
+        # random.Random seeds with |seed|, so --seed -1 would replay --seed 1.
+        monkeypatch.setattr("fibsum.cli.hill_climb_general",
+                            lambda config: pytest.fail(f"ran with {config}"))
+        code, out, err = run(capsys, "search", "--n", "5", "--direction", "max",
+                             "--restarts", "1", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert "seed must be >= 0, got -1" in err
+        for command in ("search", "verify"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0 and ">= 0" in out
 
     def test_limits_accepted_and_shown(self, capsys, monkeypatch):
         seen = []

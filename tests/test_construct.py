@@ -332,6 +332,9 @@ class TestSampleGMatrix:
             sample_g_matrix(2, 0, 5)
         with pytest.raises(ValueError):
             sample_g_matrix(5, 0, 0)
+        # random.Random seeds with |seed|: -5 would replay seed 5.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            sample_g_matrix(4, -5, 16)
         with pytest.raises(ValueError):
             GMatrix(((Fraction(1), Fraction(3, 2)), (Fraction(0), Fraction(1))))
 

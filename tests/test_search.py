@@ -9,8 +9,9 @@ from fibsum.fibonacci import fib
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, determinant_exact, entry_sum,
                            invert_unit_triangular, inverse_sum_via_determinant)
-from fibsum.search import (RankOneState, SearchConfig, _exact_div,
-                           enumerate_general, enumerate_triangular,
+from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_RESTARTS,
+                           TRIANGULAR_MAX_N, RankOneState, SearchConfig,
+                           _exact_div, enumerate_general, enumerate_triangular,
                            enumerate_w_determinants, hill_climb_general,
                            max_abs_row_sum_vector)
 from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
@@ -90,6 +91,9 @@ class TestEnumerateTriangular:
     def test_out_of_range_errors_mention_state_count(self):
         with pytest.raises(ValueError, match="2"):
             enumerate_triangular(10)
+        for scan in (enumerate_triangular, enumerate_w_determinants):
+            with pytest.raises(ValueError, match="3..TRIANGULAR_MAX_N = 9"):
+                scan(TRIANGULAR_MAX_N + 1)
         with pytest.raises(ValueError):
             enumerate_triangular(2)
 
@@ -183,6 +187,8 @@ class TestEnumerateGeneral:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="hill_climb_general"):
             enumerate_general(6)
+        with pytest.raises(ValueError, match="3..GENERAL_MAX_N = 5"):
+            enumerate_general(GENERAL_MAX_N + 1)
 
 
 class TestEnumerateWDeterminants:
@@ -336,6 +342,13 @@ class TestHillClimb:
             SearchConfig(n=4, direction="up")
         with pytest.raises(ValueError):
             SearchConfig(n=4, direction="max", restarts=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SearchConfig(n=5, direction="max", restarts=1, seed=-1)
+
+    def test_restart_streams_are_distinct(self):
+        # Restart r of seed s draws from Random((s << 20) ^ r); with s >= 0
+        # and r < 2^20 no two (seed, restart) pairs share that number.
+        assert SEARCH_MAX_RESTARTS <= 1 << 20
 
 
 @st.composite

@@ -15,3 +15,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, f"assert statements in the package: {found}"
+
+
+def test_cli_handlers_write_nothing():
+    # Each cmd_* returns (exit code, payload, text); only main writes, so
+    # stdout and --json output leave through one place.
+    path = Path(fibsum.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    writers = {"print", "_write_text", "_write_json", "stdout", "json"}
+    found = [f"{handler.name}:{node.lineno} {name}"
+             for handler in handlers
+             for node in ast.walk(handler)
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
+             if name in writers]
+    assert len(handlers) == 9 and not found, f"handlers that write: {found}"

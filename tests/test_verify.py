@@ -13,7 +13,7 @@ import fibsum
 from fibsum import cli, construct, fibonacci, linalg, search
 from fibsum.linalg import SingularMatrixError, Triangular01
 from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES,
-                           suite_sizes)
+                           check_options, suite_sizes)
 
 
 def run(capsys, *argv):
@@ -233,6 +233,18 @@ class TestLimits:
             captured = capsys.readouterr()
             assert code == 1 and captured.out == ""
             assert f"{flag} must lie in 1..{name} = {limit}, got {value}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "gsampling", "remark"])
+    def test_negative_seed_refused_before_work(self, capsys, monkeypatch, suite):
+        # random.Random seeds with |seed|, so -500 would replay seed 500.
+        refuse_every_suite(monkeypatch)
+        code = cli.main(["verify", "--suite", suite, "--seed", "-500"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--seed must be >= 0, got -500" in captured.err
+        with pytest.raises(ValueError, match="got -1"):
+            check_options(1, 1, 1, -1)
+        check_options(1, 1, 1, 0)
 
     def test_largest_values_accepted(self, capsys, monkeypatch):
         seen = {}
