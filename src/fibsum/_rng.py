@@ -1,9 +1,10 @@
 """Seeded draws straight from ``random.Random.getrandbits``.
 
 ``Random.randint`` and ``Random.shuffle`` spend most of their time in the
-Python wrappers around ``getrandbits``.  These helpers repeat CPython
-3.11's ``_randbelow_with_getrandbits`` and ``Random.shuffle`` step for
-step, so they consume the same words and return the same values:
+Python wrappers around ``getrandbits``.  These helpers repeat CPython's
+``_randbelow_with_getrandbits`` and ``Random.shuffle`` (the same in 3.10
+to 3.13) step for step, so they consume the same words and return the
+same values:
 ``randint(a, b)`` is ``a + randbelow(getrandbits, b - a + 1)``, and
 ``shuffle(x, getrandbits)`` leaves ``x`` as ``rng.shuffle(x)`` would.
 """

@@ -73,12 +73,14 @@ def _write_json(args, payload: dict) -> None:
             fh.write(text)
 
 
-def _read_matrix(args):
+def _read_matrix(args, check_dimension):
     path = getattr(args, "infile", None)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_matrix(fh.read())
-    return parse_matrix(sys.stdin.read())
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+    return parse_matrix(text, check_dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +126,15 @@ def cmd_identities(args) -> tuple:
     return EXIT_VERIFY_FAILED if lemma1 or bad3 or bad4 else EXIT_OK, payload, text
 
 
-def cmd_invert(args) -> tuple:
-    rows = _read_matrix(args)
-    if len(rows) > CONSTRUCT_MAX_N:
+def _check_invert_size(n: int) -> None:
+    if n > CONSTRUCT_MAX_N:
         raise ValueError(f"n must be <= CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, "
-                         f"got {len(rows)}: inversion grows about as n^3")
+                         f"got {n}: inversion grows about as n^3")
+
+
+def cmd_invert(args) -> tuple:
+    # Refused from the dimension line, before any row is parsed.
+    rows = _read_matrix(args, _check_invert_size)
     inverse = invert_unit_triangular(rows)
     s = entry_sum(inverse)
     payload = {

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from ._rng import randbelow
 from .fibonacci import fib
 from .linalg import (InvariantError, Matrix, Triangular01, entry_sum,
                      identity, invert_unit_triangular, inverse_column_sums,
@@ -292,7 +292,13 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
 
 @dataclass(frozen=True)
 class GMatrix:
-    """Unit upper triangular matrix with rational entries from [0, 1] above."""
+    """Unit upper triangular matrix with rational entries from [0, 1] above.
+
+    Entries are ints or Fractions.  Those of :func:`sample_g_matrix` are
+    all Fractions, and at small bounds cells with equal values hold one
+    shared object from its table; Fractions are immutable, so sharing
+    changes no value.
+    """
 
     rows: tuple
 
@@ -329,6 +335,19 @@ class GMatrix:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Denominator bounds up to this draw their entries from one cached table of
+# every p/q with 0 <= p <= q <= bound: 2 144 Fractions, about 120 KiB, at
+# 64.  Larger bounds build each entry on its own, as a table would grow as
+# bound^2 / 2.
+FRACTION_TABLE_MAX_BOUND = 64
+
+
+@lru_cache(maxsize=4)
+def _fraction_table(bound: int) -> tuple:
+    """``table[q][p] == Fraction(p, q)`` for 1 <= q <= bound, 0 <= p <= q."""
+    return ((),) + tuple(tuple(Fraction(p, q) for p in range(q + 1))
+                         for q in range(1, bound + 1))
+
 
 def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     """Deterministic pseudo-random member of the continuous relaxation.
@@ -336,10 +355,17 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     Strictly upper entries are exact rationals p/q with 0 <= p <= q <=
     ``denominator_bound``, drawn cell by cell in row-major order from
     ``random.Random(seed)``: ``randint(1, bound)`` for q, then
-    ``randint(0, q)`` for p, both taken straight from ``getrandbits`` by
-    :func:`fibsum._rng.randbelow`, word for word as ``randint`` takes them.
-    Exact rationals keep the closed-interval bound on the inverse entry sum
-    testable with no rounding slack.
+    ``randint(0, q)`` for p.  Both are taken straight from ``getrandbits``
+    as :func:`fibsum._rng.randbelow` takes them, word for word as
+    ``randint`` does.  Exact rationals keep the closed-interval bound on the
+    inverse entry sum testable with no rounding slack.
+
+    Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
+    table of shared Fractions instead of building it with its gcd; larger
+    bounds build it.  The draws, and so the values, are the same either
+    way.  Every entry is a Fraction, 0 and 1 included: with int entries,
+    :func:`fibsum.linalg.inverse_entry_sum` would return an int on a sample
+    whose uppers are all 0 or 1.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -350,12 +376,22 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
         # random.Random seeds with |seed|: -5 would replay seed 5.
         raise ValueError(f"seed must be >= 0, got {seed}")
     getrandbits = random.Random(seed).getrandbits
+    table = (_fraction_table(denominator_bound)
+             if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
+    kq = denominator_bound.bit_length()
     rows = []
     for i in range(n):
         row = [_ZERO] * i
         row.append(_ONE)
         for _ in range(i + 1, n):
-            q = 1 + randbelow(getrandbits, denominator_bound)
-            row.append(Fraction(randbelow(getrandbits, q + 1), q))
+            q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
+            while q >= denominator_bound:
+                q = getrandbits(kq)
+            q += 1
+            kp = (q + 1).bit_length()
+            p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
+            while p > q:
+                p = getrandbits(kp)
+            row.append(Fraction(p, q) if table is None else table[q][p])
         rows.append(tuple(row))
     return GMatrix(tuple(rows))

@@ -58,7 +58,10 @@ def format_matrix(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str):
+def parse_matrix(text: str, check_dimension=None):
+    """The rows of matrix text.  ``check_dimension``, when given, is called
+    with n as soon as the dimension line is read, before any row is parsed,
+    so that it can refuse a size by raising."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -72,6 +75,8 @@ def parse_matrix(text: str):
         raise MatrixFormatError(bad_dimension) from exc
     if n < 1:
         raise MatrixFormatError(f"dimension must be positive, got {n}")
+    if check_dimension is not None:
+        check_dimension(n)
     if len(lines) - 1 != n:
         raise MatrixFormatError(f"expected {n} matrix rows, got {len(lines) - 1}")
     rows = []

@@ -28,7 +28,9 @@ CONSTRUCTIVE_MAX_N = 20
 # which the suite would run for more than a few minutes on one core of a
 # 2-vCPU Xeon host: the pattern suite grows about as n^3.6 (9 s at n = 160,
 # 23 s at 200), remark at 60 with MAX_COUNT draws takes about 60 s, and
-# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 90 s.
+# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 70 s, over
+# half of it building the sampled Fractions, as a bound past
+# construct.FRACTION_TABLE_MAX_BOUND has no table.
 # Theorem and corollaries stop where their checks do.
 SUITE_SIZES = {"theorem": (7, 3, CONSTRUCTIVE_MAX_N),
                "corollaries": (90, 6, fibonacci.IDENTITY_MAX_N),

@@ -219,6 +219,20 @@ class TestInvert:
         assert code == 1 and out == ""
         assert f"CONSTRUCT_MAX_N = {limit}, got {limit + 1}" in err
 
+    def test_invert_above_limit_refused_before_parsing(self, capsys, monkeypatch):
+        # Refused from the dimension line alone: no entry is parsed, and
+        # rows that do not match the header get the size refusal (exit 1),
+        # not the format error (exit 3).
+        def refuse(token):
+            pytest.fail(f"parsed entry {token!r} of an oversize matrix")
+
+        limit = construct.CONSTRUCT_MAX_N
+        monkeypatch.setattr("fibsum.matrixio.parse_scalar", refuse)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"# header\n{limit + 1}\n1 0\n0 1\n"))
+        code, out, err = run(capsys, "invert")
+        assert code == 1 and out == ""
+        assert f"CONSTRUCT_MAX_N = {limit}, got {limit + 1}" in err
+
     def test_invert_at_limit_accepted(self, capsys, monkeypatch):
         limit = construct.CONSTRUCT_MAX_N
         monkeypatch.setattr("sys.stdin", io.StringIO(format_matrix(

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsum.construct import (CONSTRUCT_MAX_N, BandPartition, GMatrix, WMatrix,
-                              band_partition, construct_w_matrix,
-                              construct_with_sum, dominant_matrix,
-                              extremal_pattern_matrix, sample_g_matrix,
-                              small_extremal, toeplitz_sum_two)
+from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
+                              BandPartition, GMatrix, WMatrix, band_partition,
+                              construct_w_matrix, construct_with_sum,
+                              dominant_matrix, extremal_pattern_matrix,
+                              sample_g_matrix, small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
                            entry_sum, identity, invert_unit_triangular,
                            inverse_entry_sum, row_sum_vector)
-from fibsum.verify import SUITE_SIZES
+from fibsum.verify import MAX_BOUND, SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
@@ -238,7 +238,7 @@ class TestSizeLimit:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "randbelow", "identity", "inverse_column_sums",
+        for name in ("fib", "_fraction_table", "identity", "inverse_column_sums",
                      "invert_unit_triangular", "_dominant_rows", "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         n = CONSTRUCT_MAX_N + 1
@@ -345,6 +345,31 @@ class TestSampleGMatrix:
         for n in range(3, 11):
             for seed in range(50):
                 assert sample_g_matrix(n, seed, bound).rows == sample_g_rows(n, seed, bound)
+
+    @pytest.mark.parametrize("bound", [1, FRACTION_TABLE_MAX_BOUND,
+                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    def test_stream_pinned_across_the_table_cap(self, bound):
+        # Up to the cap the entries come from the shared table, above it
+        # each is built on its own: the same draws and values either way,
+        # and every entry a Fraction, 0 and 1 included (bound 1 gives only
+        # those), so that inverse_entry_sum returns a Fraction.
+        for n in range(3, 7):
+            for seed in range(5):
+                rows = sample_g_matrix(n, seed, bound).rows
+                assert rows == sample_g_rows(n, seed, bound)
+                assert all(type(v) is Fraction for row in rows for v in row)
+                assert type(inverse_entry_sum(rows)) is Fraction
+
+    def test_fraction_table_cache_bounded(self):
+        table = construct._fraction_table
+        for bound in range(1, FRACTION_TABLE_MAX_BOUND + 1):
+            sample_g_matrix(3, 0, bound)
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize
+        # Above the cap no table is built.
+        for bound in (FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND):
+            sample_g_matrix(3, 0, bound)
+        assert table.cache_info().misses == info.misses
 
     def test_float_entry_refused(self):
         for rows in (((1.0, Fraction(1, 2)), (0, 1)),
