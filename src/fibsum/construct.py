@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fibonacci import fib
-from .linalg import (InvariantError, Matrix, Triangular01, entry_sum,
+from .linalg import (InvariantError, Matrix, Scalar, Triangular01, entry_sum,
                      identity, invert_unit_triangular, inverse_column_sums,
-                     transpose)
+                     inverse_entry_sum_unchecked, transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
 # pattern suite checks the banded matrices up to n = 200, where `fibsum
@@ -290,6 +290,10 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
 # Continuous relaxation sampling
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class GMatrix:
     """Unit upper triangular matrix with rational entries from [0, 1] above.
@@ -298,23 +302,34 @@ class GMatrix:
     all Fractions, and at small bounds cells with equal values hold one
     shared object from its table; Fractions are immutable, so sharing
     changes no value.
+
+    ``rows`` is stored as a tuple of tuples, so a validated matrix cannot
+    change later.  Validation reads each entry once: the shared ``_ZERO``
+    and ``_ONE`` pass by identity where they are legal (0 off the
+    diagonal, 1 on or above it); any other entry must be an int or a
+    Fraction (floats and Decimals also have ``as_integer_ratio``) and is
+    checked on one ``as_integer_ratio()``.
     """
 
     rows: tuple
 
     def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+        # tuple() of a list, not of an iterator: a tuple grown from an
+        # iterator is resized in place and, once freed, stays on the tuple
+        # free list, one more per sample.
+        rows = tuple([tuple(r) for r in self.rows])
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        # Checked on each entry's integer numerator and (positive)
-        # denominator, which skips Fraction's rich comparisons.
-        for i, row in enumerate(self.rows):
+        object.__setattr__(self, "rows", rows)
+        for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                try:
-                    num, den = v.numerator, v.denominator
-                except AttributeError:
+                if v is _ZERO and j != i or v is _ONE and j >= i:
+                    continue
+                if not isinstance(v, (int, Fraction)):
                     raise ValueError(f"entry ({i}, {j}) is not an int or a Fraction: "
-                                     f"{v!r}") from None
+                                     f"{v!r}")
+                num, den = v.as_integer_ratio()  # den > 0
                 if j == i:
                     if num != den:
                         raise ValueError("diagonal entries must be 1")
@@ -331,9 +346,52 @@ class GMatrix:
     def to_rows(self) -> Matrix:
         return [list(r) for r in self.rows]
 
+    def leading(self, n: int) -> "GMatrix":
+        """The n x n member whose strictly upper entries, in row-major order,
+        are the first n(n-1)/2 of this matrix's, for 1 <= n <= self.n.
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+        This is not the leading principal block: in row-major order row 0
+        of this matrix runs past column n - 1.  It is the prefix that
+        :func:`sample_g_matrix` draws first, so
+        ``sample_g_matrix(N, seed, b).leading(n) == sample_g_matrix(n, seed, b)``.
+        Row i keeps this matrix's entries left of and on the diagonal.
+        Every entry comes from this validated matrix, so the result is not
+        validated again.
+        """
+        if not 1 <= n <= self.n:
+            raise ValueError(f"n must lie in 1..{self.n}, got {n}")
+        if n == self.n:
+            return self
+        count = n * (n - 1) // 2
+        upper = []
+        for i, row in enumerate(self.rows):
+            if len(upper) >= count:
+                break
+            upper.extend(row[i + 1:])
+        g = object.__new__(GMatrix)
+        object.__setattr__(g, "rows", _unit_upper_rows(
+            [row[:i + 1] for i, row in enumerate(self.rows[:n])], upper))
+        return g
+
+    def inverse_entry_sum(self) -> Scalar:
+        """:func:`fibsum.linalg.inverse_entry_sum` of ``rows``, equal in value
+        and type, without its checks: validation already made them."""
+        return inverse_entry_sum_unchecked(self.rows)
+
+
+def _unit_upper_rows(heads, upper) -> tuple:
+    """The rows whose row i is ``heads[i]`` (its entries left of and on the
+    diagonal) followed by the next n - 1 - i entries of ``upper``, n =
+    len(heads): the strictly upper entries are ``upper`` in row-major order."""
+    n = len(heads)
+    rows = []
+    k = 0
+    for i, head in enumerate(heads):
+        end = k + n - 1 - i
+        rows.append((*head, *upper[k:end]))
+        k = end
+    return tuple(rows)
+
 
 # Denominator bounds up to this draw their entries from one cached table of
 # every p/q with 0 <= p <= q <= bound: 2 144 Fractions, about 120 KiB, at
@@ -353,19 +411,26 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     """Deterministic pseudo-random member of the continuous relaxation.
 
     Strictly upper entries are exact rationals p/q with 0 <= p <= q <=
-    ``denominator_bound``, drawn cell by cell in row-major order from
+    ``denominator_bound``, drawn in row-major order from
     ``random.Random(seed)``: ``randint(1, bound)`` for q, then
     ``randint(0, q)`` for p.  Both are taken straight from ``getrandbits``
     as :func:`fibsum._rng.randbelow` takes them, word for word as
     ``randint`` does.  Exact rationals keep the closed-interval bound on the
     inverse entry sum testable with no rounding slack.
 
+    The (q, p) pairs come from the stream in the same order whatever n is;
+    n only decides the cell each pair lands in.  So the n x n sample's
+    strictly upper entries, in row-major order, are the first n(n-1)/2
+    pairs of the stream, and ``sample_g_matrix(N, seed, b).leading(n)``
+    equals ``sample_g_matrix(n, seed, b)`` for every 3 <= n <= N: one
+    N x N draw serves every smaller n.
+
     Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
     table of shared Fractions instead of building it with its gcd; larger
     bounds build it.  The draws, and so the values, are the same either
     way.  Every entry is a Fraction, 0 and 1 included: with int entries,
     :func:`fibsum.linalg.inverse_entry_sum` would return an int on a sample
-    whose uppers are all 0 or 1.
+    whose uppers are all 0 or 1.  The sample is validated once, here.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -379,19 +444,16 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     table = (_fraction_table(denominator_bound)
              if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
     kq = denominator_bound.bit_length()
-    rows = []
-    for i in range(n):
-        row = [_ZERO] * i
-        row.append(_ONE)
-        for _ in range(i + 1, n):
-            q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
-            while q >= denominator_bound:
-                q = getrandbits(kq)
-            q += 1
-            kp = (q + 1).bit_length()
-            p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
-            while p > q:
-                p = getrandbits(kp)
-            row.append(Fraction(p, q) if table is None else table[q][p])
-        rows.append(tuple(row))
-    return GMatrix(tuple(rows))
+    upper = []
+    for _ in range(n * (n - 1) // 2):
+        q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
+        while q >= denominator_bound:
+            q = getrandbits(kq)
+        q += 1
+        kp = (q + 1).bit_length()
+        p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
+        while p > q:
+            p = getrandbits(kp)
+        upper.append(Fraction(p, q) if table is None else table[q][p])
+    heads = [(_ZERO,) * i + (_ONE,) for i in range(n)]
+    return GMatrix(_unit_upper_rows(heads, upper))

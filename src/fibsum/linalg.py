@@ -166,6 +166,11 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
     """
     if _classify_triangular(rows) != "upper":
         raise ValueError("matrix is not unit upper triangular")
+    return _column_sums(rows)
+
+
+def _column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
+    """:func:`inverse_column_sums` without its check."""
     w = []
     for j in range(len(rows)):
         s = 1
@@ -180,6 +185,26 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
 
+    Checks that ``rows`` is square, unit upper triangular, and int or
+    Fraction above the diagonal, then runs
+    :func:`inverse_entry_sum_unchecked`.  All-int input gives an int; any
+    other input a Fraction.
+    """
+    _dimension(rows)
+    for i, r in enumerate(rows):
+        if r[i] != 1 or any(r[:i]):
+            raise ValueError("matrix is not unit upper triangular")
+    if not all(isinstance(x, (int, Fraction)) for i, r in enumerate(rows)
+               for x in r[i + 1:]):
+        raise ValueError("entries must be int or Fraction")
+    return inverse_entry_sum_unchecked(rows)
+
+
+def inverse_entry_sum_unchecked(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """The kernel of :func:`inverse_entry_sum`, with no checks: ``rows``
+    must be square and unit upper triangular, with int or Fraction entries
+    above the diagonal (floats have ``as_integer_ratio`` too).
+
     The forward substitution of :func:`inverse_column_sums`, run in
     integers over one common denominator.  Let d_j be the lcm of the
     denominators above the diagonal in column j and E_j = d_0 d_1 ... d_j.
@@ -187,39 +212,32 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
     with each inner sum taken by Horner's rule, and the entry sum is
     (sum of W_j E_{n-1} / E_j) / E_{n-1}, one Fraction built at the end.
-    No gcd is taken on the way.  Scaling column by column keeps E_{n-1}
-    near the product of the column lcms; one lcm d over the whole matrix
-    would carry d^(n-1), far larger once n and the denominators grow.
-    All-int input takes the plain substitution and gives an int; any other
-    input a Fraction.
+    No gcd is taken on the way, and each upper entry's ratio is read once.
+    Scaling column by column keeps E_{n-1} near the product of the column
+    lcms; one lcm d over the whole matrix would carry d^(n-1), far larger
+    once n and the denominators grow.  When every entry, on and below the
+    diagonal too, is an int, the plain substitution gives the sum as an
+    int; otherwise it is a Fraction.
     """
-    n = _dimension(rows)
-    for i, r in enumerate(rows):
-        if r[i] != 1 or any(r[:i]):
-            raise ValueError("matrix is not unit upper triangular")
     if all(isinstance(x, int) for r in rows for x in r):
-        return sum(inverse_column_sums(rows))
+        return sum(_column_sums(rows))
     scales = []  # d_j
     w = []       # W_j
     e = 1        # E_j
     total = 0    # E_j (w_0 + ... + w_j)
-    for j in range(n):
-        column = [rows[i][j] for i in range(j)]
-        try:
-            d = lcm(*[x.denominator for x in column])
-        except AttributeError:
-            raise ValueError("entries must be int or Fraction") from None
+    for j in range(len(rows)):
+        column = [rows[i][j].as_integer_ratio() for i in range(j)]
+        d = lcm(*[q for _, q in column])
         acc = 0
-        for i, x in enumerate(column):
+        for i, (p, q) in enumerate(column):
             acc *= scales[i]
-            if x:
-                acc += w[i] * x.numerator * (d // x.denominator)
+            if p:
+                acc += w[i] * p * (d // q)
         e *= d
         scales.append(d)
         w.append(e - acc)
         total = total * d + w[-1]
     return Fraction(total, e)
-
 
 def row_sum_vector(a: Triangular01) -> tuple:
     """The row vector of column sums of the inverse of ``a``.

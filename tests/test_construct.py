@@ -1,7 +1,8 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
@@ -11,6 +12,7 @@ from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
                               sample_g_matrix, small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
+from fibsum import linalg
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
                            entry_sum, identity, invert_unit_triangular,
                            inverse_entry_sum, row_sum_vector)
@@ -20,6 +22,8 @@ from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
 from oracles import (band_of_frontier, construct_with_sum_by_representation,
                      dominant_rows_recursive, g_matrix_valid, sample_g_rows)
+
+ZERO, ONE = construct._ZERO, construct._ONE
 
 
 def expected_dominant_vector(n):
@@ -378,21 +382,119 @@ class TestSampleGMatrix:
             with pytest.raises(ValueError, match="not an int or a Fraction"):
                 GMatrix(rows)
 
+    def test_decimal_and_complex_entries_refused(self):
+        # Decimals have as_integer_ratio too, as floats do; complex has none.
+        for rows in (((1, Decimal("0.5")), (0, 1)),
+                     ((1, 0), (0, Decimal(1))),
+                     ((1, 0.5j), (0, 1))):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                GMatrix(rows)
+
+    def test_shared_constants_refused_where_illegal(self):
+        with pytest.raises(ValueError, match="below the diagonal must be 0"):
+            GMatrix(((ONE, ZERO), (ONE, ONE)))
+        with pytest.raises(ValueError, match="diagonal entries must be 1"):
+            GMatrix(((ONE, ZERO), (ZERO, ZERO)))
+
+    def test_list_rows_stored_as_tuples(self):
+        g = GMatrix([[1, Fraction(1, 2)], [0, 1]])
+        assert g.rows == ((1, Fraction(1, 2)), (0, 1))
+        assert type(g.rows) is tuple and all(type(r) is tuple for r in g.rows)
+        assert g == GMatrix(((1, Fraction(1, 2)), (0, 1)))
+
+
+class TestLeading:
+    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
+                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    def test_prefix_of_one_stream(self, bound):
+        # The n x n sample reads the first n(n-1)/2 pairs of the same
+        # stream as any larger sample of the same seed.
+        for big in range(3, 13):
+            for seed in range(31):
+                g = sample_g_matrix(big, seed, bound)
+                for n in range(3, big + 1):
+                    assert g.leading(n).rows == sample_g_rows(n, seed, bound)
+
+    def test_equals_the_smaller_sample(self):
+        g = sample_g_matrix(9, 4, 16)
+        for n in range(3, 10):
+            assert g.leading(n) == sample_g_matrix(n, 4, 16)
+        assert g.leading(9) is g
+
+    def test_not_the_principal_block(self):
+        rows = [[1, Fraction(1, 2), Fraction(1, 3)],
+                [0, 1, Fraction(1, 5)],
+                [0, 0, 1]]
+        # The first upper entry in row-major order is (0, 1) = 1/2.
+        assert GMatrix(rows).leading(2).rows == ((1, Fraction(1, 2)), (0, 1))
+        assert GMatrix(rows).leading(1).rows == ((1,),)
+
+    def test_keeps_its_own_diagonal_and_zeros(self):
+        g = GMatrix([[1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+        small = g.leading(3)
+        assert small.rows == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+        assert all(type(v) is int for row in small.rows for v in row)
+
+    def test_refuses_n_outside_its_size(self):
+        g = sample_g_matrix(5, 0, 16)
+        for n in (0, -1, 6, 100):
+            with pytest.raises(ValueError, match=f"n must lie in 1..5, got {n}"):
+                g.leading(n)
+
+
+def same_value_and_type(a, b):
+    return type(a) is type(b) and a == b
+
+
+class TestGMatrixInverseEntrySum:
+    @pytest.mark.parametrize("bound", [1, 16, MAX_BOUND])
+    def test_samples_and_their_blocks(self, bound):
+        for seed in range(20):
+            g = sample_g_matrix(10, seed, bound)
+            for n in range(1, 11):
+                small = g.leading(n)
+                assert same_value_and_type(small.inverse_entry_sum(),
+                                           linalg.inverse_entry_sum(small.rows))
+
+    def test_all_int_matrices_give_ints(self):
+        for n in range(1, 5):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = GMatrix(Triangular01(n, mask).rows())
+                s = g.inverse_entry_sum()
+                assert type(s) is int
+                assert same_value_and_type(s, linalg.inverse_entry_sum(g.rows))
+
+    def test_one_shared_constant_gives_a_fraction(self):
+        rows = [list(r) for r in Triangular01(4, 0b110101).rows()]
+        for i, j in ((0, 0), (2, 1), (1, 3)):
+            mixed = [list(r) for r in rows]
+            mixed[i][j] = ONE if mixed[i][j] else ZERO
+            g = GMatrix(mixed)
+            assert type(g.inverse_entry_sum()) is Fraction
+            assert same_value_and_type(g.inverse_entry_sum(),
+                                       linalg.inverse_entry_sum(g.rows))
+
 
 ENTRY = st.one_of(st.integers(-1, 2),
-                  st.fractions(min_value=-1, max_value=2, max_denominator=6))
+                  st.fractions(min_value=-1, max_value=2, max_denominator=6),
+                  st.sampled_from([ZERO, ONE]),
+                  st.sampled_from([0.0, 0.5, 1.0, Decimal(0), Decimal("0.5"),
+                                   Decimal(1), 0j, 0.5j, complex(1)]))
 
 
 @st.composite
 def near_g_matrices(draw):
-    """Square matrices of int and Fraction entries in [-1, 2]: a valid
-    relaxation member with up to two cells overwritten by arbitrary
-    entries, so that accepted and refused matrices both come up often."""
+    """Square matrices of mostly int and Fraction entries in [-1, 2]: a
+    valid relaxation member, some of its 0s and 1s the shared ``_ZERO`` and
+    ``_ONE``, with up to two cells overwritten by arbitrary entries (floats,
+    Decimals and complex numbers among them), so that accepted and refused
+    matrices both come up often."""
     n = draw(st.integers(1, 4))
-    upper = st.one_of(st.sampled_from([0, 1]),
+    upper = st.one_of(st.sampled_from([0, 1, ZERO, ONE]),
                       st.fractions(min_value=0, max_value=1, max_denominator=6))
     rows = [[draw(upper) if j > i else
-             draw(st.sampled_from([int(i == j), Fraction(int(i == j))]))
+             draw(st.sampled_from([int(i == j), Fraction(int(i == j)),
+                                   ONE if i == j else ZERO]))
              for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ENTRY)
@@ -401,10 +503,25 @@ def near_g_matrices(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(near_g_matrices())
+@example(((ONE, ZERO), (ONE, ONE)))                  # _ONE below the diagonal
+@example(((ONE, ONE), (ZERO, ZERO)))                 # _ZERO on the diagonal
+@example(((ONE, ZERO, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
+@example(((1, 0.5), (0, 1)))                         # float
+@example(((1, 0), (0.0, 1)))
+@example(((1, Decimal("0.5")), (0, 1)))              # Decimal
+@example(((Decimal(1), 0), (0, 1)))
+@example(((1, 0.5j), (0, 1)))                        # complex
+@example(((1, 0), (0, complex(1))))
 def test_g_matrix_validation_matches_comparison_oracle(rows):
+    # The oracle compares entries with 0 and 1, which floats and Decimals
+    # pass; GMatrix takes ints and Fractions only.
+    rational = all(isinstance(v, (int, Fraction)) for r in rows for v in r)
     try:
-        GMatrix(rows)
+        g = GMatrix(rows)
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == g_matrix_valid(rows)
+    assert accepted == (rational and g_matrix_valid(rows))
+    if accepted:
+        assert same_value_and_type(g.inverse_entry_sum(),
+                                   linalg.inverse_entry_sum(rows))

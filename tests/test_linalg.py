@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -204,8 +205,11 @@ class TestInverseEntrySum:
             inverse_entry_sum([[1, 0]])
 
     def test_refuses_non_rational_entries(self):
-        with pytest.raises(ValueError, match="int or Fraction"):
-            inverse_entry_sum([[1, 0.5], [0, 1]])
+        # Floats and Decimals have as_integer_ratio, which the kernel reads.
+        for rows in ([[1, 0.5], [0, 1]], [[1, Decimal("0.5")], [0, 1]],
+                     [[1, Fraction(1, 2), 0.0], [0, 1, 1], [0, 0, 1]]):
+            with pytest.raises(ValueError, match="int or Fraction"):
+                inverse_entry_sum(rows)
 
 
 class TestDeterminant:

@@ -3,7 +3,6 @@ per-layer hooks still see the suites and the functions they check."""
 
 import importlib.util
 import json
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,14 +110,37 @@ def singular_not_rejected(monkeypatch):
                         inverse_sum_via_determinant)
 
 
-def sample_outside_interval(monkeypatch):
-    # A -100 above the diagonal puts +100 in the inverse: sum n + 100.
-    def sample_g_matrix(n, seed, bound):
+class PlantedSample:
+    """Stands in for a sampled ``GMatrix``: its n x n block sums to n + 100
+    where ``planted(n)`` holds (as a -100 above the diagonal of the identity
+    would, putting +100 in the inverse), and to the real sample's sum
+    elsewhere."""
+
+    def __init__(self, sample, planted):
+        self.sample, self.planted = sample, planted
+
+    def leading(self, n):
+        return PlantedSample(self.sample.leading(n), self.planted)
+
+    def inverse_entry_sum(self):
+        n = self.sample.n
+        if not self.planted(n):
+            return self.sample.inverse_entry_sum()
         rows = linalg.identity(n)
         rows[0][1] = -100
-        return types.SimpleNamespace(rows=rows)
+        return linalg.inverse_entry_sum(rows)
 
-    monkeypatch.setattr(construct, "sample_g_matrix", sample_g_matrix)
+
+def samples_outside_interval(planted):
+    def patch(monkeypatch):
+        real = construct.sample_g_matrix
+        monkeypatch.setattr(construct, "sample_g_matrix",
+                            lambda n, seed, bound: PlantedSample(real(n, seed, bound),
+                                                                 planted))
+    return patch
+
+
+sample_outside_interval = samples_outside_interval(lambda n: True)
 
 
 SMALL = {"theorem": ["--n", "6"], "corollaries": ["--n", "90"],
@@ -180,6 +202,20 @@ class TestPlantedFaults:
         payload = json.loads(out)
         key = check.split("-")[0] + "_pass"
         assert [k for k in payload if k.endswith("_pass") and not payload[k]] == [key]
+
+
+class TestGsamplingReport:
+    def test_first_five_outside_are_n_major(self, capsys, monkeypatch):
+        # Every seed fails at each odd n.  Sampling seed by seed would list
+        # n = 3, 5, 3, 5, 3 first; the report lists n = 3, k = 0..4.
+        samples_outside_interval(lambda n: n % 2 == 1)(monkeypatch)
+        code, out = run(capsys, "verify", "--suite", "gsampling", "--n", "6",
+                        "--samples", "20", "--seed", "7", "--json")
+        assert code == 2
+        check, = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert check["name"] == "gsampling-interval"
+        assert check["detail"] == ("sums outside interval: "
+                                   + str([(3, 7 + k, 103) for k in range(5)]))
 
 
 class TestSuiteSizes:
