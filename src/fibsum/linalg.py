@@ -299,37 +299,54 @@ def _bareiss(m: list) -> int:
 def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     """Exact ``(det, adj)`` of an invertible integer matrix: adj = det A^{-1}.
 
-    Fraction-free Gauss-Jordan on [A | I]: every entry stays an integer
-    minor of the augmented matrix, so every division is exact.  Row swaps
-    act on both halves, and when elimination ends the left half is p I and
-    the right half is p A^{-1}, with p = +/-det.  Raises
-    :class:`SingularMatrixError` when some column has no pivot (det = 0).
+    Fraction-free Gauss-Jordan on [A | I], kept in one n x n array: every
+    entry stays an integer minor of the augmented matrix, so every division
+    is exact.  After step k, with pivot p_k, the left half's column k is
+    p_k e_k and each right-half column j > k is still p_k e_j, so only n of
+    the 2n columns carry information.  Step k stores the right half's column
+    k in the slot its left column k frees: the previous pivot in the pivot
+    row, -a_ik in every other row i.  A row swap acts on whole rows of the
+    array, so elimination runs on P A, P the permutation of the swaps, and
+    the array R ends as p (P A)^{-1} with p = det(P A).  Then det A = s p
+    and adj A = s R P, a permutation of R's columns, with s = -1 per swap.
+    Raises :class:`SingularMatrixError` when some column has no pivot
+    (det = 0).
     """
     n = _dimension(rows)
     _require_int_entries(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    m = [list(r) for r in rows]
+    perm = list(range(n))  # row i of the array eliminates row perm[i] of A
     sign = 1
     prev = 1
     for k in range(n):
-        if m[k][k] == 0:
+        mk = m[k]
+        if mk[k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
+                    m[k], m[r] = m[r], mk
+                    perm[k], perm[r] = perm[r], perm[k]
                     sign = -sign
+                    mk = m[k]
                     break
             else:
                 raise SingularMatrixError("matrix is singular, adjugate not formed")
-        pivot = m[k][k]
-        mk = m[k]
+        pivot = mk[k]
         for i in range(n):
-            if i == k:
-                continue
-            mi = m[i]
-            mik = mi[k]
-            for j in range(2 * n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            if i != k:
+                mi = m[i]
+                mik = mi[k]
+                # Slot k comes out 0 here and takes -mik below.
+                mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
+                mi[k] = -mik
+        mk[k] = prev
         prev = pivot
-    return sign * prev, [[sign * x for x in r[n:]] for r in m]
+    if perm == sorted(perm):  # no row was swapped
+        return prev, m
+    # Column perm[c] of adj(A) is sign times column c of the array.
+    place = [0] * n
+    for c, r in enumerate(perm):
+        place[r] = c
+    return sign * prev, [[sign * row[c] for c in place] for row in m]
 
 
 def inverse_sum_via_determinant(rows: Sequence[Sequence[int]]) -> Fraction:

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._rng import randbelow, shuffle
+from ._rng import shuffle
 from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
                      inverse_sum_via_determinant)
 from .matrixio import format_scalar, json_scalar
@@ -314,12 +314,13 @@ def enumerate_general(n: int) -> SumDistribution:
 
 # Largest n, restarts and max_steps a search takes, each sized so that it
 # alone, with the rest at the defaults, ends in minutes on one core.  A
-# restart costs about 0.5 ms at n = 7, 1.7 ms at n = 12 and 0.3 s at n = 64,
-# so n = 64 at 200 restarts takes about a minute, and SEARCH_MAX_RESTARTS
-# about a minute at n = 7.  Climbs stop at a local optimum within 50 steps
-# at every n measured, so only a climb that keeps improving meets
-# SEARCH_MAX_STEPS: a step at n = 7 takes at most about 0.06 ms, so 200
-# restarts that all ran SEARCH_MAX_STEPS steps would take about two minutes.
+# restart costs about 0.35 ms at n = 7, 1.3 ms at n = 12 and 0.26 s at
+# n = 64, so n = 64 at 200 restarts takes about a minute, and
+# SEARCH_MAX_RESTARTS about 35 s at n = 7.  Climbs stop at a local optimum
+# within 50 steps at every n measured, so only a climb that keeps improving
+# meets SEARCH_MAX_STEPS: a step at n = 7 takes at most about 0.05 ms, so
+# 200 restarts that all ran SEARCH_MAX_STEPS steps would take under two
+# minutes.
 SEARCH_MAX_N = 64
 SEARCH_MAX_RESTARTS = 100_000
 SEARCH_MAX_STEPS = 10_000
@@ -359,8 +360,10 @@ class SearchResult:
     restarts_used: int
 
 
-def _objective(rows) -> Fraction:
-    return inverse_sum_via_determinant(rows)
+def _objective(rows, det: int) -> Fraction:
+    """The inverse entry sum (det(A + J) - det(A)) / det(A) of a start
+    matrix, given its nonzero determinant from the draw's singularity test."""
+    return Fraction(_bareiss([[x + 1 for x in row] for row in rows]) - det, det)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -383,6 +386,9 @@ class RankOneState:
     and D' = 0 exactly when the neighbour is singular.  Applying the change
     updates adj' = (D' adj - d (adj e_i)(e_j^T adj)) / D in O(n^2).  Every
     division is exact; a remainder raises :class:`InvariantError`.
+    :meth:`neighbour` scores one flip and :meth:`apply` makes it;
+    :meth:`improve` runs one climb step, scoring flips in a given order
+    with the same arithmetic and checks in one loop.
     """
 
     __slots__ = ("rows", "det", "adj", "total", "col_sums", "row_sums")
@@ -390,9 +396,6 @@ class RankOneState:
     def __init__(self, rows: list):
         self.rows = rows
         self.det, self.adj = adjugate_exact(rows)
-        self._sum_adjugate()
-
-    def _sum_adjugate(self) -> None:
         self.col_sums = [sum(col) for col in zip(*self.adj)]
         self.row_sums = [sum(row) for row in self.adj]
         self.total = sum(self.row_sums)
@@ -408,27 +411,54 @@ class RankOneState:
         return det2, _exact_div(
             self.total * det2 - d * self.col_sums[i] * self.row_sums[j], self.det)
 
+    def improve(self, order, sgn: int) -> bool:
+        """Flip the first (0,1) entry a_ij, (i, j) taken from ``order``,
+        that strictly raises sgn * T / D, as :meth:`neighbour` and
+        :meth:`apply` would; return False, changing nothing, if none does."""
+        rows, adj, det, total = self.rows, self.adj, self.det, self.total
+        col_sums, row_sums = self.col_sums, self.row_sums
+        for i, j in order:
+            d = 1 - 2 * rows[i][j]
+            det2 = det + d * adj[j][i]
+            if det2 == 0:
+                continue
+            num = total * det2 - d * col_sums[i] * row_sums[j]
+            total2, rem = divmod(num, det)
+            if rem:
+                raise InvariantError(
+                    f"rank-one update: {num} / {det} leaves remainder {rem}")
+            # T'/D' - T/D has the sign of (T' D - T D') D D'.
+            if sgn * (total2 * det - total * det2) * det * det2 > 0:
+                self.apply(i, j, d, det2, total2)
+                return True
+        return False
+
     def apply(self, i: int, j: int, d: int, det2: int, total2: int) -> None:
         """Add d to a_ij, given (det2, total2) from :meth:`neighbour`."""
         det = self.det
         adj_row = self.adj[j]
         adj_row_sum = sum(adj_row)
         adj = []
+        row_sums = []
         for r, row in enumerate(self.adj):
             c = d * row[i]
             new = [(det2 * x - c * y) // det for x, y in zip(row, adj_row)]
             # Floor remainders all share the sign of D, so the row's
             # remainders vanish exactly when its quotients sum to the sum
             # of its numerators over D.
-            if sum(new) * det != det2 * sum(row) - c * adj_row_sum:
+            new_sum = sum(new)
+            if new_sum * det != det2 * sum(row) - c * adj_row_sum:
                 raise InvariantError(
                     f"rank-one update: adjugate row {r} leaves a remainder "
                     f"on division by {det}")
             adj.append(new)
+            row_sums.append(new_sum)
         self.adj = adj
         self.rows[i][j] += d
         self.det = det2
-        self._sum_adjugate()
+        self.col_sums = [sum(col) for col in zip(*adj)]
+        self.row_sums = row_sums
+        self.total = sum(row_sums)
         if self.total != total2:
             raise InvariantError(
                 f"rank-one update: adjugate sums to {self.total}, "
@@ -447,13 +477,15 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     Restart r draws from ``random.Random((seed << 20) ^ r)``: each start
     cell as ``randint(0, 1)``, row-major, and each step's order as a
     ``shuffle`` of the n^2 cells.  Since seed >= 0 and r < SEARCH_MAX_RESTARTS
-    < 2^20, each (seed, restart) pair has a stream of its own.  The draws are taken straight from
-    ``getrandbits`` by :mod:`fibsum._rng`, word for word as those methods
-    take them, so the results are theirs.
+    < 2^20, each (seed, restart) pair has a stream of its own.  The draws
+    are taken straight from ``getrandbits``, the start cells inline and the
+    shuffle by :mod:`fibsum._rng`, word for word as those methods take them,
+    so the results are theirs.
 
     Flips are scored by :class:`RankOneState` in O(1) exact integer
-    arithmetic, with no determinant; each start matrix is cross-checked
-    against the two-determinant objective.
+    arithmetic, with no determinant.  Each start matrix is cross-checked
+    against two determinants: det(A) from the draw's singularity test and
+    det(A + J), which must give the adjugate's D and T / D.
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1
@@ -467,34 +499,33 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
         restarts_run += 1
         rows = None
         for _ in range(200):
-            cand = [[randbelow(getrandbits, 2) for _ in range(n)] for _ in range(n)]
-            if _bareiss([row[:] for row in cand]) != 0:
+            cand = []
+            for _ in range(n):
+                row = []
+                for _ in range(n):
+                    bit = getrandbits(2)
+                    while bit >= 2:  # randbelow(getrandbits, 2), inlined
+                        bit = getrandbits(2)
+                    row.append(bit)
+                cand.append(row)
+            det = _bareiss([row[:] for row in cand])
+            if det != 0:
                 rows = cand
                 break
         if rows is None:
             continue
-        start = _objective(rows)
+        start = _objective(rows, det)
         state = RankOneState(rows)
-        if start != state.inverse_sum():
+        if state.det != det or state.inverse_sum() != start:
             raise InvariantError(
-                f"start matrix: adjugate gives {state.inverse_sum()}, "
-                f"determinants give {start}")
+                f"start matrix: adjugate gives det {state.det} and sum "
+                f"{state.inverse_sum()}, determinants give {det} and {start}")
         for _ in range(config.max_steps):
-            improved = False
             order = cells[:]
             shuffle(order, getrandbits)
-            det, total = state.det, state.total
-            for i, j in order:
-                d = 1 - 2 * rows[i][j]
-                det2, total2 = state.neighbour(i, j, d)
-                # T'/D' - T/D has the sign of (T' D - T D') D D'.
-                if det2 and sgn * (total2 * det - total * det2) * det * det2 > 0:
-                    state.apply(i, j, d, det2, total2)
-                    improved = True
-                    steps_total += 1
-                    break
-            if not improved:
+            if not state.improve(order, sgn):
                 break
+            steps_total += 1
         current = state.inverse_sum()
         if best is None or sgn * (current - best) > 0:
             best = current

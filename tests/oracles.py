@@ -3,12 +3,13 @@
 These share no code path with the library: determinants by recursive
 cofactor expansion, inverses through the adjugate. Slow, only for small
 matrices inside tests.  The exceptions are replaced library kernels kept
-as the references for their successors: the two-determinant hill climb,
-the Gray-code triangular scan, the ordered row-sum triangular DP, the
-per-word Bareiss scan of the (1,2) family, the relaxation sampler and its
-comparison validator, the recursive dominant-matrix builder, the
-frontier growth of the band partition and the signed Fibonacci
-representations that placed the any-sum constructor's column pairs.
+as the references for their successors: the augmented Gauss-Jordan
+adjugate, the two-determinant hill climb, the Gray-code triangular scan,
+the ordered row-sum triangular DP, the per-word Bareiss scan of the (1,2)
+family, the relaxation sampler and its comparison validator, the recursive
+dominant-matrix builder, the frontier growth of the band partition and the
+signed Fibonacci representations that placed the any-sum constructor's
+column pairs.
 """
 
 import random
@@ -48,6 +49,42 @@ def invert_adjugate(rows):
             cof = (-1) ** (i + j) * det_cofactor(minor)
             inv[j][i] = Fraction(cof, d)
     return inv
+
+
+def adjugate_augmented(rows):
+    """``(det, adj)`` by fraction-free Gauss-Jordan on the n x 2n array
+    [A | I], raising ValueError when some column has no pivot.
+
+    The library's adjugate before it moved to an n x n array; kept as the
+    reference for ``fibsum.linalg.adjugate_exact`` at small n.  Every entry
+    stays an integer minor of the augmented matrix, so every division is
+    exact.  Row swaps act on both halves, and when elimination ends the left
+    half is p I and the right half is p A^{-1}, with p = +/-det.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("matrix is singular, adjugate not formed")
+        pivot = m[k][k]
+        mk = m[k]
+        for i in range(n):
+            if i == k:
+                continue
+            mi = m[i]
+            mik = mi[k]
+            for j in range(2 * n):
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in r[n:]] for r in m]
 
 
 def matmul(a, b):

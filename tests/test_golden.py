@@ -4,9 +4,10 @@ Each case runs one command through ``fibsum.cli.main`` and pins its exit
 code and the sha256 of everything it wrote: stdout, stderr and the
 ``--out`` file, joined by NUL bytes.  Every subcommand is covered in text
 and ``--json`` mode at small n, with seeded ``search`` and ``verify``, plus
-one refusal for each of exit codes 1, 2 and 3.  A change to any byte of any
-of these outputs fails here; re-record a digest only for an intended output
-change, and say which in CHANGES.md.
+``search`` at its default budget at n = 7 and 8 and one refusal for each of
+exit codes 1, 2 and 3.  A change to any byte of any of these outputs fails
+here; re-record a digest only for an intended output change, and say which
+in CHANGES.md.
 """
 
 import contextlib
@@ -24,6 +25,30 @@ OUT = "<out>"  # replaced by a file path under the test's tmp_path
 TRIANGULAR = "# a unit triangular matrix\n4\n1 1 0 1\n0 1 1 0\n0 0 1 1\n0 0 0 1\n"
 RATIONAL = "3\n1 1/2 0\n0 1 1/3\n0 0 1\n"
 SEEDED_VERIFY = ("--samples", "12", "--count", "9", "--bound", "5", "--seed", "7")
+
+# The search at the default budget of 200 restarts x 300 steps, at
+# n = 7 and 8, in both directions and at two seeds.
+SEARCH_AT_SCALE = [
+    (("search", "--n", n, "--direction", direction, "--restarts", "200",
+      "--max-steps", "300", "--seed", seed, "--json"), "", 0, digest)
+    for (n, direction, seed), digest in (
+        (("7", "max", "1"),
+         "bc6bbc2d68b1ae29a86227b6f26e60b268a0e502704da2042107f31e4ced1f21"),
+        (("7", "min", "1"),
+         "f0423152cd53fe72534a01bf4012938ea9490872601fc139e9cb7ab8885e33d6"),
+        (("8", "max", "1"),
+         "742f59bc1a25c216aaa87a47825b196ab515402a0b3e0e0d3fd989128056929b"),
+        (("8", "min", "1"),
+         "f0c81620bdecae3b296a89fc268d40eeb3eadf152e5c867f3e7e41fb3a556930"),
+        (("7", "max", "2026"),
+         "6608d00505de0ced2678ca348f0136027c1ec26ebe8476120ba6146d455dd9cf"),
+        (("7", "min", "2026"),
+         "d90bde6f970838878c72af601ea145354c7584eb348ee4d1d410f486536d3d6f"),
+        (("8", "max", "2026"),
+         "1385c27597f5434ac3e94583a8d59e082bef38c33ceb74937d8c367df8e8a318"),
+        (("8", "min", "2026"),
+         "0fd46dba9316b4bde8fdd6ba517088d0e48aa7ae88fd50818524e9b57451247a"),
+    )]
 
 # (argv, stdin, exit code, sha256)
 CASES = [
@@ -90,6 +115,7 @@ CASES = [
     (("search", "--n", "5", "--direction", "min", "--restarts", "4",
       "--seed", "11", "--out", OUT), "", 0,
      "dbc684404263af16135d67ad580430e1b67a7274756bc2d5e4690290d0da3581"),
+    *SEARCH_AT_SCALE,
     (("verify", "--suite", "all", "--n", "6", *SEEDED_VERIFY), "", 0,
      "41a714ef33b16b2bad452fc19c2ca70250fee7a75290a3be3e409cbbef03739d"),
     (("verify", "--suite", "all", "--n", "6", *SEEDED_VERIFY, "--json"), "", 0,

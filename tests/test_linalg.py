@@ -17,7 +17,7 @@ from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
 from fixtures import BANDED_9_L2, BANDED_9_L2_INVERSE
-from oracles import det_cofactor, invert_adjugate, matmul
+from oracles import adjugate_augmented, det_cofactor, invert_adjugate, matmul
 
 
 def intro_fibonacci_lower(n):
@@ -311,11 +311,51 @@ class TestAdjugateExact:
             singular += assert_adjugate_matches_oracles(rows)
         assert singular >= 100
 
+    @pytest.mark.parametrize("low, high", [(0, 1), (-3, 3), (-50, 50)])
+    def test_matches_augmented_oracle_to_n9(self, low, high):
+        # The n x n in-place elimination against the [A | I] elimination it
+        # replaced: equal (det, adj) and equal singular refusals, and up to
+        # n = 6 the cofactor determinant and inverse as well.  Every
+        # third matrix has zeros down the top of column 0, and some of them
+        # in column 1 too, so that swaps move rows past several steps.
+        rng = random.Random(9000 + high)
+        singular = swapped = 0
+        for k in range(600):
+            n = 1 + k % 9
+            rows = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                for i in range(rng.randint(1, n)):
+                    rows[i][0] = 0
+                    if k % 2 and n > 1:
+                        rows[i][1] = 0
+            copy = [list(r) for r in rows]
+            expected = None
+            try:
+                expected = adjugate_augmented(rows)
+            except ValueError:
+                with pytest.raises(SingularMatrixError, match="singular"):
+                    adjugate_exact(rows)
+                singular += 1
+            else:
+                assert adjugate_exact(rows) == expected, rows
+            # An invertible matrix with a zero leading pivot needs a swap.
+            swapped += expected is not None and rows[0][0] == 0
+            if n <= 6:
+                assert assert_adjugate_matches_oracles(rows) == (expected is None)
+            assert rows == copy
+        assert singular >= 40 and swapped >= 60
+
     def test_needs_row_swaps(self):
         rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         det, adj = adjugate_exact(rows)
         assert det == 1
         assert matmul(rows, adj) == identity(3)
+        # One swap, three and none, each against the cofactor oracles.
+        for rows in ([[0, 2], [3, 1]],
+                     [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+                     [[0, 0, 2, 1], [0, 3, 1, 0], [5, 1, 0, 0], [1, 1, 1, 1]],
+                     [[2, 1], [1, 1]]):
+            assert not assert_adjugate_matches_oracles(rows)
 
     def test_rejects_non_integer_and_non_square(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -304,13 +305,14 @@ class TestHillClimb:
                                 == hill_climb_two_determinants(cfg)), cfg
 
     def test_no_determinant_per_scored_flip(self, monkeypatch):
-        # Determinants go to the start scores and the final re-verification
-        # only, so their number does not grow with the flips a longer climb
-        # scores.
+        # Determinants go to the start draws, the start scores and the final
+        # re-verification only, so their number does not grow with the
+        # flips a longer climb scores.
         calls = []
-        original = linalg.determinant_exact
-        monkeypatch.setattr(linalg, "determinant_exact",
-                            lambda rows: calls.append(1) or original(rows))
+        for module, name in ((linalg, "determinant_exact"), (search, "_bareiss")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda rows, original=original:
+                                calls.append(1) or original(rows))
         counts = []
         for max_steps in (1, 300):
             calls.clear()
@@ -321,9 +323,10 @@ class TestHillClimb:
         assert counts[0] == counts[1]
 
     def test_final_verifier_disagreement_raises(self, monkeypatch):
-        # _objective scores the starts with the same function, so it keeps
-        # the true one and only the final re-verification sees the fault.
-        monkeypatch.setattr(search, "_objective", inverse_sum_via_determinant)
+        # _objective is pinned to the true start score, so only the final
+        # re-verification sees the fault.
+        monkeypatch.setattr(search, "_objective",
+                            lambda rows, det: inverse_sum_via_determinant(rows))
         monkeypatch.setattr(search, "inverse_sum_via_determinant",
                             lambda rows: inverse_sum_via_determinant(rows) + 1)
         with pytest.raises(InvariantError, match="from determinants"):
@@ -331,7 +334,21 @@ class TestHillClimb:
 
     def test_start_score_disagreement_raises(self, monkeypatch):
         original = search._objective
-        monkeypatch.setattr(search, "_objective", lambda rows: original(rows) + 1)
+        monkeypatch.setattr(search, "_objective",
+                            lambda rows, det: original(rows, det) + 1)
+        with pytest.raises(InvariantError, match="start matrix"):
+            hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
+
+    def test_start_determinant_disagreement_raises(self, monkeypatch):
+        # A doubled adjugate keeps T / D but not D, which only the
+        # comparison with the draw's determinant sees.
+        original = search.adjugate_exact
+
+        def doubled(rows):
+            det, adj = original(rows)
+            return 2 * det, [[2 * x for x in row] for row in adj]
+
+        monkeypatch.setattr(search, "adjugate_exact", doubled)
         with pytest.raises(InvariantError, match="start matrix"):
             hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
 
@@ -402,6 +419,63 @@ class TestRankOneState:
         state.col_sums[0] += 1
         with pytest.raises(InvariantError, match="remainder"):
             state.neighbour(0, 1, 1)
+
+    def test_corrupted_adjugate_detected_by_improve(self):
+        # Flipping a_01 scores T' = (3 * 1 + 2 * 1) / 2 with R_0 = 2.
+        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        state.col_sums[0] += 1
+        with pytest.raises(InvariantError, match="5 / 2 leaves remainder 1"):
+            state.improve([(0, 1)], 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(invertible_binary_with_cell(), st.randoms(use_true_random=False),
+           st.sampled_from([1, -1]))
+    def test_improve_takes_first_improving_neighbour(self, case, rnd, sgn):
+        # improve against neighbour scanned over the same order, taking the
+        # first flip that raises sgn * T / D, then apply: the same flip
+        # and the same state, or False and no change at a local optimum.
+        rows = case[0]
+        n = len(rows)
+        order = [divmod(b, n) for b in range(n * n)]
+        rnd.shuffle(order)
+        order = order[:rnd.randint(1, n * n)]
+        state = RankOneState([list(r) for r in rows])
+        expected = RankOneState([list(r) for r in rows])
+        current = expected.inverse_sum()
+        for i, j in order:
+            d = 1 - 2 * rows[i][j]
+            det2, total2 = expected.neighbour(i, j, d)
+            if det2 and sgn * (Fraction(total2, det2) - current) > 0:
+                expected.apply(i, j, d, det2, total2)
+                break
+        improved = state.improve(order, sgn)
+        assert improved == (expected.rows != rows)
+        for name in RankOneState.__slots__:
+            assert getattr(state, name) == getattr(expected, name), name
+
+    def test_improve_false_exactly_at_local_optimum(self):
+        # Climb every cell order to its end: each True moves to a strictly
+        # better neighbour, and the False comes where no flip of any cell
+        # improves.
+        cells = [divmod(b, 4) for b in range(16)]
+        rng = random.Random(4)
+        for sgn in (1, -1):
+            rows = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1]]
+            state = RankOneState(rows)
+            while True:
+                before = state.inverse_sum()
+                order = cells[:]
+                rng.shuffle(order)
+                if not state.improve(order, sgn):
+                    break
+                assert sgn * (state.inverse_sum() - before) > 0
+            assert state.inverse_sum() == before
+            for i, j in cells:
+                flipped = [list(r) for r in rows]
+                flipped[i][j] ^= 1
+                if det_cofactor(flipped):
+                    value = inverse_sum_via_determinant(flipped)
+                    assert sgn * (value - before) <= 0, (sgn, i, j)
 
 
 class TestMaxAbsRowSumVector:
