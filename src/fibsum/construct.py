@@ -15,8 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fibonacci import fib
-from .linalg import (InvariantError, Matrix, Scalar, Triangular01, entry_sum,
-                     identity, invert_unit_triangular, inverse_column_sums,
+from .linalg import (InvariantError, Matrix, Scalar, Triangular01,
+                     block_inverse_entry_sums_unchecked, entry_sum, identity,
+                     invert_unit_triangular, inverse_column_sums,
                      inverse_entry_sum_unchecked, transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
@@ -346,51 +347,17 @@ class GMatrix:
     def to_rows(self) -> Matrix:
         return [list(r) for r in self.rows]
 
-    def leading(self, n: int) -> "GMatrix":
-        """The n x n member whose strictly upper entries, in row-major order,
-        are the first n(n-1)/2 of this matrix's, for 1 <= n <= self.n.
-
-        This is not the leading principal block: in row-major order row 0
-        of this matrix runs past column n - 1.  It is the prefix that
-        :func:`sample_g_matrix` draws first, so
-        ``sample_g_matrix(N, seed, b).leading(n) == sample_g_matrix(n, seed, b)``.
-        Row i keeps this matrix's entries left of and on the diagonal.
-        Every entry comes from this validated matrix, so the result is not
-        validated again.
-        """
-        if not 1 <= n <= self.n:
-            raise ValueError(f"n must lie in 1..{self.n}, got {n}")
-        if n == self.n:
-            return self
-        count = n * (n - 1) // 2
-        upper = []
-        for i, row in enumerate(self.rows):
-            if len(upper) >= count:
-                break
-            upper.extend(row[i + 1:])
-        g = object.__new__(GMatrix)
-        object.__setattr__(g, "rows", _unit_upper_rows(
-            [row[:i + 1] for i, row in enumerate(self.rows[:n])], upper))
-        return g
-
     def inverse_entry_sum(self) -> Scalar:
         """:func:`fibsum.linalg.inverse_entry_sum` of ``rows``, equal in value
         and type, without its checks: validation already made them."""
         return inverse_entry_sum_unchecked(self.rows)
 
-
-def _unit_upper_rows(heads, upper) -> tuple:
-    """The rows whose row i is ``heads[i]`` (its entries left of and on the
-    diagonal) followed by the next n - 1 - i entries of ``upper``, n =
-    len(heads): the strictly upper entries are ``upper`` in row-major order."""
-    n = len(heads)
-    rows = []
-    k = 0
-    for i, head in enumerate(heads):
-        end = k + n - 1 - i
-        rows.append((*head, *upper[k:end]))
-        k = end
-    return tuple(rows)
+    def block_inverse_entry_sums(self) -> list:
+        """The inverse entry sum of every leading principal block, the
+        k x k block at index k - 1, from one forward substitution: each
+        equals :func:`fibsum.linalg.inverse_entry_sum` of its block in
+        value and type."""
+        return block_inverse_entry_sums_unchecked(self.rows)
 
 
 # Denominator bounds up to this draw their entries from one cached table of
@@ -418,13 +385,6 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     ``randint`` does.  Exact rationals keep the closed-interval bound on the
     inverse entry sum testable with no rounding slack.
 
-    The (q, p) pairs come from the stream in the same order whatever n is;
-    n only decides the cell each pair lands in.  So the n x n sample's
-    strictly upper entries, in row-major order, are the first n(n-1)/2
-    pairs of the stream, and ``sample_g_matrix(N, seed, b).leading(n)``
-    equals ``sample_g_matrix(n, seed, b)`` for every 3 <= n <= N: one
-    N x N draw serves every smaller n.
-
     Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
     table of shared Fractions instead of building it with its gcd; larger
     bounds build it.  The draws, and so the values, are the same either
@@ -444,16 +404,18 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     table = (_fraction_table(denominator_bound)
              if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
     kq = denominator_bound.bit_length()
-    upper = []
-    for _ in range(n * (n - 1) // 2):
-        q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
-        while q >= denominator_bound:
-            q = getrandbits(kq)
-        q += 1
-        kp = (q + 1).bit_length()
-        p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
-        while p > q:
-            p = getrandbits(kp)
-        upper.append(Fraction(p, q) if table is None else table[q][p])
-    heads = [(_ZERO,) * i + (_ONE,) for i in range(n)]
-    return GMatrix(_unit_upper_rows(heads, upper))
+    rows = []
+    for i in range(n):
+        row = [_ZERO] * i + [_ONE]
+        for _ in range(n - 1 - i):
+            q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
+            while q >= denominator_bound:
+                q = getrandbits(kq)
+            q += 1
+            kp = (q + 1).bit_length()
+            p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
+            while p > q:
+                p = getrandbits(kp)
+            row.append(Fraction(p, q) if table is None else table[q][p])
+        rows.append(row)
+    return GMatrix(rows)

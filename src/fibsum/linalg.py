@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Sequence, Union
 
@@ -201,30 +202,51 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def inverse_entry_sum_unchecked(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """The kernel of :func:`inverse_entry_sum`, with no checks: ``rows``
-    must be square and unit upper triangular, with int or Fraction entries
-    above the diagonal (floats have ``as_integer_ratio`` too).
-
-    The forward substitution of :func:`inverse_column_sums`, run in
-    integers over one common denominator.  Let d_j be the lcm of the
-    denominators above the diagonal in column j and E_j = d_0 d_1 ... d_j.
-    Then W_j = E_j w_j is an integer:
-    W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
-    with each inner sum taken by Horner's rule, and the entry sum is
-    (sum of W_j E_{n-1} / E_j) / E_{n-1}, one Fraction built at the end.
-    No gcd is taken on the way, and each upper entry's ratio is read once.
-    Scaling column by column keeps E_{n-1} near the product of the column
-    lcms; one lcm d over the whole matrix would carry d^(n-1), far larger
-    once n and the denominators grow.  When every entry, on and below the
-    diagonal too, is an int, the plain substitution gives the sum as an
-    int; otherwise it is a Fraction.
-    """
+    """The kernel of :func:`inverse_entry_sum`, with no checks: the last of
+    :func:`block_inverse_entry_sums_unchecked`, with no Fraction built for
+    the smaller blocks."""
     if all(isinstance(x, int) for r in rows for x in r):
         return sum(_column_sums(rows))
+    return Fraction(*_scaled_block_sums(rows)[-1])
+
+
+def block_inverse_entry_sums_unchecked(rows: Sequence[Sequence[Scalar]]) -> list:
+    """S(B^{-1}) for every leading principal block B of ``rows``, the
+    k x k block at index k - 1, with no checks: ``rows`` must be square and
+    unit upper triangular, with int or Fraction entries above the diagonal
+    (floats have ``as_integer_ratio`` too).
+
+    Column j of the forward substitution of :func:`inverse_column_sums`
+    reads only columns <= j, so one substitution gives every block's sum
+    as a prefix sum.  When every entry, on and below the diagonal too, is
+    an int, the plain substitution gives each sum as an int; otherwise
+    :func:`_scaled_block_sums` gives each as a Fraction.
+    """
+    if all(isinstance(x, int) for r in rows for x in r):
+        return list(accumulate(_column_sums(rows)))
+    return [Fraction(t, e) for t, e in _scaled_block_sums(rows)]
+
+
+def _scaled_block_sums(rows: Sequence[Sequence[Scalar]]) -> list:
+    """The forward substitution run in integers over one common
+    denominator: the pair (T_j, E_j) per column j, whose ratio is the
+    (j+1) x (j+1) block's inverse entry sum, not reduced.
+
+    Let d_j be the lcm of the denominators above the diagonal in column j
+    and E_j = d_0 d_1 ... d_j.  Then W_j = E_j w_j is an integer:
+    W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
+    with each inner sum taken by Horner's rule, and
+    T_j = sum over i <= j of W_i E_j / E_i.  No gcd is taken, and each
+    upper entry's ratio is read once.  Scaling column by column keeps
+    E_{n-1} near the product of the column lcms; one lcm d over the whole
+    matrix would carry d^(n-1), far larger once n and the denominators
+    grow.
+    """
+    pairs = []
     scales = []  # d_j
     w = []       # W_j
     e = 1        # E_j
-    total = 0    # E_j (w_0 + ... + w_j)
+    total = 0    # T_j = E_j (w_0 + ... + w_j)
     for j in range(len(rows)):
         column = [rows[i][j].as_integer_ratio() for i in range(j)]
         d = lcm(*[q for _, q in column])
@@ -237,7 +259,9 @@ def inverse_entry_sum_unchecked(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         scales.append(d)
         w.append(e - acc)
         total = total * d + w[-1]
-    return Fraction(total, e)
+        pairs.append((total, e))
+    return pairs
+
 
 def row_sum_vector(a: Triangular01) -> tuple:
     """The row vector of column sums of the inverse of ``a``.

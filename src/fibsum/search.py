@@ -244,14 +244,14 @@ def enumerate_w_determinants(n: int) -> SumDistribution:
 
 def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
-    whole triangular family, computed exhaustively (n <= 9).
+    whole triangular family, computed exhaustively (n <= TRIANGULAR_MAX_N).
 
     Coordinate k < n-1 is the largest |w_k| over the column-sum states at
     column k.  The last, 1 - s for a subset sum s of a state, is extreme at
     the sums of the state's negative and of its positive entries.
     """
-    if not 1 <= n <= 9:
-        raise ValueError(f"n={n} out of supported range 1..9")
+    if not 1 <= n <= TRIANGULAR_MAX_N:
+        raise ValueError(f"n={n} out of supported range 1..{TRIANGULAR_MAX_N}")
     maxima = [1]
     states = {(1,): None}
     for states in _column_sum_levels(n, Triangular01.bit_index):

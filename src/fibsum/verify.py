@@ -28,9 +28,9 @@ CONSTRUCTIVE_MAX_N = 20
 # which the suite would run for more than a few minutes on one core of a
 # 2-vCPU Xeon host: the pattern suite grows about as n^3.6 (9 s at n = 160,
 # 23 s at 200), remark at 60 with MAX_COUNT draws takes about 60 s, and
-# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 35 s, most
-# of it in the entry sums' integer arithmetic (each seed is drawn once, at
-# n = 20; 55 s when every n drew its own samples).
+# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 12 s, most
+# of it in the entry sums' integer arithmetic (one forward substitution per
+# seed, at n = 20, gives every n).
 # Theorem and corollaries stop where their checks do.
 SUITE_SIZES = {"theorem": (7, 3, CONSTRUCTIVE_MAX_N),
                "corollaries": (90, 6, fibonacci.IDENTITY_MAX_N),
@@ -265,20 +265,23 @@ def suite_remark(max_n: int, count: int, seed: int) -> list:
 
 
 def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
-    """The n x n sample of seed s is ``sample_g_matrix(n, s, bound)``, for
-    3 <= n <= max_n and each of the ``samples`` seeds from ``seed`` on.
-    Since every n reads a prefix of one seeded stream, each seed is drawn
-    once, at max_n, and the smaller samples are its ``leading`` blocks.
-    The report lists the sums outside the interval n by n, as when each n
-    drew its own samples."""
+    """Each of the ``samples`` seeds s from ``seed`` on draws one sample,
+    ``sample_g_matrix(max_n, s, bound)``, and its n x n leading principal
+    block is the n x n sample of seed s, for 3 <= n <= max_n.  The block
+    has iid entries from the same law as a sample drawn at n, and one
+    forward substitution of the max_n sample gives every block's inverse
+    entry sum.  A reported ``(n, s, sum)`` names the n x n block of seed
+    s's max_n sample.  The report lists the sums outside the interval n by
+    n, at most five in all."""
     fib = fibonacci.fib
     sizes = range(3, max_n + 1)
     intervals = [(n, 2 - fib(n - 1), 2 + fib(n - 1)) for n in sizes]
     outside_by_n = {n: [] for n in sizes}  # at most the first five each
     for k in range(samples):
         g = construct.sample_g_matrix(max_n, seed + k, bound)
+        sums = g.block_inverse_entry_sums()
         for n, low, high in intervals:
-            s = g.leading(n).inverse_entry_sum()
+            s = sums[n - 1]
             num, den = s.as_integer_ratio()
             if not low * den <= num <= high * den and len(outside_by_n[n]) < 5:
                 outside_by_n[n].append((n, seed + k, s))

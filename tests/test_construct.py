@@ -403,47 +403,12 @@ class TestSampleGMatrix:
         assert g == GMatrix(((1, Fraction(1, 2)), (0, 1)))
 
 
-class TestLeading:
-    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
-                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
-    def test_prefix_of_one_stream(self, bound):
-        # The n x n sample reads the first n(n-1)/2 pairs of the same
-        # stream as any larger sample of the same seed.
-        for big in range(3, 13):
-            for seed in range(31):
-                g = sample_g_matrix(big, seed, bound)
-                for n in range(3, big + 1):
-                    assert g.leading(n).rows == sample_g_rows(n, seed, bound)
-
-    def test_equals_the_smaller_sample(self):
-        g = sample_g_matrix(9, 4, 16)
-        for n in range(3, 10):
-            assert g.leading(n) == sample_g_matrix(n, 4, 16)
-        assert g.leading(9) is g
-
-    def test_not_the_principal_block(self):
-        rows = [[1, Fraction(1, 2), Fraction(1, 3)],
-                [0, 1, Fraction(1, 5)],
-                [0, 0, 1]]
-        # The first upper entry in row-major order is (0, 1) = 1/2.
-        assert GMatrix(rows).leading(2).rows == ((1, Fraction(1, 2)), (0, 1))
-        assert GMatrix(rows).leading(1).rows == ((1,),)
-
-    def test_keeps_its_own_diagonal_and_zeros(self):
-        g = GMatrix([[1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
-        small = g.leading(3)
-        assert small.rows == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-        assert all(type(v) is int for row in small.rows for v in row)
-
-    def test_refuses_n_outside_its_size(self):
-        g = sample_g_matrix(5, 0, 16)
-        for n in (0, -1, 6, 100):
-            with pytest.raises(ValueError, match=f"n must lie in 1..5, got {n}"):
-                g.leading(n)
-
-
 def same_value_and_type(a, b):
     return type(a) is type(b) and a == b
+
+
+def principal_block(rows, n):
+    return [r[:n] for r in rows[:n]]
 
 
 class TestGMatrixInverseEntrySum:
@@ -452,9 +417,9 @@ class TestGMatrixInverseEntrySum:
         for seed in range(20):
             g = sample_g_matrix(10, seed, bound)
             for n in range(1, 11):
-                small = g.leading(n)
-                assert same_value_and_type(small.inverse_entry_sum(),
-                                           linalg.inverse_entry_sum(small.rows))
+                block = GMatrix(principal_block(g.rows, n))
+                assert same_value_and_type(block.inverse_entry_sum(),
+                                           linalg.inverse_entry_sum(block.rows))
 
     def test_all_int_matrices_give_ints(self):
         for n in range(1, 5):
@@ -473,6 +438,43 @@ class TestGMatrixInverseEntrySum:
             assert type(g.inverse_entry_sum()) is Fraction
             assert same_value_and_type(g.inverse_entry_sum(),
                                        linalg.inverse_entry_sum(g.rows))
+
+
+class TestBlockInverseEntrySums:
+    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
+                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    def test_matches_each_principal_block(self, bound):
+        # One substitution of the sample against each block on its own,
+        # by the kernel and by inverting the block outright.
+        for size in range(3, 15):
+            for seed in range(3):
+                g = sample_g_matrix(size, seed, bound)
+                sums = g.block_inverse_entry_sums()
+                assert len(sums) == size
+                for n, s in enumerate(sums, 1):
+                    block = principal_block(g.rows, n)
+                    assert same_value_and_type(s, linalg.inverse_entry_sum(block))
+                    assert s == entry_sum(invert_unit_triangular(block))
+
+    def test_all_01_matrices_give_ints(self):
+        for size in range(1, 6):
+            for mask in range(1 << (size * (size - 1) // 2)):
+                rows = Triangular01(size, mask).rows()
+                sums = GMatrix(rows).block_inverse_entry_sums()
+                assert len(sums) == size
+                for n, s in enumerate(sums, 1):
+                    block = principal_block(rows, n)
+                    assert type(s) is int
+                    assert same_value_and_type(s, linalg.inverse_entry_sum(block))
+                    assert s == entry_sum(invert_unit_triangular(block))
+
+    def test_principal_blocks_not_row_major_prefixes(self):
+        # Cell (0, 2) = 1/3 lies outside the 2 x 2 block: w = (1, 1/2, 17/30).
+        rows = [[1, Fraction(1, 2), Fraction(1, 3)],
+                [0, 1, Fraction(1, 5)],
+                [0, 0, 1]]
+        assert GMatrix(rows).block_inverse_entry_sums() == [
+            1, Fraction(3, 2), Fraction(31, 15)]
 
 
 ENTRY = st.one_of(st.integers(-1, 2),

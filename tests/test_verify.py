@@ -119,16 +119,12 @@ class PlantedSample:
     def __init__(self, sample, planted):
         self.sample, self.planted = sample, planted
 
-    def leading(self, n):
-        return PlantedSample(self.sample.leading(n), self.planted)
-
-    def inverse_entry_sum(self):
-        n = self.sample.n
-        if not self.planted(n):
-            return self.sample.inverse_entry_sum()
-        rows = linalg.identity(n)
+    def block_inverse_entry_sums(self):
+        rows = linalg.identity(self.sample.n)
         rows[0][1] = -100
-        return linalg.inverse_entry_sum(rows)
+        planted_sums = linalg.block_inverse_entry_sums_unchecked(rows)
+        return [p if self.planted(n) else s for n, (s, p) in enumerate(
+            zip(self.sample.block_inverse_entry_sums(), planted_sums), 1)]
 
 
 def samples_outside_interval(planted):
