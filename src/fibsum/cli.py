@@ -3,8 +3,8 @@ search and verification.
 
 Exit codes: 0 success, 1 invalid arguments, 2 verification failure,
 3 I/O failure.  `--json` switches any subcommand to machine-readable
-output; with a path argument the JSON is written to that file instead of
-standard output.  Identical invocations (including seeds) produce
+output, and `--out PATH` writes the output, text or JSON, to PATH instead
+of standard output.  Identical invocations (including seeds) produce
 byte-identical output.
 """
 
@@ -55,22 +55,17 @@ def _rows_json(rows):
     return [[json_scalar(x) for x in row] for row in rows]
 
 
-def _write_text(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(args, text: str) -> None:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_json(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    if args.json == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args, json.dumps(payload, sort_keys=True, separators=(",", ": "),
+                            indent=1) + "\n")
 
 
 def _read_matrix(args, check_dimension):
@@ -232,12 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--version", action="version",
                         version=f"fibsum {__version__}")
-    common.add_argument("--json", nargs="?", const="-", default=None,
-                        metavar="PATH",
-                        help="emit machine-readable JSON (to PATH if given)")
+    common.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    common.add_argument("--out", metavar="PATH",
+                        help="write output to PATH instead of stdout")
 
-    parser = _Parser(prog="fibsum", parents=[common],
-                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fibsum", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version",
+                        version=f"fibsum {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
     p = sub.add_parser("fib", parents=[common], help="print a Fibonacci number")
@@ -255,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="invert a unit triangular matrix from matrix text")
     p.add_argument("--in", dest="infile", metavar="PATH",
                    help="read matrix text from PATH instead of stdin")
-    p.add_argument("--out", metavar="PATH",
-                   help="write output to PATH instead of stdout")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("construct", parents=[common],
@@ -264,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"matrix size, 3..{CONSTRUCT_MAX_N}")
     p.add_argument("--sum", type=int, required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("extremal", parents=[common],
@@ -272,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"matrix size, 5..{CONSTRUCT_MAX_N}")
     p.add_argument("--l", type=int, choices=(2, 3), required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("wmatrix", parents=[common],
@@ -280,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"matrix size, 3..{CONSTRUCT_MAX_N}")
     p.add_argument("--det", type=int, required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_wmatrix)
 
     p = sub.add_parser("enumerate", parents=[common],
@@ -308,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"improving flips per restart, 1..{SEARCH_MAX_STEPS}")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random start matrices, >= 0")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", parents=[common],
@@ -343,7 +334,7 @@ def main(argv=None) -> int:
         if args.json:
             _write_json(args, payload)
         else:
-            _write_text(args, text)
+            _write(args, text)
         return code
     except (MatrixFormatError, OSError) as exc:
         print(f"fibsum: i/o error: {exc}", file=sys.stderr)

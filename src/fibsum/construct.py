@@ -15,10 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fibonacci import fib
-from .linalg import (InvariantError, Matrix, Scalar, Triangular01,
+from .linalg import (InvariantError, Matrix, Triangular01,
                      block_inverse_entry_sums_unchecked, entry_sum, identity,
-                     invert_unit_triangular, inverse_column_sums,
-                     inverse_entry_sum_unchecked, transpose)
+                     invert_unit_triangular, inverse_column_sums, transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
 # pattern suite checks the banded matrices up to n = 200, where `fibsum
@@ -346,11 +345,6 @@ class GMatrix:
 
     def to_rows(self) -> Matrix:
         return [list(r) for r in self.rows]
-
-    def inverse_entry_sum(self) -> Scalar:
-        """:func:`fibsum.linalg.inverse_entry_sum` of ``rows``, equal in value
-        and type, without its checks: validation already made them."""
-        return inverse_entry_sum_unchecked(self.rows)
 
     def block_inverse_entry_sums(self) -> list:
         """The inverse entry sum of every leading principal block, the

@@ -112,13 +112,15 @@ class Triangular01:
 
 
 def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> str:
-    """Return 'upper' or 'lower' for a unit triangular matrix, else raise."""
+    """Return 'upper' or 'lower' for a unit triangular matrix of int and
+    Fraction entries, else raise ValueError."""
     n = _dimension(rows)
     for i in range(n):
         if rows[i][i] != 1:
             raise ValueError("matrix is not unit triangular (diagonal entry != 1)")
     lower_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i))
     upper_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    _check_entries(rows)
     if lower_zero:
         return "upper"
     if upper_zero:
@@ -126,12 +128,20 @@ def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> str:
     raise ValueError("matrix is not triangular")
 
 
+def _check_entries(rows: Sequence[Sequence[Scalar]]) -> None:
+    # Floats and Decimals would make the exact arithmetic inexact.
+    for r in rows:
+        for x in r:
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError("entries must be int or Fraction")
+
+
 def invert_unit_triangular(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     """Exact inverse of a unit triangular matrix (upper or lower).
 
     Back substitution column by column; integer input gives an integer
-    inverse, Fraction input a Fraction inverse. The result is unit
-    triangular with the same orientation.
+    inverse, Fraction input a Fraction inverse, and any other entry type is
+    refused. The result is unit triangular with the same orientation.
     """
     orientation = _classify_triangular(rows)
     if orientation == "lower":
@@ -162,8 +172,9 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 
     Solves w A = (1, ..., 1) by forward substitution,
     w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed;
-    int entries give int sums, Fraction entries Fraction sums.  The entry
-    sum of the inverse is ``sum`` of the result.
+    int entries give int sums, Fraction entries Fraction sums, and any other
+    entry type is refused.  The entry sum of the inverse is ``sum`` of the
+    result.
     """
     if _classify_triangular(rows) != "upper":
         raise ValueError("matrix is not unit upper triangular")
@@ -186,25 +197,17 @@ def _column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
 
-    Checks that ``rows`` is square, unit upper triangular, and int or
-    Fraction above the diagonal, then runs
-    :func:`inverse_entry_sum_unchecked`.  All-int input gives an int; any
-    other input a Fraction.
+    Checks that ``rows`` is square and unit upper triangular, with int or
+    Fraction entries, then takes the last of
+    :func:`block_inverse_entry_sums_unchecked`, with no Fraction built for
+    the smaller blocks.  All-int input gives an int; any other input a
+    Fraction.
     """
     _dimension(rows)
     for i, r in enumerate(rows):
         if r[i] != 1 or any(r[:i]):
             raise ValueError("matrix is not unit upper triangular")
-    if not all(isinstance(x, (int, Fraction)) for i, r in enumerate(rows)
-               for x in r[i + 1:]):
-        raise ValueError("entries must be int or Fraction")
-    return inverse_entry_sum_unchecked(rows)
-
-
-def inverse_entry_sum_unchecked(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """The kernel of :func:`inverse_entry_sum`, with no checks: the last of
-    :func:`block_inverse_entry_sums_unchecked`, with no Fraction built for
-    the smaller blocks."""
+    _check_entries(rows)
     if all(isinstance(x, int) for r in rows for x in r):
         return sum(_column_sums(rows))
     return Fraction(*_scaled_block_sums(rows)[-1])

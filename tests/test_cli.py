@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -298,7 +299,7 @@ class TestEnumerate:
     def test_json_to_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["enumerate", "--family", "triangular", "--n", "3",
-                     "--jobs", "1", "--json", str(out)])
+                     "--jobs", "1", "--json", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
         payload = json.loads(out.read_text())
@@ -507,3 +508,65 @@ class TestArgumentErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+# One small, seeded run of each subcommand: (argv, stdin).
+EVERY_COMMAND = [
+    (("fib", "12"), ""),
+    (("identities", "--max-n", "12"), ""),
+    (("invert",), "3\n1 1/2 0\n0 1 1/3\n0 0 1\n"),
+    (("construct", "--n", "5", "--sum", "4"), ""),
+    (("extremal", "--n", "7", "--l", "3"), ""),
+    (("wmatrix", "--n", "4", "--det", "2"), ""),
+    (("enumerate", "--family", "triangular", "--n", "4"), ""),
+    (("search", "--n", "4", "--direction", "max", "--restarts", "3",
+      "--seed", "5"), ""),
+    (("verify", "--suite", "all", "--n", "6", "--samples", "5", "--count", "5",
+      "--seed", "3"), ""),
+]
+
+
+class TestOutputDestination:
+    def test_cases_cover_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(argv[0] for argv, _ in EVERY_COMMAND)
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, stdin", EVERY_COMMAND,
+                             ids=[argv[0] for argv, _ in EVERY_COMMAND])
+    def test_out_gets_exactly_what_stdout_would(self, capsys, monkeypatch,
+                                                tmp_path, argv, stdin, fmt):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, expected, _ = run(capsys, *argv, *fmt)
+        assert code == 0 and expected
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run(capsys, *argv, *fmt, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ("--json", "fib", "3"),
+        ("--json=report.json", "fib", "3"),
+        ("enumerate", "--family", "triangular", "--n", "4", "--json", "report.json"),
+        ("enumerate", "--family", "triangular", "--n", "4", "--json", "-"),
+    ])
+    def test_json_takes_no_path(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: fibsum ")
+        assert "error: unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_path_is_an_io_error(self, capsys):
+        code, out, err = run(capsys, "fib", "10", "--out", "")
+        assert code == 3 and out == ""
+        assert "i/o error" in err
+
+    def test_top_level_takes_only_help_and_version(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        options = out.split("options:\n", 1)[1]
+        flags = [line.split()[0] for line in options.splitlines()
+                 if line.startswith("  -")]
+        assert code == 0 and flags == ["-h,", "--version"]

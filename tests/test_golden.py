@@ -69,7 +69,7 @@ CASES = [
     (("invert", "--out", OUT), TRIANGULAR, 0,
      "0e4443a462ed857c993d4359972860506ce8a028fdd5f1c3335ac1edc05d51f8"),
     (("invert", "--out", OUT, "--json"), RATIONAL, 0,
-     "93c31f1dc7ee643384b9db1d0baa91c44b6f44e5b96c29960196c5f724cedc79"),
+     "c1d370474f05fed842fa53c5049cdf5adade9dbb4dc9ae40db5559291cfa29bb"),
     (("construct", "--n", "7", "--sum", "-3"), "", 0,
      "3a2ae6289a5fabfb065177639956b5e035c4af40a28448f944055a543b7d7498"),
     (("construct", "--n", "7", "--sum", "-3", "--json"), "", 0,
@@ -96,7 +96,7 @@ CASES = [
      "b0955c60fadd1a48ef60048ed6fc00afddf6bf420bdbcd21de5b96bf5d2fad66"),
     (("enumerate", "--family", "triangular", "--n", "5", "--json"), "", 0,
      "ea0bf803e5eed51d8c4d3cb450512aa0dbfdb16ec78365d2aa9c6da09bb003a6"),
-    (("enumerate", "--family", "triangular", "--n", "4", "--json", OUT), "", 0,
+    (("enumerate", "--family", "triangular", "--n", "4", "--json", "--out", OUT), "", 0,
      "bdc8247fc07cdd8c7002fd6954a05325060800f65706161fd31008e5d1684e88"),
     (("enumerate", "--family", "general", "--n", "3"), "", 0,
      "f4841c0970743c9826d782500df48e6b7e545b365dd7f802369b24e11490781d"),

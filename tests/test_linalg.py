@@ -78,6 +78,13 @@ class TestInvertUnitTriangular:
         with pytest.raises(ValueError):
             invert_unit_triangular([[1, 0, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize("bad", [0.5, Decimal("0.5")])
+    def test_refuses_non_rational_entries(self, bad):
+        upper = [[1, bad, 0], [0, 1, 1], [0, 0, 1]]
+        for rows in (upper, transpose(upper)):
+            with pytest.raises(ValueError, match="entries must be int or Fraction"):
+                invert_unit_triangular(rows)
+
     def test_random_masks_exact_inverse_up_to_n50(self):
         rng = random.Random(1311)
         for n in (2, 3, 5, 8, 13, 21, 34, 50):
@@ -139,6 +146,13 @@ class TestRowSumVector:
     def test_helper_refuses_non_upper_triangular(self):
         for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]]):
             with pytest.raises(ValueError, match="triangular"):
+                inverse_column_sums(rows)
+
+    @pytest.mark.parametrize("bad", [0.1, Decimal("0.1")])
+    def test_helper_refuses_non_rational_entries(self, bad):
+        upper = [[1, bad, 0.2], [0, 1, 0.3], [0, 0, 1]]
+        for rows in (upper, transpose(upper)):
+            with pytest.raises(ValueError, match="entries must be int or Fraction"):
                 inverse_column_sums(rows)
 
     def test_dominance_bound_exhaustive_to_n7(self):

@@ -24,7 +24,7 @@ def test_cli_handlers_write_nothing():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     handlers = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
-    writers = {"print", "_write_text", "_write_json", "stdout", "json"}
+    writers = {"print", "_write", "_write_json", "stdout", "json"}
     found = [f"{handler.name}:{node.lineno} {name}"
              for handler in handlers
              for node in ast.walk(handler)
