@@ -1,5 +1,4 @@
-"""fibsum: command-line surface for construction, inversion, enumeration,
-search and verification.
+"""fibsum: construction, inversion, enumeration, search and verification.
 
 Exit codes: 0 success, 1 invalid arguments, 2 verification failure,
 3 I/O failure.  `--json` switches any subcommand to machine-readable

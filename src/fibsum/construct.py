@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .fibonacci import fib
 from .linalg import (InvariantError, Matrix, Triangular01,
-                     block_inverse_entry_sums_unchecked, entry_sum, identity,
+                     block_inverse_entry_sum_pairs, entry_sum, identity,
                      invert_unit_triangular, inverse_column_sums, transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
@@ -304,10 +304,8 @@ class GMatrix:
     changes no value.
 
     ``rows`` is stored as a tuple of tuples, so a validated matrix cannot
-    change later.  Validation reads each entry once: the shared ``_ZERO``
-    and ``_ONE`` pass by identity where they are legal (0 off the
-    diagonal, 1 on or above it); any other entry must be an int or a
-    Fraction (floats and Decimals also have ``as_integer_ratio``) and is
+    change later.  Validation reads each entry once: it must be an int or
+    a Fraction (floats and Decimals also have ``as_integer_ratio``) and is
     checked on one ``as_integer_ratio()``.
     """
 
@@ -324,8 +322,6 @@ class GMatrix:
         object.__setattr__(self, "rows", rows)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                if v is _ZERO and j != i or v is _ONE and j >= i:
-                    continue
                 if not isinstance(v, (int, Fraction)):
                     raise ValueError(f"entry ({i}, {j}) is not an int or a Fraction: "
                                      f"{v!r}")
@@ -346,12 +342,12 @@ class GMatrix:
     def to_rows(self) -> Matrix:
         return [list(r) for r in self.rows]
 
-    def block_inverse_entry_sums(self) -> list:
+    def block_inverse_entry_sum_pairs(self) -> list:
         """The inverse entry sum of every leading principal block, the
-        k x k block at index k - 1, from one forward substitution: each
-        equals :func:`fibsum.linalg.inverse_entry_sum` of its block in
-        value and type."""
-        return block_inverse_entry_sums_unchecked(self.rows)
+        k x k block at index k - 1, as an unreduced integer pair (T, E),
+        E > 0, from one forward substitution: ``Fraction(T, E)`` equals
+        :func:`fibsum.linalg.inverse_entry_sum` of the block."""
+        return block_inverse_entry_sum_pairs(self.rows)
 
 
 # Denominator bounds up to this draw their entries from one cached table of

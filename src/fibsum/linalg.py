@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Sequence, Union
 
@@ -75,9 +74,6 @@ class Triangular01:
         if not 0 <= i < j < n:
             raise ValueError(f"({i}, {j}) is not a strictly upper cell")
         return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
-
-    def cell(self, i: int, j: int) -> int:
-        return (self.upper_mask >> self.bit_index(self.n, i, j)) & 1
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Triangular01":
@@ -167,6 +163,16 @@ def entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     return sum(sum(r, 0) for r in rows)
 
 
+def _check_unit_upper(rows: Sequence[Sequence[Scalar]]) -> None:
+    """Raise ValueError unless ``rows`` is square and unit upper triangular,
+    with int and Fraction entries."""
+    _dimension(rows)
+    _check_entries(rows)
+    for i, r in enumerate(rows):
+        if r[i] != 1 or any(r[:i]):
+            raise ValueError("matrix is not unit upper triangular")
+
+
 def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
     """Column sums of the inverse of a unit upper triangular matrix.
 
@@ -176,8 +182,7 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
     entry type is refused.  The entry sum of the inverse is ``sum`` of the
     result.
     """
-    if _classify_triangular(rows) != "upper":
-        raise ValueError("matrix is not unit upper triangular")
+    _check_unit_upper(rows)
     return _column_sums(rows)
 
 
@@ -198,45 +203,28 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
 
     Checks that ``rows`` is square and unit upper triangular, with int or
-    Fraction entries, then takes the last of
-    :func:`block_inverse_entry_sums_unchecked`, with no Fraction built for
-    the smaller blocks.  All-int input gives an int; any other input a
-    Fraction.
+    Fraction entries.  All-int input gives an int, from the plain forward
+    substitution of :func:`inverse_column_sums`; any other input a
+    Fraction, from the last pair of :func:`block_inverse_entry_sum_pairs`.
     """
-    _dimension(rows)
-    for i, r in enumerate(rows):
-        if r[i] != 1 or any(r[:i]):
-            raise ValueError("matrix is not unit upper triangular")
-    _check_entries(rows)
+    _check_unit_upper(rows)
     if all(isinstance(x, int) for r in rows for x in r):
         return sum(_column_sums(rows))
-    return Fraction(*_scaled_block_sums(rows)[-1])
+    return Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
 
 
-def block_inverse_entry_sums_unchecked(rows: Sequence[Sequence[Scalar]]) -> list:
-    """S(B^{-1}) for every leading principal block B of ``rows``, the
-    k x k block at index k - 1, with no checks: ``rows`` must be square and
-    unit upper triangular, with int or Fraction entries above the diagonal
-    (floats have ``as_integer_ratio`` too).
+def block_inverse_entry_sum_pairs(rows: Sequence[Sequence[Scalar]]) -> list:
+    """S(B^{-1}) for every leading principal block B of ``rows`` as an
+    integer pair (T, E), E > 0, whose ratio T / E is the sum, not reduced:
+    the k x k block's pair at index k - 1.  No checks: ``rows`` must be
+    square and unit upper triangular, with int or Fraction entries above
+    the diagonal (floats have ``as_integer_ratio`` too).
 
     Column j of the forward substitution of :func:`inverse_column_sums`
     reads only columns <= j, so one substitution gives every block's sum
-    as a prefix sum.  When every entry, on and below the diagonal too, is
-    an int, the plain substitution gives each sum as an int; otherwise
-    :func:`_scaled_block_sums` gives each as a Fraction.
-    """
-    if all(isinstance(x, int) for r in rows for x in r):
-        return list(accumulate(_column_sums(rows)))
-    return [Fraction(t, e) for t, e in _scaled_block_sums(rows)]
-
-
-def _scaled_block_sums(rows: Sequence[Sequence[Scalar]]) -> list:
-    """The forward substitution run in integers over one common
-    denominator: the pair (T_j, E_j) per column j, whose ratio is the
-    (j+1) x (j+1) block's inverse entry sum, not reduced.
-
-    Let d_j be the lcm of the denominators above the diagonal in column j
-    and E_j = d_0 d_1 ... d_j.  Then W_j = E_j w_j is an integer:
+    as a prefix sum.  It runs in integers over one common denominator per
+    column.  Let d_j be the lcm of the denominators above the diagonal in
+    column j and E_j = d_0 d_1 ... d_j.  Then W_j = E_j w_j is an integer:
     W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
     with each inner sum taken by Horner's rule, and
     T_j = sum over i <= j of W_i E_j / E_i.  No gcd is taken, and each

@@ -279,12 +279,11 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     outside_by_n = {n: [] for n in sizes}  # at most the first five each
     for k in range(samples):
         g = construct.sample_g_matrix(max_n, seed + k, bound)
-        sums = g.block_inverse_entry_sums()
+        pairs = g.block_inverse_entry_sum_pairs()
         for n, low, high in intervals:
-            s = sums[n - 1]
-            num, den = s.as_integer_ratio()
+            num, den = pairs[n - 1]
             if not low * den <= num <= high * den and len(outside_by_n[n]) < 5:
-                outside_by_n[n].append((n, seed + k, s))
+                outside_by_n[n].append((n, seed + k, Fraction(num, den)))
     outside = [entry for n in sizes for entry in outside_by_n[n]]
     bad_ends = []
     for n in range(3, max_n + 1):

@@ -79,6 +79,12 @@ class TestBasicCommands:
         assert code == 1
         assert "SUBCOMMAND" in out
 
+    def test_help_description_is_one_whole_sentence(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.split("\n\n")[1] == (
+            "fibsum: construction, inversion, enumeration, search and verification.")
+
 
 class TestConstructCommands:
     def test_construct_text_round_trip(self, capsys):

@@ -420,7 +420,7 @@ class TestGMatrixInverseEntrySum:
                 block = GMatrix(principal_block(g.rows, n))
                 s = linalg.inverse_entry_sum(block.rows)
                 assert type(s) is Fraction
-                assert same_value_and_type(s, block.block_inverse_entry_sums()[-1])
+                assert s == Fraction(*block.block_inverse_entry_sum_pairs()[-1])
                 assert s == entry_sum(invert_unit_triangular(block.rows))
 
     def test_all_int_matrices_give_ints(self):
@@ -446,35 +446,37 @@ class TestBlockInverseEntrySums:
                                        FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
     def test_matches_each_principal_block(self, bound):
         # One substitution of the sample against each block on its own,
-        # by the kernel and by inverting the block outright.
+        # by the checked entry sum and by inverting the block outright.
         for size in range(3, 15):
             for seed in range(3):
                 g = sample_g_matrix(size, seed, bound)
-                sums = g.block_inverse_entry_sums()
-                assert len(sums) == size
-                for n, s in enumerate(sums, 1):
+                pairs = g.block_inverse_entry_sum_pairs()
+                assert len(pairs) == size
+                for n, (num, den) in enumerate(pairs, 1):
+                    assert den > 0
                     block = principal_block(g.rows, n)
-                    assert same_value_and_type(s, linalg.inverse_entry_sum(block))
-                    assert s == entry_sum(invert_unit_triangular(block))
+                    assert Fraction(num, den) == linalg.inverse_entry_sum(block)
+                    assert Fraction(num, den) == entry_sum(invert_unit_triangular(block))
 
     def test_all_01_matrices_give_ints(self):
         for size in range(1, 6):
             for mask in range(1 << (size * (size - 1) // 2)):
                 rows = Triangular01(size, mask).rows()
-                sums = GMatrix(rows).block_inverse_entry_sums()
-                assert len(sums) == size
-                for n, s in enumerate(sums, 1):
+                pairs = GMatrix(rows).block_inverse_entry_sum_pairs()
+                assert len(pairs) == size
+                for n, (num, den) in enumerate(pairs, 1):
                     block = principal_block(rows, n)
-                    assert type(s) is int
-                    assert same_value_and_type(s, linalg.inverse_entry_sum(block))
-                    assert s == entry_sum(invert_unit_triangular(block))
+                    assert den == 1
+                    assert num == linalg.inverse_entry_sum(block)
+                    assert num == entry_sum(invert_unit_triangular(block))
 
     def test_principal_blocks_not_row_major_prefixes(self):
         # Cell (0, 2) = 1/3 lies outside the 2 x 2 block: w = (1, 1/2, 17/30).
         rows = [[1, Fraction(1, 2), Fraction(1, 3)],
                 [0, 1, Fraction(1, 5)],
                 [0, 0, 1]]
-        assert GMatrix(rows).block_inverse_entry_sums() == [
+        pairs = GMatrix(rows).block_inverse_entry_sum_pairs()
+        assert [Fraction(num, den) for num, den in pairs] == [
             1, Fraction(3, 2), Fraction(31, 15)]
 
 
@@ -526,5 +528,5 @@ def test_g_matrix_validation_matches_comparison_oracle(rows):
         accepted = False
     assert accepted == (rational and g_matrix_valid(rows))
     if accepted:
-        assert same_value_and_type(linalg.inverse_entry_sum(g.rows),
-                                   g.block_inverse_entry_sums()[-1])
+        assert linalg.inverse_entry_sum(g.rows) == Fraction(
+            *g.block_inverse_entry_sum_pairs()[-1])

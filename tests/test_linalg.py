@@ -211,12 +211,14 @@ class TestInverseEntrySum:
         assert inverse_entry_sum(rows) == 105
 
     def test_refuses_not_unit_upper_triangular(self):
-        for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]],
-                     [[1, 0], [Fraction(1, 3), 1]], [[Fraction(1, 2), 0], [0, 1]]):
-            with pytest.raises(ValueError, match="unit upper triangular"):
-                inverse_entry_sum(rows)
-        with pytest.raises(ValueError, match="square"):
-            inverse_entry_sum([[1, 0]])
+        # Both checked forward substitutions share one shape check.
+        for f in (inverse_entry_sum, inverse_column_sums):
+            for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]],
+                         [[1, 0], [Fraction(1, 3), 1]], [[Fraction(1, 2), 0], [0, 1]]):
+                with pytest.raises(ValueError, match="^matrix is not unit upper triangular$"):
+                    f(rows)
+            with pytest.raises(ValueError, match="square"):
+                f([[1, 0]])
 
     def test_refuses_non_rational_entries(self):
         # Floats and Decimals have as_integer_ratio, which the kernel reads.

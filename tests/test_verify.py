@@ -111,28 +111,28 @@ def singular_not_rejected(monkeypatch):
 
 
 class PlantedSample:
-    """Stands in for a sampled ``GMatrix``: its n x n block sums to n + 100
-    where ``planted(n)`` holds (as a -100 above the diagonal of the identity
-    would, putting +100 in the inverse), and to the real sample's sum
+    """Stands in for a sampled ``GMatrix``: its n x n block sums to n - entry
+    where ``planted(n)`` holds (as ``entry`` at (0, 1) of the identity
+    would, putting -entry in the inverse), and to the real sample's sum
     elsewhere."""
 
-    def __init__(self, sample, planted):
-        self.sample, self.planted = sample, planted
+    def __init__(self, sample, planted, entry):
+        self.sample, self.planted, self.entry = sample, planted, entry
 
-    def block_inverse_entry_sums(self):
+    def block_inverse_entry_sum_pairs(self):
         rows = linalg.identity(self.sample.n)
-        rows[0][1] = -100
-        planted_sums = linalg.block_inverse_entry_sums_unchecked(rows)
+        rows[0][1] = self.entry
+        planted_pairs = linalg.block_inverse_entry_sum_pairs(rows)
         return [p if self.planted(n) else s for n, (s, p) in enumerate(
-            zip(self.sample.block_inverse_entry_sums(), planted_sums), 1)]
+            zip(self.sample.block_inverse_entry_sum_pairs(), planted_pairs), 1)]
 
 
-def samples_outside_interval(planted):
+def samples_outside_interval(planted, entry=-100):
     def patch(monkeypatch):
         real = construct.sample_g_matrix
         monkeypatch.setattr(construct, "sample_g_matrix",
                             lambda n, seed, bound: PlantedSample(real(n, seed, bound),
-                                                                 planted))
+                                                                 planted, entry))
     return patch
 
 
@@ -211,7 +211,18 @@ class TestGsamplingReport:
         check, = [c for c in json.loads(out)["checks"] if not c["pass"]]
         assert check["name"] == "gsampling-interval"
         assert check["detail"] == ("sums outside interval: "
-                                   + str([(3, 7 + k, 103) for k in range(5)]))
+                                   + str([(3, 7 + k, Fraction(103)) for k in range(5)]))
+
+    def test_non_integral_sum_reported_as_a_fraction(self, capsys, monkeypatch):
+        # -201/2 at (0, 1) puts 201/2 in the inverse: the 3 x 3 block sums
+        # to 207/2.
+        samples_outside_interval(lambda n: n == 3, Fraction(-201, 2))(monkeypatch)
+        code, out = run(capsys, "verify", "--suite", "gsampling", "--n", "6",
+                        "--samples", "20", "--seed", "7", "--json")
+        assert code == 2
+        check, = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert check["detail"] == ("sums outside interval: "
+                                   + str([(3, 7 + k, Fraction(207, 2)) for k in range(5)]))
 
 
 class TestSuiteSizes:
