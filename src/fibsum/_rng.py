@@ -1,25 +1,13 @@
-"""Seeded draws straight from ``random.Random.getrandbits``.
+"""Seeded shuffles straight from ``random.Random.getrandbits``.
 
-``Random.randint`` and ``Random.shuffle`` spend most of their time in the
-Python wrappers around ``getrandbits``.  These helpers repeat CPython's
-``_randbelow_with_getrandbits`` and ``Random.shuffle`` (the same in 3.10
-to 3.13) step for step, so they consume the same words and return the
-same values:
-``randint(a, b)`` is ``a + randbelow(getrandbits, b - a + 1)``, and
-``shuffle(x, getrandbits)`` leaves ``x`` as ``rng.shuffle(x)`` would.
+``Random.shuffle`` spends most of its time in the Python wrappers around
+``getrandbits``.  :func:`shuffle` repeats CPython's ``Random.shuffle`` and
+its ``_randbelow_with_getrandbits`` (the same in 3.10 to 3.13) step for
+step, so it consumes the same words and leaves ``x`` as
+``rng.shuffle(x)`` would.
 """
 
 from __future__ import annotations
-
-
-def randbelow(getrandbits, m: int) -> int:
-    """A draw from range(m), m >= 1: ``getrandbits(m.bit_length())``,
-    redrawn while it is >= m."""
-    k = m.bit_length()
-    r = getrandbits(k)
-    while r >= m:
-        r = getrandbits(k)
-    return r
 
 
 def shuffle(x: list, getrandbits) -> None:
@@ -29,6 +17,6 @@ def shuffle(x: list, getrandbits) -> None:
         m = i + 1
         k = m.bit_length()
         j = getrandbits(k)
-        while j >= m:  # randbelow(getrandbits, m), inlined
+        while j >= m:  # as Random._randbelow_with_getrandbits(m)
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]

@@ -371,9 +371,9 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     ``denominator_bound``, drawn in row-major order from
     ``random.Random(seed)``: ``randint(1, bound)`` for q, then
     ``randint(0, q)`` for p.  Both are taken straight from ``getrandbits``
-    as :func:`fibsum._rng.randbelow` takes them, word for word as
-    ``randint`` does.  Exact rationals keep the closed-interval bound on the
-    inverse entry sum testable with no rounding slack.
+    as CPython's ``Random._randbelow_with_getrandbits`` takes them, word
+    for word as ``randint`` does.  Exact rationals keep the closed-interval
+    bound on the inverse entry sum testable with no rounding slack.
 
     Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
     table of shared Fractions instead of building it with its gcd; larger
@@ -398,12 +398,12 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
     for i in range(n):
         row = [_ZERO] * i + [_ONE]
         for _ in range(n - 1 - i):
-            q = getrandbits(kq)  # randbelow(getrandbits, bound), inlined
+            q = getrandbits(kq)  # _randbelow_with_getrandbits(bound)
             while q >= denominator_bound:
                 q = getrandbits(kq)
             q += 1
             kp = (q + 1).bit_length()
-            p = getrandbits(kp)  # randbelow(getrandbits, q + 1), inlined
+            p = getrandbits(kp)  # _randbelow_with_getrandbits(q + 1)
             while p > q:
                 p = getrandbits(kp)
             row.append(Fraction(p, q) if table is None else table[q][p])

@@ -366,13 +366,6 @@ def _objective(rows, det: int) -> Fraction:
     return Fraction(_bareiss([[x + 1 for x in row] for row in rows]) - det, det)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise InvariantError(f"rank-one update: {num} / {den} leaves remainder {rem}")
-    return q
-
-
 class RankOneState:
     """An invertible integer matrix A with its exact determinant D and
     integer adjugate, for scoring and applying single-entry changes.
@@ -386,9 +379,8 @@ class RankOneState:
     and D' = 0 exactly when the neighbour is singular.  Applying the change
     updates adj' = (D' adj - d (adj e_i)(e_j^T adj)) / D in O(n^2).  Every
     division is exact; a remainder raises :class:`InvariantError`.
-    :meth:`neighbour` scores one flip and :meth:`apply` makes it;
-    :meth:`improve` runs one climb step, scoring flips in a given order
-    with the same arithmetic and checks in one loop.
+    :meth:`improve` runs one climb step, scoring flips in a given order,
+    and :meth:`apply` makes the flip it takes.
     """
 
     __slots__ = ("rows", "det", "adj", "total", "col_sums", "row_sums")
@@ -403,18 +395,10 @@ class RankOneState:
     def inverse_sum(self) -> Fraction:
         return Fraction(self.total, self.det)
 
-    def neighbour(self, i: int, j: int, d: int) -> tuple:
-        """(D', T') of the matrix with d added to a_ij; D' = 0 if singular."""
-        det2 = self.det + d * self.adj[j][i]
-        if det2 == 0:
-            return 0, 0
-        return det2, _exact_div(
-            self.total * det2 - d * self.col_sums[i] * self.row_sums[j], self.det)
-
     def improve(self, order, sgn: int) -> bool:
         """Flip the first (0,1) entry a_ij, (i, j) taken from ``order``,
-        that strictly raises sgn * T / D, as :meth:`neighbour` and
-        :meth:`apply` would; return False, changing nothing, if none does."""
+        that strictly raises sgn * T / D, through :meth:`apply`; return
+        False, changing nothing, if none does."""
         rows, adj, det, total = self.rows, self.adj, self.det, self.total
         col_sums, row_sums = self.col_sums, self.row_sums
         for i, j in order:
@@ -434,7 +418,7 @@ class RankOneState:
         return False
 
     def apply(self, i: int, j: int, d: int, det2: int, total2: int) -> None:
-        """Add d to a_ij, given (det2, total2) from :meth:`neighbour`."""
+        """Add d to a_ij, given its (D', T') as :meth:`improve` scores it."""
         det = self.det
         adj_row = self.adj[j]
         adj_row_sum = sum(adj_row)
@@ -462,7 +446,7 @@ class RankOneState:
         if self.total != total2:
             raise InvariantError(
                 f"rank-one update: adjugate sums to {self.total}, "
-                f"the neighbour score gave {total2}")
+                f"the flip's score gave {total2}")
 
 
 def hill_climb_general(config: SearchConfig) -> SearchResult:
@@ -493,10 +477,8 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     best_rows = None
     best = None
     steps_total = 0
-    restarts_run = 0
     for r in range(config.restarts):
         getrandbits = random.Random((config.seed << 20) ^ r).getrandbits
-        restarts_run += 1
         rows = None
         for _ in range(200):
             cand = []
@@ -504,7 +486,7 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
                 row = []
                 for _ in range(n):
                     bit = getrandbits(2)
-                    while bit >= 2:  # randbelow(getrandbits, 2), inlined
+                    while bit >= 2:  # as Random._randbelow_with_getrandbits(2)
                         bit = getrandbits(2)
                     row.append(bit)
                 cand.append(row)
@@ -539,4 +521,4 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
         raise InvariantError(
             f"best sum {best} from the climb, {verified} from determinants")
     return SearchResult(tuple(tuple(row) for row in best_rows), verified,
-                        steps_total, restarts_run)
+                        steps_total, config.restarts)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import construct, fibonacci, linalg, search
+from . import construct, fibonacci, linalg, matrixio, search
 
 # Sizes past this are not checked by construction: each of the 2 F_{n-1} + 1
 # targets in the interval costs one constructor round trip.
@@ -272,7 +272,7 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     forward substitution of the max_n sample gives every block's inverse
     entry sum.  A reported ``(n, s, sum)`` names the n x n block of seed
     s's max_n sample.  The report lists the sums outside the interval n by
-    n, at most five in all."""
+    n, at most five in all, each as ``(n, s, p/q)``."""
     fib = fibonacci.fib
     sizes = range(3, max_n + 1)
     intervals = [(n, 2 - fib(n - 1), 2 + fib(n - 1)) for n in sizes]
@@ -283,8 +283,9 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
         for n, low, high in intervals:
             num, den = pairs[n - 1]
             if not low * den <= num <= high * den and len(outside_by_n[n]) < 5:
-                outside_by_n[n].append((n, seed + k, Fraction(num, den)))
-    outside = [entry for n in sizes for entry in outside_by_n[n]]
+                sum_text = matrixio.format_scalar(Fraction(num, den))
+                outside_by_n[n].append(f"({n}, {seed + k}, {sum_text})")
+    outside = [entry for n in sizes for entry in outside_by_n[n]][:5]
     bad_ends = []
     for n in range(3, max_n + 1):
         if n <= 4:
@@ -298,7 +299,7 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     return [
         _check("gsampling-interval", {"n": f"3..{max_n}", "samples": samples,
                                       "bound": bound, "seed": seed},
-               outside[:5], "sums outside interval: ",
+               outside and f"[{', '.join(outside)}]", "sums outside interval: ",
                "all sampled inverse sums inside the closed interval"),
         _check("gsampling-endpoints", {"n": f"3..{max_n}"}, bad_ends, "mismatches: ",
                "both interval endpoints attained by (0,1) extremal matrices"),

@@ -12,7 +12,7 @@ from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            invert_unit_triangular, inverse_sum_via_determinant)
 from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_RESTARTS,
                            TRIANGULAR_MAX_N, RankOneState, SearchConfig,
-                           _exact_div, enumerate_general, enumerate_triangular,
+                           enumerate_general, enumerate_triangular,
                            enumerate_w_determinants, hill_climb_general,
                            max_abs_row_sum_vector)
 from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
@@ -377,6 +377,23 @@ def invertible_binary_with_cell(draw):
     return rows, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
 
 
+def two_determinant_score(rows):
+    """(D, T) of a square matrix from two cofactor determinants: D = det(A)
+    and T = 1^T adj(A) 1 = det(A + J) - det(A)."""
+    det = det_cofactor(rows)
+    return det, det_cofactor([[x + 1 for x in row] for row in rows]) - det
+
+
+def assert_state_of(state, rows):
+    """``state`` holds ``rows`` with its adjugate and the adjugate's sums."""
+    det, adj = adjugate_exact(rows)
+    assert state.rows == rows
+    assert (state.det, state.adj) == (det, adj)
+    assert state.col_sums == [sum(col) for col in zip(*adj)]
+    assert state.row_sums == [sum(row) for row in adj]
+    assert state.total == sum(map(sum, adj))
+
+
 class TestRankOneState:
     @settings(max_examples=200, deadline=None)
     @given(invertible_binary_with_cell())
@@ -385,40 +402,26 @@ class TestRankOneState:
         state = RankOneState([list(r) for r in rows])
         assert state.inverse_sum() == inverse_sum_via_determinant(rows)
         d = 1 - 2 * rows[i][j]
-        det2, total2 = state.neighbour(i, j, d)
         flipped = [list(r) for r in rows]
         flipped[i][j] += d
-        assert det2 == det_cofactor(flipped)
+        det2, total2 = two_determinant_score(flipped)
         if det2 == 0:
             return
-        assert Fraction(total2, det2) == inverse_sum_via_determinant(flipped)
         state.apply(i, j, d, det2, total2)
-        assert state.rows == flipped
-        assert (state.det, state.adj) == adjugate_exact(flipped)
+        assert_state_of(state, flipped)
+        assert state.inverse_sum() == inverse_sum_via_determinant(flipped)
 
     def test_singular_start_rejected(self):
         with pytest.raises(SingularMatrixError):
             RankOneState([[1, 1], [1, 1]])
 
-    def test_inexact_division_raises(self):
-        assert _exact_div(-12, 4) == -3
-        with pytest.raises(InvariantError, match="remainder"):
-            _exact_div(7, 2)
-
     def test_inexact_adjugate_update_raises(self):
         state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        det2, total2 = state.neighbour(0, 1, -1)
+        det2, total2 = two_determinant_score([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
         assert (state.det, det2) == (2, 1)
         state.adj[2][2] += 1  # its numerator moves by D' = 1, odd against D = 2
         with pytest.raises(InvariantError, match="row 2 leaves a remainder"):
             state.apply(0, 1, -1, det2, total2)
-
-    def test_corrupted_adjugate_detected(self):
-        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        assert state.det == 2
-        state.col_sums[0] += 1
-        with pytest.raises(InvariantError, match="remainder"):
-            state.neighbour(0, 1, 1)
 
     def test_corrupted_adjugate_detected_by_improve(self):
         # Flipping a_01 scores T' = (3 * 1 + 2 * 1) / 2 with R_0 = 2.
@@ -431,27 +434,28 @@ class TestRankOneState:
     @given(invertible_binary_with_cell(), st.randoms(use_true_random=False),
            st.sampled_from([1, -1]))
     def test_improve_takes_first_improving_neighbour(self, case, rnd, sgn):
-        # improve against neighbour scanned over the same order, taking the
-        # first flip that raises sgn * T / D, then apply: the same flip
-        # and the same state, or False and no change at a local optimum.
+        # improve against determinants over the same order: the first flip
+        # whose matrix is invertible (cofactor determinant) and whose
+        # inverse sum (two Bareiss determinants) beats sgn * the current
+        # one, with the state of the flipped matrix, or False and no
+        # change at a local optimum.
         rows = case[0]
         n = len(rows)
         order = [divmod(b, n) for b in range(n * n)]
         rnd.shuffle(order)
         order = order[:rnd.randint(1, n * n)]
-        state = RankOneState([list(r) for r in rows])
-        expected = RankOneState([list(r) for r in rows])
-        current = expected.inverse_sum()
+        current = inverse_sum_via_determinant(rows)
+        expected = rows
         for i, j in order:
-            d = 1 - 2 * rows[i][j]
-            det2, total2 = expected.neighbour(i, j, d)
-            if det2 and sgn * (Fraction(total2, det2) - current) > 0:
-                expected.apply(i, j, d, det2, total2)
+            flipped = [list(r) for r in rows]
+            flipped[i][j] ^= 1
+            if (det_cofactor(flipped)
+                    and sgn * (inverse_sum_via_determinant(flipped) - current) > 0):
+                expected = flipped
                 break
-        improved = state.improve(order, sgn)
-        assert improved == (expected.rows != rows)
-        for name in RankOneState.__slots__:
-            assert getattr(state, name) == getattr(expected, name), name
+        state = RankOneState([list(r) for r in rows])
+        assert state.improve(order, sgn) == (expected is not rows)
+        assert_state_of(state, expected)
 
     def test_improve_false_exactly_at_local_optimum(self):
         # Climb every cell order to its end: each True moves to a strictly
