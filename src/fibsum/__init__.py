@@ -3,17 +3,17 @@ of (0,1) triangular matrices, plus the Fibonacci machinery behind them."""
 
 __version__ = "0.1.0"
 
-from .construct import (BandPartition, GMatrix, WMatrix, band_partition,
-                        construct_w_matrix, construct_with_sum,
-                        dominant_matrix, extremal_pattern_matrix,
-                        sample_g_matrix, small_extremal, toeplitz_sum_two)
-from .fibonacci import (Lemma1Report, check_corollary3, check_corollary4,
-                        check_lemma1, fib)
+from .construct import (GMatrix, WMatrix, band_partition, construct_w_matrix,
+                        construct_with_sum, dominant_matrix,
+                        extremal_pattern_matrix, sample_g_matrix,
+                        small_extremal, toeplitz_sum_two)
+from .fibonacci import (check_corollary3, check_corollary4, check_lemma1,
+                        fib)
 from .linalg import (InvariantError, SingularMatrixError, Triangular01,
                      adjugate_exact, determinant_exact, entry_sum, identity,
                      invert_unit_triangular, inverse_column_sums,
                      inverse_entry_sum, inverse_sum_via_determinant,
-                     row_sum_vector, transpose)
+                     transpose)
 from .matrixio import MatrixFormatError, format_matrix, parse_matrix
 from .search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                      SearchConfig, SearchExhaustedError, SearchResult,
@@ -25,16 +25,14 @@ from .verify import (CheckResult, TheoremRangeReport, VerificationReport,
 
 __all__ = [
     "__version__",
-    "BandPartition", "GMatrix", "WMatrix", "band_partition",
-    "construct_w_matrix", "construct_with_sum", "dominant_matrix",
-    "extremal_pattern_matrix", "sample_g_matrix", "small_extremal",
-    "toeplitz_sum_two",
-    "Lemma1Report", "check_corollary3", "check_corollary4", "check_lemma1",
-    "fib",
+    "GMatrix", "WMatrix", "band_partition", "construct_w_matrix",
+    "construct_with_sum", "dominant_matrix", "extremal_pattern_matrix",
+    "sample_g_matrix", "small_extremal", "toeplitz_sum_two",
+    "check_corollary3", "check_corollary4", "check_lemma1", "fib",
     "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
     "determinant_exact", "entry_sum", "identity", "invert_unit_triangular",
     "inverse_column_sums", "inverse_entry_sum", "inverse_sum_via_determinant",
-    "row_sum_vector", "transpose",
+    "transpose",
     "MatrixFormatError", "format_matrix", "parse_matrix",
     "KNOWN_GENERAL_MAX_7X7", "KNOWN_GENERAL_MIN_7X7", "SearchConfig",
     "SearchExhaustedError", "SearchResult", "SumDistribution",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fibonacci import fib
-from .linalg import (InvariantError, Matrix, Triangular01,
+from .linalg import (InvariantError, Matrix, Triangular01, _dimension,
                      block_inverse_entry_sum_pairs, entry_sum, identity,
                      invert_unit_triangular, inverse_column_sums, transpose)
 
@@ -127,41 +127,16 @@ def toeplitz_sum_two(n: int) -> Triangular01:
 # Banded extremal matrices
 
 
-@dataclass(frozen=True)
-class BandPartition:
-    """Partition of the strictly upper cells into bands S_0 .. S_{n-l-1}.
+def band_partition(n: int, l: int) -> dict:
+    """The partition of the strictly upper cells into bands S_0 .. S_{n-l-1},
+    as a dict from each 0-indexed cell (r, c), c > r, to its band.
 
-    ``band_of`` maps each 0-indexed cell (row, col), col > row, to its band,
-    as :func:`band_partition` gives it.
-    """
-
-    n: int
-    l: int
-    band_of: dict
-
-    @property
-    def band_count(self) -> int:
-        return self.n - self.l
-
-    def cells(self, band: int) -> list:
-        return sorted(c for c, b in self.band_of.items() if b == band)
-
-    def sizes(self) -> dict:
-        out = {}
-        for b in self.band_of.values():
-            out[b] = out.get(b, 0) + 1
-        return out
-
-
-def band_partition(n: int, l: int) -> BandPartition:
-    """The band partition in closed form.
-
-    With k = max(r, 1), cell (r, c) lies in band max(0, min(c - k, n - l - k)).
-    In each row r >= 1 the last l columns lie in band n - l - r and the band
-    falls by one per step left from there; row 0 repeats row 1 column by
-    column.  So the top band n - l - 1 is the first two rows of the last l
-    columns, and S_0 holds the cells that would fall below band 1 (2 cells
-    when l = 2, 4 when l = 3).
+    In closed form: with k = max(r, 1), cell (r, c) lies in band
+    max(0, min(c - k, n - l - k)).  In each row r >= 1 the last l columns
+    lie in band n - l - r and the band falls by one per step left from
+    there; row 0 repeats row 1 column by column.  So the top band n - l - 1
+    is the first two rows of the last l columns, and S_0 holds the cells
+    that would fall below band 1 (2 cells when l = 2, 4 when l = 3).
     """
     if l not in (2, 3):
         raise ValueError(f"tail width l must be 2 or 3, got {l}")
@@ -174,7 +149,7 @@ def band_partition(n: int, l: int) -> BandPartition:
         k = max(r, 1)
         for c in range(r + 1, n):
             band[(r, c)] = max(0, min(c - k, n - l - k))
-    return BandPartition(n, l, band)
+    return band
 
 
 def extremal_pattern_matrix(n: int, l: int):
@@ -187,10 +162,10 @@ def extremal_pattern_matrix(n: int, l: int):
 
     Returns ``(matrix, predicted_inverse_rows)``.
     """
-    partition = band_partition(n, l)
+    bands = band_partition(n, l)  # refuses n > CONSTRUCT_MAX_N before any work
     rows = identity(n)
     predicted = identity(n)
-    for (r, c), i in partition.band_of.items():
+    for (r, c), i in bands.items():
         rows[r][c] = i % 2
         predicted[r][c] = 0 if i == 0 else (-1) ** i * fib(i)
     return Triangular01.from_rows(rows), predicted
@@ -228,9 +203,7 @@ class WMatrix:
     rows: tuple
 
     def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square and non-empty")
+        n = _dimension(self.rows)
         for i in range(n):
             for j in range(n):
                 v = self.rows[i][j]
@@ -316,9 +289,7 @@ class GMatrix:
         # iterator is resized in place and, once freed, stays on the tuple
         # free list, one more per sample.
         rows = tuple([tuple(r) for r in self.rows])
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and non-empty")
+        _dimension(rows)
         object.__setattr__(self, "rows", rows)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):

@@ -11,7 +11,6 @@ vector's definition and never leaks out of here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 # fib(k) caches every F_1 .. F_k, about 0.35 k^2 bits (4 MB at this limit,
 # 43 GB at k = 10^6), so larger indices are refused before any work.
@@ -37,35 +36,13 @@ def fib(k: int) -> int:
     return _cache[k]
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Per-n results of the three classic Fibonacci sum identities.
-
-    Series are indexed by n = 1..n_max:
-      full_sum[n-1]:  1 + sum_{k<=n} F_k   == F_{n+2}
-      even_sum[n-1]:  1 + sum_{k<=n} F_2k  == F_{2n+1}
-      odd_sum[n-1]:   sum_{k<=n} F_{2k-1}  == F_{2n}
-    """
-
-    n_max: int
-    full_sum: tuple
-    even_sum: tuple
-    odd_sum: tuple
-
-    def failures(self) -> list:
-        out = []
-        for idx, series in enumerate((self.full_sum, self.even_sum, self.odd_sum), start=1):
-            out.extend((n + 1, idx) for n, ok in enumerate(series) if not ok)
-        return out
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures()
-
-
-def check_lemma1(n_max: int) -> Lemma1Report:
-    """Verify the three sum identities exactly for every
-    n <= n_max <= IDENTITY_MAX_N, keeping the three sums running over n."""
+def check_lemma1(n_max: int) -> list:
+    """The (n, identity) pairs, n <= n_max <= IDENTITY_MAX_N, at which the
+    three sum identities fail, identity by identity and each by n:
+      identity 1:  1 + sum_{k<=n} F_k   == F_{n+2}
+      identity 2:  1 + sum_{k<=n} F_2k  == F_{2n+1}
+      identity 3:  sum_{k<=n} F_{2k-1}  == F_{2n}
+    The three sums run over n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > IDENTITY_MAX_N:
@@ -77,10 +54,13 @@ def check_lemma1(n_max: int) -> Lemma1Report:
         full_sum += fib(n)
         even_sum += fib(2 * n)
         odd_sum += fib(2 * n - 1)
-        full.append(1 + full_sum == fib(n + 2))
-        even.append(1 + even_sum == fib(2 * n + 1))
-        odd.append(odd_sum == fib(2 * n))
-    return Lemma1Report(n_max, tuple(full), tuple(even), tuple(odd))
+        if 1 + full_sum != fib(n + 2):
+            full.append((n, 1))
+        if 1 + even_sum != fib(2 * n + 1):
+            even.append((n, 2))
+        if odd_sum != fib(2 * n):
+            odd.append((n, 3))
+    return full + even + odd
 
 
 def check_corollary3(n: int) -> bool:

@@ -139,9 +139,9 @@ def invert_unit_triangular(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     inverse, Fraction input a Fraction inverse, and any other entry type is
     refused. The result is unit triangular with the same orientation.
     """
-    orientation = _classify_triangular(rows)
-    if orientation == "lower":
-        return transpose(invert_unit_triangular(transpose(rows)))
+    lower = _classify_triangular(rows) == "lower"
+    if lower:
+        rows = transpose(rows)
     n = len(rows)
     inv = identity(n)
     for j in range(n):
@@ -155,7 +155,7 @@ def invert_unit_triangular(rows: Sequence[Sequence[Scalar]]) -> Matrix:
                     s += a * col[k]
             col[i] = -s
             inv[i][j] = -s
-    return inv
+    return transpose(inv) if lower else inv
 
 
 def entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -252,15 +252,6 @@ def block_inverse_entry_sum_pairs(rows: Sequence[Sequence[Scalar]]) -> list:
         total = total * d + w[-1]
         pairs.append((total, e))
     return pairs
-
-
-def row_sum_vector(a: Triangular01) -> tuple:
-    """The row vector of column sums of the inverse of ``a``.
-
-    For any member of the unit upper triangular (0,1) family the first
-    entry is always 1.
-    """
-    return tuple(inverse_column_sums(a.rows()))
 
 
 def _require_int_entries(rows: Sequence[Sequence[Scalar]]) -> None:

@@ -173,10 +173,9 @@ def suite_theorem(n: int) -> list:
 
 def identity_failures(max_n: int) -> tuple:
     """Where the identities fail for n <= max_n: the (n, identity) pairs of
-    lemma 1 (identity 1..3 as in :class:`fibonacci.Lemma1Report`), then the
+    lemma 1 (identity 1..3 as in :func:`fibonacci.check_lemma1`), then the
     failing n of corollary 3 and of corollary 4."""
-    lemma1 = fibonacci.check_lemma1(max_n).failures()
-    return (lemma1, *fibonacci.corollary_failures(max_n))
+    return (fibonacci.check_lemma1(max_n), *fibonacci.corollary_failures(max_n))
 
 
 def suite_corollaries(max_n: int) -> list:

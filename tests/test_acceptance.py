@@ -17,8 +17,8 @@ from fibsum.fibonacci import (check_corollary3, check_corollary4,
                               check_lemma1, fib)
 from fibsum.linalg import (SingularMatrixError, Triangular01,
                            determinant_exact, entry_sum,
-                           invert_unit_triangular,
-                           inverse_sum_via_determinant, row_sum_vector)
+                           invert_unit_triangular, inverse_column_sums,
+                           inverse_sum_via_determinant)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            SearchConfig, enumerate_general,
                            enumerate_triangular, enumerate_w_determinants,
@@ -126,9 +126,8 @@ def test_criterion_03_dominant_vector():
     ok = True
     for n in range(1, 31):
         # entry 1 is 1, entry i is (-1)^i F_{i-1} for i >= 2
-        expected = tuple(
-            1 if i == 1 else (-1) ** i * fib(i - 1) for i in range(1, n + 1))
-        if row_sum_vector(dominant_matrix(n)) != expected:
+        expected = [1 if i == 1 else (-1) ** i * fib(i - 1) for i in range(1, n + 1)]
+        if inverse_column_sums(dominant_matrix(n).rows()) != expected:
             ok = False
     scan_ok = True
     for n in range(2, 8):
@@ -205,7 +204,7 @@ def test_criterion_06_determinant_formula():
 
 def test_criterion_07_identities_to_90():
     """Lemma 1 identities and both corollary identities hold for n <= 90."""
-    lemma_ok = check_lemma1(90).all_pass
+    lemma_ok = not check_lemma1(90)
     c3_ok = all(check_corollary3(n) for n in range(5, 91))
     c4_ok = all(check_corollary4(n) for n in range(6, 91))
     _report(7, "Fibonacci identities to n=90", lemma_ok and c3_ok and c4_ok)

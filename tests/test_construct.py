@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
-                              BandPartition, GMatrix, WMatrix, band_partition,
+                              GMatrix, WMatrix, band_partition,
                               construct_w_matrix, construct_with_sum,
                               dominant_matrix, extremal_pattern_matrix,
                               sample_g_matrix, small_extremal, toeplitz_sum_two)
@@ -15,7 +15,7 @@ from fibsum import construct
 from fibsum import linalg
 from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
                            entry_sum, identity, invert_unit_triangular,
-                           inverse_entry_sum, row_sum_vector)
+                           inverse_column_sums, inverse_entry_sum)
 from fibsum.verify import MAX_BOUND, SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
@@ -32,22 +32,26 @@ def expected_dominant_vector(n):
     for i in range(1, n + 1):
         magnitude = 1 if i == 1 else fib(i - 1)
         out.append((-1) ** i * (-magnitude if i == 1 else magnitude))
-    return tuple(out)
+    return out
+
+
+def dominant_vector(n):
+    return inverse_column_sums(dominant_matrix(n).rows())
 
 
 class TestDominantMatrix:
     def test_one_by_one(self):
         assert dominant_matrix(1) == Triangular01(1, 0)
-        assert row_sum_vector(dominant_matrix(1)) == (1,)
+        assert dominant_vector(1) == [1]
 
     def test_small_vectors(self):
-        assert row_sum_vector(dominant_matrix(2)) == (1, 1)
-        assert row_sum_vector(dominant_matrix(3)) == (1, 1, -1)
-        assert row_sum_vector(dominant_matrix(5)) == (1, 1, -1, 2, -3)
+        assert dominant_vector(2) == [1, 1]
+        assert dominant_vector(3) == [1, 1, -1]
+        assert dominant_vector(5) == [1, 1, -1, 2, -3]
 
     def test_vector_matches_pattern_to_30(self):
         for n in range(1, 31):
-            assert row_sum_vector(dominant_matrix(n)) == expected_dominant_vector(n)
+            assert dominant_vector(n) == expected_dominant_vector(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -142,28 +146,31 @@ class TestToeplitzSumTwo:
             toeplitz_sum_two(2)
 
 
+def band_cells(bands, band):
+    return sorted(cell for cell, b in bands.items() if b == band)
+
+
 class TestBandPartition:
     def test_n9_l2_cells(self):
-        p = band_partition(9, 2)
-        assert isinstance(p, BandPartition)
+        bands = band_partition(9, 2)
         # 0-indexed: reference cells (1,7), (3,8) in band 5; the top band is
         # the first two rows of the last two columns.
-        assert p.band_of[(0, 6)] == 5
-        assert p.band_of[(2, 7)] == 5
-        assert p.cells(6) == [(0, 7), (0, 8), (1, 7), (1, 8)]
+        assert bands[(0, 6)] == 5
+        assert bands[(2, 7)] == 5
+        assert band_cells(bands, 6) == [(0, 7), (0, 8), (1, 7), (1, 8)]
 
     def test_n9_l3_seed_band(self):
-        p = band_partition(9, 3)
-        assert p.cells(5) == [(0, 6), (0, 7), (0, 8), (1, 6), (1, 7), (1, 8)]
+        bands = band_partition(9, 3)
+        assert band_cells(bands, 5) == [(0, 6), (0, 7), (0, 8), (1, 6), (1, 7), (1, 8)]
 
     def test_totality_and_s0_size(self):
         for n in range(5, 15):
             for l in (2, 3):
-                p = band_partition(n, l)
-                assert len(p.band_of) == n * (n - 1) // 2
-                assert p.sizes()[0] == (2 if l == 2 else 4)
-                assert p.band_count == n - l
-                assert set(p.band_of.values()) == set(range(n - l))
+                bands = band_partition(n, l)
+                assert sorted(bands) == [(r, c) for r in range(n) for c in range(r + 1, n)]
+                assert list(bands.values()).count(0) == (2 if l == 2 else 4)
+                # bands S_0 .. S_{n-l-1}, none empty
+                assert set(bands.values()) == set(range(n - l))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -174,7 +181,7 @@ class TestBandPartition:
     def test_band_of_matches_frontier_oracle(self):
         for n in range(5, 201):
             for l in (2, 3):
-                assert band_partition(n, l).band_of == band_of_frontier(n, l)
+                assert band_partition(n, l) == band_of_frontier(n, l)
 
 
 class TestExtremalPattern:
@@ -235,7 +242,7 @@ class TestSizeLimit:
         assert CONSTRUCT_MAX_N >= SUITE_SIZES["pattern"][2]
 
     def test_limit_accepted(self):
-        assert len(band_partition(CONSTRUCT_MAX_N, 3).band_of) == (
+        assert len(band_partition(CONSTRUCT_MAX_N, 3)) == (
             CONSTRUCT_MAX_N * (CONSTRUCT_MAX_N - 1) // 2)
 
     def test_limit_plus_one_refused_before_any_work(self, monkeypatch):

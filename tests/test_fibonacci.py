@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from fibsum import fibonacci
+from fibsum import cli, fibonacci
 from fibsum.fibonacci import (check_corollary3, check_corollary4, check_lemma1,
                               corollary_failures, fib)
 from fibsum.linalg import InvariantError
@@ -48,19 +50,28 @@ class TestFib:
 
 class TestLemma1:
     def test_smallest_case(self):
-        report = check_lemma1(1)
-        assert report.full_sum == (True,)  # 1 + F_1 = 2 = F_3
+        # 1 + F_1 = 2 = F_3, 1 + F_2 = 2 = F_3 and F_1 = 1 = F_2
+        assert check_lemma1(1) == []
 
     def test_item2_n3(self):
         # 1 + F_2 + F_4 + F_6 = 1 + 1 + 3 + 8 = 13 = F_7
         assert 1 + fib(2) + fib(4) + fib(6) == 13 == fib(7)
-        assert check_lemma1(3).even_sum[2]
+        assert (3, 2) not in check_lemma1(3)
 
     def test_all_identities_to_90(self):
-        report = check_lemma1(90)
-        assert report.all_pass
-        assert report.failures() == []
-        assert len(report.full_sum) == 90
+        assert check_lemma1(90) == []
+
+    def test_failure_order_is_identity_major(self, capsys, monkeypatch):
+        # With F_10 one too large, identity 1 fails where its sums read F_10
+        # (n = 8 and n >= 10), identity 2 from n = 5 and identity 3 at n = 5
+        # only.  Failures are listed identity by identity, each by n.
+        expected = [(8, 1), (10, 1), (11, 1), (12, 1), (5, 2), (6, 2), (7, 2),
+                    (8, 2), (9, 2), (10, 2), (11, 2), (12, 2), (5, 3)]
+        monkeypatch.setattr(fibonacci, "fib", lambda k: fib(k) + (k == 10))
+        assert check_lemma1(12) == expected
+        assert cli.main(["identities", "--max-n", "12", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lemma1_failures"] == [list(p) for p in expected]
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsum import linalg
 from fibsum.construct import sample_g_matrix
 from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            determinant_exact, entry_sum, identity,
                            invert_unit_triangular, inverse_column_sums,
                            inverse_entry_sum, inverse_sum_via_determinant,
-                           row_sum_vector, transpose)
+                           transpose)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
@@ -58,6 +59,22 @@ class TestInvertUnitTriangular:
         inv = invert_unit_triangular(a)
         assert matmul(a, inv) == identity(3)
         assert all(inv[i][j] == 0 for i in range(3) for j in range(i + 1, 3))
+
+    def test_lower_input_classified_once(self, monkeypatch):
+        calls = []
+        classify = linalg._classify_triangular
+        monkeypatch.setattr(linalg, "_classify_triangular",
+                            lambda rows: calls.append(1) or classify(rows))
+        rng = random.Random(5)
+        for n in (1, 2, 4, 7):
+            for _ in range(5):
+                upper = Triangular01(n, rng.getrandbits(n * (n - 1) // 2)).rows()
+                for rows in (transpose(upper),
+                             [[Fraction(x) for x in r] for r in transpose(upper)]):
+                    calls.clear()
+                    inv = invert_unit_triangular(rows)
+                    assert len(calls) == 1
+                    assert inv == invert_adjugate(rows)
 
     def test_rational_entries(self):
         a = [[1, Fraction(1, 2), Fraction(1, 3)],
@@ -116,21 +133,20 @@ class TestEntrySum:
 
 class TestRowSumVector:
     def test_one_by_one(self):
-        assert row_sum_vector(Triangular01(1, 0)) == (1,)
+        assert inverse_column_sums(Triangular01(1, 0).rows()) == [1]
 
     def test_three_by_three_alternating(self):
-        a = Triangular01.from_rows([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
-        assert row_sum_vector(a) == (1, 1, -1)
+        assert inverse_column_sums([[1, 0, 1], [0, 1, 1], [0, 0, 1]]) == [1, 1, -1]
 
     def test_matches_inverse_column_sums(self):
         rng = random.Random(7)
         for n in (3, 4, 6, 9):
             for _ in range(20):
-                a = Triangular01(n, rng.getrandbits(n * (n - 1) // 2))
-                inv = invert_unit_triangular(a.rows())
-                cols = tuple(sum(inv[i][j] for i in range(n)) for j in range(n))
-                assert row_sum_vector(a) == cols
-                assert row_sum_vector(a)[0] == 1
+                rows = Triangular01(n, rng.getrandbits(n * (n - 1) // 2)).rows()
+                inv = invert_unit_triangular(rows)
+                sums = inverse_column_sums(rows)
+                assert sums == [sum(inv[i][j] for i in range(n)) for j in range(n)]
+                assert sums[0] == 1
 
     def test_rational_entries_match_inverse(self):
         rng = random.Random(11)
