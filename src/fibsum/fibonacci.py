@@ -3,9 +3,7 @@ the paper uses: the three classic sum identities and two alternating
 weighted sums.
 
 Indexing convention used throughout the package: F_1 = F_2 = 1 and
-F_k = F_{k-1} + F_{k-2}.  Negative or zero indices are rejected; the
-F_0 = -1 convention that the dominant row-sum vector uses is local to that
-vector's definition and never leaks out of here.
+F_k = F_{k-1} + F_{k-2}.  Negative or zero indices are rejected.
 """
 
 from __future__ import annotations

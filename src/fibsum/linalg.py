@@ -51,8 +51,8 @@ class Triangular01:
     The unit diagonal is implicit.  ``upper_mask`` holds one bit per strictly
     upper cell, in row-major order over cells with col > row: cell (0,1) is
     bit 0, then (0,2), ..., (0,n-1), (1,2), ... (lowest bits first).  With
-    this layout the numeric order of masks is the canonical enumeration
-    order used by the search module.
+    this layout each row's cells are one block of bits, which the search
+    module's row walk places with one shift.
     """
 
     n: int
@@ -178,12 +178,14 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 
     Solves w A = (1, ..., 1) by forward substitution,
     w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed;
-    int entries give int sums, Fraction entries Fraction sums, and any other
-    entry type is refused.  The entry sum of the inverse is ``sum`` of the
-    result.
+    all-int entries give int sums, any Fraction entry all Fraction sums, and
+    any other entry type is refused.  The entry sum of the inverse is
+    ``sum`` of the result.
     """
     _check_unit_upper(rows)
-    return _column_sums(rows)
+    if all(isinstance(x, int) for r in rows for x in r):
+        return _column_sums(rows)
+    return [Fraction(x) for x in _column_sums(rows)]
 
 
 def _column_sums(rows: Sequence[Sequence[Scalar]]) -> list:

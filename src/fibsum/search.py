@@ -4,17 +4,15 @@ Three families are enumerated exhaustively at desk scale in one process,
 the first two by one algorithm:
 
 * ``triangular``: all 2^(n(n-1)/2) (0,1) unit upper triangular matrices,
-  n <= TRIANGULAR_MAX_N, by a dynamic programme over inverse column sums,
-  left to right.  They obey w_0 = 1 and w_j = 1 - (sum of w_i over the
-  ones in column j), so the columns after j see only the tuple
-  (w_0, ..., w_j).  Each state keeps its matrix count and smallest word
-  prefix; prefix and completion own disjoint bits, so this gives the
-  smallest word per sum.  At n = 9 the last level has 29 044 states for
-  2^36 matrices.
+  n <= TRIANGULAR_MAX_N, by a dynamic programme over inverse row sums,
+  bottom row first.  They obey u_{n-1} = 1 and u_i = 1 - (sum of u_j over
+  the ones in row i), so the rows above i see only (u_i, ..., u_{n-1}).
+  Each state keeps its matrix count and smallest word prefix; each row is
+  one block of the word, so this gives the smallest word per sum.  At
+  n = 9 the last level has 29 044 states for 2^36 matrices.
 * ``w-determinant``: all 2^(n(n-1)/2) members J + L of the (1,2) family,
-  L (0,1) unit lower triangular, n <= TRIANGULAR_MAX_N.  The relabelling
-  det(J + L) = 1 + S(L^T), S the inverse entry sum, makes this the same DP
-  over L^T in the family's word layout, each sum shifted by one.
+  L (0,1) unit lower triangular, n <= TRIANGULAR_MAX_N, by the same DP over
+  the rows of L, top first, in the family's word: det(J + L) = 1 + S(L).
 * ``general``: all 2^(n^2) (0,1) matrices, n <= GENERAL_MAX_N, one set of
   distinct rows at a time.  Permuting the rows of A permutes the columns of
   A^{-1}, so all n! row orders share one inverse entry sum, and an invertible
@@ -82,7 +80,7 @@ def _word_to_w_rows(n: int, word: int) -> list:
     rows = [[2 if j == i else 1 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            rows[i][j] += (word >> _w_cell_bit(n, j, i)) & 1
+            rows[i][j] += (word >> (i * (i - 1) // 2 + j)) & 1
     return rows
 
 
@@ -140,7 +138,7 @@ class SumDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Triangular and (1,2) families: one inverse column-sum DP
+# Triangular and (1,2) families: one inverse row-sum DP
 
 
 def _subset_sums(values: tuple) -> dict:
@@ -159,103 +157,96 @@ def _subset_sums(values: tuple) -> dict:
     return out
 
 
-def _column_places(n: int, j: int, cell_bit) -> list:
-    """places[v]: the word bits of the cells (i, j) for the rows i in mask v."""
-    places = [0]
-    for i in range(j):
-        bit = 1 << cell_bit(n, i, j)
-        places += [p | bit for p in places]
-    return places
+def _row_sum_levels(n: int, upper: bool):
+    """Walk the inverse row sums of the (0,1) unit triangular matrices of
+    size n in the family's own word, one row per level k = 1 .. n-2.
 
+    Upper, in the :class:`Triangular01` word: level k fixes row n-1-k, whose
+    k cells start at bit n(n-1)/2 - k(k+1)/2, and the new sum goes first.
+    Lower, in the (1,2) word: level k fixes row k, whose k cells start at
+    bit k(k-1)/2, and the new sum goes last.  Either way bit t of a row
+    choice v selects state[t], and v gives 1 - (sum of those entries).
 
-def _column_sum_levels(n: int, cell_bit):
-    """Walk the inverse column sums of the (0,1) unit upper triangular
-    matrices of size n from the left, cell (i, j) at word bit
-    ``cell_bit(n, i, j)``.
-
-    For j = 1 .. n-2, yield the states after columns 0 .. j are fixed: a dict
-    from (w_0, ..., w_j) to [number of choices of those columns, smallest
-    word prefix].  A column choice v gives w_j = 1 - (sum of w_t over the
-    bits t of v); choices with equal subset sums merge.  Bits that increase
-    down each column keep the mask order, so the smallest mask of a sum is
-    its smallest placed word.
+    Each level yields a dict from the tuple of fixed row sums, from (1,), to
+    [number of choices of those rows, smallest word prefix]; choices with
+    equal subset sums merge.  A row is one block of the word, so v lands as
+    ``prefix | v << offset`` and the smallest mask is the smallest word.
     """
     states = {(1,): [1, 0]}
-    for j in range(1, n - 1):
-        places = _column_places(n, j, cell_bit)
+    bits = n * (n - 1) // 2
+    for k in range(1, n - 1):
+        offset = bits - k * (k + 1) // 2 if upper else k * (k - 1) // 2
         nxt = {}
         for tup, (count, prefix) in states.items():
             for s, (mult, v) in _subset_sums(tup).items():
-                nxt[tup + (1 - s,)] = [count * mult, prefix | places[v]]
+                key = (1 - s,) + tup if upper else tup + (1 - s,)
+                nxt[key] = [count * mult, prefix | v << offset]
         states = nxt
         yield states
 
 
-def _column_sum_distribution(family: str, n: int, cell_bit,
-                             shift: int) -> SumDistribution:
-    """Distribution of shift + inverse entry sum over the (0,1) unit upper
-    triangular matrices of size n (3 <= n <= TRIANGULAR_MAX_N), folding the
-    last column."""
+def _row_sum_distribution(family: str, n: int, upper: bool,
+                          shift: int) -> SumDistribution:
+    """Distribution of shift + inverse entry sum over the (0,1) unit
+    triangular matrices of size n (3 <= n <= TRIANGULAR_MAX_N) walked by
+    :func:`_row_sum_levels`, folding the last row."""
     bits = n * (n - 1) // 2
     if not 3 <= n <= TRIANGULAR_MAX_N:
         raise ValueError(
             f"n={n} out of supported range 3..TRIANGULAR_MAX_N = {TRIANGULAR_MAX_N} "
-            f"for 2^(n(n-1)/2) = 2^{bits} matrices: the column-sum states grow "
+            f"for 2^(n(n-1)/2) = 2^{bits} matrices: the row-sum states grow "
             "over tenfold per size (2821 at n = 8, 29044 at n = 9, 411727 at n = 10)")
     dist = SumDistribution(family, n)
     counts = dist.counts
     wit = dist.witness_words
-    for states in _column_sum_levels(n, cell_bit):
+    for states in _row_sum_levels(n, upper):
         pass
-    places = _column_places(n, n - 1, cell_bit)
+    offset = 0 if upper else bits - (n - 1)
     for tup, (count, prefix) in states.items():
         base = shift + 1 + sum(tup)
         for ss, (mult, v) in _subset_sums(tup).items():
             s = base - ss
             counts[s] = counts.get(s, 0) + count * mult
-            w = prefix | places[v]
+            w = prefix | v << offset
             if s not in wit or w < wit[s]:
                 wit[s] = w
     if dist.total != 1 << bits:
         raise InvariantError(
-            f"column-sum states count {dist.total} matrices, not 2^{bits}")
+            f"row-sum states count {dist.total} matrices, not 2^{bits}")
     return dist
-
-
-def _w_cell_bit(n: int, i: int, j: int) -> int:
-    """Word bit of upper cell (i, j) of L^T for the (1,2) member J + L."""
-    return j * (j - 1) // 2 + i
 
 
 def enumerate_triangular(n: int) -> SumDistribution:
     """Exhaustive inverse-sum distribution over all (0,1) unit upper
     triangular matrices of size n (3 <= n <= TRIANGULAR_MAX_N)."""
-    return _column_sum_distribution("triangular", n, Triangular01.bit_index, 0)
+    return _row_sum_distribution("triangular", n, True, 0)
 
 
 def enumerate_w_determinants(n: int) -> SumDistribution:
     """Exhaustive determinant distribution over the (1,2) family J + L,
     L (0,1) unit lower triangular (3 <= n <= TRIANGULAR_MAX_N), with no
-    determinant: det(J + L) = 1 + S(L^T), S the inverse entry sum, so the
-    column-sum states of L^T, which grow over tenfold per size, give it
-    shifted by 1."""
-    return _column_sum_distribution("w-determinant", n, _w_cell_bit, 1)
+    determinant: det(J + L) = 1 + S(L), S the inverse entry sum, so the
+    row-sum states of L, which grow over tenfold per size, give it shifted
+    by 1."""
+    return _row_sum_distribution("w-determinant", n, False, 1)
 
 
 def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
     whole triangular family, computed exhaustively (n <= TRIANGULAR_MAX_N).
 
-    Coordinate k < n-1 is the largest |w_k| over the column-sum states at
-    column k.  The last, 1 - s for a subset sum s of a state, is extreme at
+    A |-> J A^T J, J the reversal, maps the family onto itself and the
+    column sums of each inverse onto the row sums of its image's, reversed.
+    So coordinate k < n-1 is the largest |new sum| at level k of the upper
+    row walk.  The last, 1 - s for a subset sum s of a state, is extreme at
     the sums of the state's negative and of its positive entries.
     """
     if not 1 <= n <= TRIANGULAR_MAX_N:
         raise ValueError(f"n={n} out of supported range 1..{TRIANGULAR_MAX_N}")
     maxima = [1]
     states = {(1,): None}
-    for states in _column_sum_levels(n, Triangular01.bit_index):
-        maxima.append(max(abs(tup[-1]) for tup in states))
+    for states in _row_sum_levels(n, True):
+        maxima.append(max(abs(tup[0]) for tup in states))
     maxima.append(max(max(1 - sum(x for x in tup if x < 0),
                           sum(x for x in tup if x > 0) - 1) for tup in states))
     return tuple(maxima[:n])  # n = 1 has no column after w_0

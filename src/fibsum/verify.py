@@ -271,7 +271,12 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     forward substitution of the max_n sample gives every block's inverse
     entry sum.  A reported ``(n, s, sum)`` names the n x n block of seed
     s's max_n sample.  The report lists the sums outside the interval n by
-    n, at most five in all, each as ``(n, s, p/q)``."""
+    n, at most five in all, each as ``(n, s, p/q)``.
+
+    The interval is a corollary of the (0,1) case: each entry of A^{-1} is
+    a signed sum over increasing paths, each using a cell at most once, so
+    the sum is affine in each strictly upper entry and extreme at (0,1)
+    vertices of [0, 1]^cells."""
     fib = fibonacci.fib
     sizes = range(3, max_n + 1)
     intervals = [(n, 2 - fib(n - 1), 2 + fib(n - 1)) for n in sizes]

@@ -5,7 +5,7 @@ cofactor expansion, inverses through the adjugate. Slow, only for small
 matrices inside tests.  The exceptions are replaced library kernels kept
 as the references for their successors: the augmented Gauss-Jordan
 adjugate, the two-determinant hill climb, the Gray-code triangular scan,
-the ordered row-sum triangular DP, the per-word Bareiss scan of the (1,2)
+the column-sum triangular DP, the per-word Bareiss scan of the (1,2)
 family, the relaxation sampler and its comparison validator, the recursive
 dominant-matrix builder, the frontier growth of the band partition and the
 signed Fibonacci representations that placed the any-sum constructor's
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fibsum.fibonacci import fib
-from fibsum.linalg import InvariantError
+from fibsum.linalg import InvariantError, Triangular01
 
 
 def det_cofactor(rows):
@@ -153,8 +153,8 @@ def hill_climb_two_determinants(config):
                         steps_total, restarts_run)
 
 
-def scan_triangular_range(n, lo, hi):
-    """Scan packed masks in [lo, hi) and tally inverse entry sums.
+def scan_triangular_gray(n):
+    """Scan every packed mask and tally inverse entry sums.
 
     Row r of the matrix owns a contiguous block of mask bits (row 0 lowest),
     so fixing rows n-2 .. 1 from the most significant block downward visits
@@ -167,7 +167,9 @@ def scan_triangular_range(n, lo, hi):
     dist = SumDistribution("triangular", n)
     counts = dist.counts
     wit = dist.witness_words
-    if lo >= hi:
+    if n == 1:
+        counts[1] = 1
+        wit[1] = 0
         return dist
     row_off = [0] * n
     for r in range(1, n):
@@ -175,11 +177,6 @@ def scan_triangular_range(n, lo, hi):
     u = [0] * n
     u[n - 1] = 1
     leaf_bits = n - 1
-
-    def bump(s, m):
-        counts[s] = counts.get(s, 0) + 1
-        if s not in wit or m < wit[s]:
-            wit[s] = m
 
     def full(r, base, psum):
         if r == 0:
@@ -218,40 +215,7 @@ def scan_triangular_range(n, lo, hi):
             u[r] = s
             full(r - 1, base | (v << off), psum + s)
 
-    def ranged(r, base, psum):
-        if r == 0:
-            for m in range(max(lo, base), min(hi, base + (1 << leaf_bits))):
-                vv = m - base
-                s = 1
-                while vv:
-                    t = (vv & -vv).bit_length() - 1
-                    s -= u[1 + t]
-                    vv &= vv - 1
-                bump(psum + s, m)
-            return
-        off = row_off[r]
-        step = 1 << off
-        for v in range(1 << (n - 1 - r)):
-            sub_lo = base | (v << off)
-            sub_hi = sub_lo + step
-            if sub_hi <= lo or sub_lo >= hi:
-                continue
-            s = 1
-            vv = v
-            while vv:
-                t = (vv & -vv).bit_length() - 1
-                s -= u[r + 1 + t]
-                vv &= vv - 1
-            u[r] = s
-            if lo <= sub_lo and sub_hi <= hi:
-                full(r - 1, sub_lo, psum + s)
-            else:
-                ranged(r - 1, sub_lo, psum + s)
-
-    if n == 1:
-        bump(1, 0)
-        return dist
-    ranged(max(n - 2, 0), 0, 1)
+    full(n - 2, 0, 1)
     return dist
 
 
@@ -269,44 +233,42 @@ def _subset_sums(values):
     return out
 
 
-def row_sum_levels(n):
-    """Walk the triangular family's inverse row sums from the bottom row up.
-
-    For r = n-1 down to 1, yield the states after rows n-1 .. r are fixed: a
-    dict from the ordered tuple (u_r, ..., u_{n-1}) to [number of choices of
-    those rows, smallest packed prefix word].  Row r owns the mask bits from
-    its offset upward (row 0 lowest, as in ``Triangular01``), and a row
-    choice v gives u_r = 1 - (sum of u_{r+1+t} over the bits t of v).
-    """
-    states = {(): [1, 0]}
-    for r in range(n - 1, 0, -1):
-        off = r * (n - 1) - r * (r - 1) // 2
-        nxt = {}
-        for tup, (count, prefix) in states.items():
-            for s, (mult, v) in _subset_sums(tup).items():
-                nxt[(1 - s,) + tup] = [count * mult, prefix | (v << off)]
-        states = nxt
-        yield states
+def _column_places(n, j):
+    """places[v]: the word bits of the cells (i, j) for the rows i in mask v."""
+    places = [0]
+    for i in range(j):
+        bit = 1 << Triangular01.bit_index(n, i, j)
+        places += [p | bit for p in places]
+    return places
 
 
-def enumerate_triangular_by_rows(n):
-    """The triangular distribution from the ordered row-sum DP: row 0, the
-    least significant block, folds from the last states, its choice v giving
-    the sum 1 + sum(state) - subsetsum(v) and the word prefix | v.  Higher
-    rows hold the more significant bits, so the witnesses are exact."""
+def enumerate_triangular_by_columns(n):
+    """The triangular distribution from the inverse column-sum DP, left to
+    right.  A choice v of column j's cells gives w_j = 1 - (sum of w_t over
+    the bits t of v), so the columns after j see only (w_0, ..., w_j).  The
+    cells of a column are scattered over the word, but their bits increase
+    down the column, so the smallest mask of a subset sum is its smallest
+    placed word; the last column folds into the sums."""
     from fibsum.search import SumDistribution
 
     dist = SumDistribution("triangular", n)
     counts = dist.counts
     wit = dist.witness_words
-    for states in row_sum_levels(n):
-        pass
+    states = {(1,): [1, 0]}
+    for j in range(1, n - 1):
+        places = _column_places(n, j)
+        nxt = {}
+        for tup, (count, prefix) in states.items():
+            for s, (mult, v) in _subset_sums(tup).items():
+                nxt[tup + (1 - s,)] = [count * mult, prefix | places[v]]
+        states = nxt
+    places = _column_places(n, n - 1)
     for tup, (count, prefix) in states.items():
         base = 1 + sum(tup)
         for ss, (mult, v) in _subset_sums(tup).items():
             s = base - ss
             counts[s] = counts.get(s, 0) + count * mult
-            w = prefix | v
+            w = prefix | places[v]
             if s not in wit or w < wit[s]:
                 wit[s] = w
     return dist
@@ -539,7 +501,7 @@ def construct_with_sum_by_representation(n, target_sum):
     one-sided signed Fibonacci representation of ``target_sum`` - 2, with
     the sign of the core's column sum folded in.  The reference for the
     greedy pass over the core's column sums in ``fibsum.construct``."""
-    from fibsum.linalg import Triangular01, inverse_column_sums
+    from fibsum.linalg import inverse_column_sums
 
     m = n - 2
     core = dominant_rows_recursive(m)

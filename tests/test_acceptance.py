@@ -92,7 +92,7 @@ def test_criterion_01_theorem_exhaustive():
 
 def test_criterion_01_exhaustive_n8_n9():
     """Criterion 1 at n = 8 and 9: all 2^28 and 2^36 matrices, through the
-    inverse column-sum DP; every witness inverts to its sum."""
+    inverse row-sum DP; every witness inverts to its sum."""
     ok = True
     details = []
     for n in (8, 9):
@@ -232,7 +232,12 @@ def test_criterion_08_w_determinants():
 
 def test_criterion_09_continuous_relaxation_sampling():
     """10^4 seeded rational samples per n = 3..10 stay inside the closed
-    interval; both endpoints are attained by (0,1) extremal matrices."""
+    interval; both endpoints are attained by (0,1) extremal matrices.
+
+    A corollary of criterion 1: each entry of A^{-1} is a signed sum over
+    increasing paths, each path using a cell at most once, so the inverse
+    entry sum is affine in each strictly upper entry, and its extremes over
+    [0, 1]^cells sit at (0,1) vertices."""
     samples_per_n = 10_000
     bound = 16
     scale = lcm(*range(1, bound + 1))

@@ -159,6 +159,20 @@ class TestRowSumVector:
             assert inverse_column_sums(rows) == cols
             assert sum(inverse_column_sums(rows)) == entry_sum(inv)
 
+    def test_any_fraction_entry_gives_all_fraction_sums(self):
+        # w_0, and a w_j whose column above the diagonal holds only zero
+        # Fractions, take no product in the substitution.
+        half = [[Fraction(1), Fraction(0), Fraction(1, 2)],
+                [Fraction(0), Fraction(1), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(1)]]
+        one_fraction = [[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]
+        for rows in (half, one_fraction):
+            sums = inverse_column_sums(rows)
+            assert sums == [1, 1, Fraction(1, 2)]
+            assert [type(w) for w in sums] == [Fraction] * 3
+        sums = inverse_column_sums([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+        assert [type(w) for w in sums] == [int] * 3
+
     def test_helper_refuses_non_upper_triangular(self):
         for rows in ([[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1, 1]]):
             with pytest.raises(ValueError, match="triangular"):
@@ -218,6 +232,24 @@ class TestInverseEntrySum:
                 rows[i][j] = Fraction(rows[i][j])
                 s = inverse_entry_sum(rows)
                 assert isinstance(s, Fraction) and s == expected
+
+    def test_affine_in_each_upper_entry(self):
+        # Each inverse entry is a signed sum over increasing paths, each
+        # using a cell at most once, so S is affine in every strictly upper
+        # entry: S(1/2) is the mean of S(0) and S(1) at any other entries.
+        rng = random.Random(1306)
+        for k in range(300):
+            n = rng.randint(3, 9)
+            i = rng.randrange(n - 1)
+            j = rng.randrange(i + 1, n)
+            rows = [list(r) for r in sample_g_matrix(n, k, 16).rows]
+            sums = []
+            for value in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                rows[i][j] = value
+                sums.append(inverse_entry_sum(rows))
+                if k % 50 == 0:
+                    assert sums[-1] == entry_sum(invert_unit_triangular(rows))
+            assert 2 * sums[1] == sums[0] + sums[2], (n, k, i, j)
 
     def test_planted_negative_entry(self):
         # The verify suite's planted fault: -100 above the diagonal puts

@@ -17,8 +17,8 @@ from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_RESTARTS,
                            max_abs_row_sum_vector)
 from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
 
-from oracles import (det_cofactor, enumerate_triangular_by_rows,
-                     hill_climb_two_determinants, scan_triangular_range,
+from oracles import (det_cofactor, enumerate_triangular_by_columns,
+                     hill_climb_two_determinants, scan_triangular_gray,
                      w_determinants_bareiss)
 
 
@@ -62,32 +62,39 @@ class TestEnumerateTriangular:
         # visits every matrix: equal counts and equal smallest witnesses.
         for n in range(3, 8):
             dist = enumerate_triangular(n)
-            oracle = scan_triangular_range(n, 0, 1 << (n * (n - 1) // 2))
+            oracle = scan_triangular_gray(n)
             assert dist.counts == oracle.counts, n
             assert dist.witness_words == oracle.witness_words, n
 
-    def test_matches_row_sum_oracle(self):
-        # The column-sum DP against the ordered row-sum DP it replaced:
-        # equal counts and equal smallest witnesses.
+    def test_matches_column_walk_oracle(self):
+        # The row-sum DP against the column-sum DP it replaced, whose cells
+        # are scattered over the word: equal counts and equal smallest
+        # witnesses.
         for n in range(3, 9):
             dist = enumerate_triangular(n)
-            oracle = enumerate_triangular_by_rows(n)
+            oracle = enumerate_triangular_by_columns(n)
             assert dist.counts == oracle.counts, n
             assert dist.witness_words == oracle.witness_words, n
 
     def test_state_count_mismatch_raises(self, monkeypatch):
-        levels = search._column_sum_levels
+        levels = search._row_sum_levels
 
-        def lose_one(n, cell_bit):
-            # The all-ones tuple (every column empty) is a state at every level.
-            for states in levels(n, cell_bit):
+        def lose_one(n, upper):
+            # The all-ones tuple (every row empty) is a state at every level.
+            for states in levels(n, upper):
                 yield {t: [c - (t == (1,) * len(t)), p]
                        for t, (c, p) in states.items()}
 
-        monkeypatch.setattr(search, "_column_sum_levels", lose_one)
+        monkeypatch.setattr(search, "_row_sum_levels", lose_one)
         for scan in (enumerate_triangular, enumerate_w_determinants):
             with pytest.raises(InvariantError, match="not 2\\^10"):
                 scan(5)
+
+    def test_level_state_counts_n8(self):
+        # Both walks reach the same number of row-sum states per level.
+        for upper in (True, False):
+            sizes = [len(states) for states in search._row_sum_levels(8, upper)]
+            assert sizes == [2, 5, 16, 67, 374, 2821], upper
 
     def test_out_of_range_errors_mention_state_count(self):
         with pytest.raises(ValueError, match="2"):
@@ -214,7 +221,7 @@ class TestEnumerateWDeterminants:
             assert_w_pattern(rows)
 
     def test_matches_bareiss_oracle(self):
-        # The column-sum DP against the per-word Bareiss scan it replaced:
+        # The row-sum DP against the per-word Bareiss scan it replaced:
         # equal counts and equal smallest witnesses.
         for n in range(3, 7):
             dist = enumerate_w_determinants(n)
@@ -223,7 +230,7 @@ class TestEnumerateWDeterminants:
             assert dist.witness_words == oracle.witness_words, n
 
     def test_n7_to_n9_shifted_triangular(self):
-        # Beyond the Bareiss oracle: det(J + L) = 1 + S(L^T) shifts the
+        # Beyond the Bareiss oracle: det(J + L) = 1 + S(L) shifts the
         # triangular counts by one, and each witness is checked directly.
         for n in range(7, 10):
             dist = enumerate_w_determinants(n)
@@ -243,7 +250,7 @@ class TestEnumerateWDeterminants:
             assert enumerate_w_determinants(n).achieved == [1 + s for s in tri]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="column-sum states"):
+        with pytest.raises(ValueError, match="row-sum states"):
             enumerate_w_determinants(10)
         with pytest.raises(ValueError):
             enumerate_w_determinants(2)
@@ -258,17 +265,26 @@ def assert_w_pattern(rows):
 
 
 class TestWordLayouts:
-    def test_bijective_and_increasing_down_columns(self):
-        # The column-sum DP keeps the smallest mask per subset sum as the
-        # smallest placed word, which needs each column's bits to increase
-        # with the row; both layouts must also number the N cells 0..N-1.
-        for cell_bit in (Triangular01.bit_index, search._w_cell_bit):
-            for n in range(1, 13):
-                bits = [cell_bit(n, i, j) for j in range(n) for i in range(j)]
-                assert sorted(bits) == list(range(n * (n - 1) // 2)), n
-                for j in range(n):
-                    column = [cell_bit(n, i, j) for i in range(j)]
-                    assert column == sorted(set(column)), (n, j)
+    def test_rows_are_blocks_in_column_order(self):
+        # The row-sum DP places a row choice v as v << offset, which needs
+        # both words to number the N cells 0..N-1 row by row, each row one
+        # block in column order: bit b of the word is the b-th cell of the
+        # row-major list.
+        for n in range(1, 13):
+            bits = range(n * (n - 1) // 2)
+            upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            lower = [(i, j) for i in range(n) for j in range(i)]
+            assert [ones_at(Triangular01(n, 1 << b).rows(), 1)
+                    for b in bits] == upper, n
+            assert [ones_at(search._word_to_w_rows(n, 1 << b), 2)
+                    for b in bits] == lower, n
+
+
+def ones_at(rows, value):
+    """The one off-diagonal cell of ``rows`` that holds ``value``."""
+    (cell,) = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+               if i != j and x == value]
+    return cell
 
 
 class TestHillClimb:
@@ -492,6 +508,18 @@ class TestMaxAbsRowSumVector:
         for n in (0, 10):
             with pytest.raises(ValueError, match="1..9"):
                 max_abs_row_sum_vector(n)
+
+    def test_reversal_maps_column_sums_onto_row_sums(self):
+        # The identity the vector's row walk rests on: the row sums of
+        # (J A^T J)^{-1} are the column sums of A^{-1}, reversed.
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                a = Triangular01(n, mask).rows()
+                flipped = [[a[n - 1 - j][n - 1 - i] for j in range(n)]
+                           for i in range(n)]
+                rows = [sum(r) for r in invert_unit_triangular(flipped)]
+                cols = [sum(c) for c in zip(*invert_unit_triangular(a))]
+                assert rows == cols[::-1], (n, mask)
 
 
 class TestVerifyTheoremRange:
