@@ -207,6 +207,8 @@ class WMatrix:
         for i in range(n):
             for j in range(n):
                 v = self.rows[i][j]
+                if not isinstance(v, int):
+                    raise ValueError("integer matrix required, got a non-integer entry")
                 if j > i and v != 1:
                     raise ValueError("entries above the diagonal must be 1")
                 if j == i and v != 2:

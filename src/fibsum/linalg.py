@@ -1,11 +1,13 @@
 """Exact integer and rational matrix arithmetic.
 
 Everything in this module is exact: entries are plain Python ints (arbitrary
-precision) or ``fractions.Fraction``. There is no floating point anywhere.
+precision) or ``fractions.Fraction``.  One scan of a matrix's entries refuses
+any other type and sets the result type: ints for all-int input, else
+Fractions throughout.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
-(unit diagonal is implicit), used heavily by the enumeration code.
+(unit diagonal is implicit); the enumeration code decodes witnesses with it.
 """
 
 from __future__ import annotations
@@ -68,17 +70,11 @@ class Triangular01:
     def cell_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    @staticmethod
-    def bit_index(n: int, i: int, j: int) -> int:
-        """Bit position of strictly-upper cell (i, j), 0-indexed, i < j."""
-        if not 0 <= i < j < n:
-            raise ValueError(f"({i}, {j}) is not a strictly upper cell")
-        return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Triangular01":
         n = _dimension(rows)
         mask = 0
+        k = 0  # bit of the next strictly upper cell, in the order rows() reads
         for i in range(n):
             for j in range(n):
                 v = rows[i][j]
@@ -92,7 +88,8 @@ class Triangular01:
                     if v not in (0, 1):
                         raise ValueError("strictly upper entries must be 0 or 1")
                     if v:
-                        mask |= 1 << cls.bit_index(n, i, j)
+                        mask |= 1 << k
+                    k += 1
         return cls(n, mask)
 
     def rows(self) -> Matrix:
@@ -107,47 +104,51 @@ class Triangular01:
         return out
 
 
-def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> str:
-    """Return 'upper' or 'lower' for a unit triangular matrix of int and
-    Fraction entries, else raise ValueError."""
+def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> tuple:
+    """``(lower, ints)`` for a unit triangular matrix of int and Fraction
+    entries, ``ints`` as from :func:`_check_entries`; else raise ValueError."""
     n = _dimension(rows)
     for i in range(n):
         if rows[i][i] != 1:
             raise ValueError("matrix is not unit triangular (diagonal entry != 1)")
     lower_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i))
     upper_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    _check_entries(rows)
+    ints = _check_entries(rows)
     if lower_zero:
-        return "upper"
+        return False, ints
     if upper_zero:
-        return "lower"
+        return True, ints
     raise ValueError("matrix is not triangular")
 
 
-def _check_entries(rows: Sequence[Sequence[Scalar]]) -> None:
-    # Floats and Decimals would make the exact arithmetic inexact.
+def _check_entries(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether every entry is an int; raises ValueError for an entry that is
+    neither int nor Fraction, since floats and Decimals are inexact."""
+    ints = True
     for r in rows:
         for x in r:
-            if not isinstance(x, (int, Fraction)):
-                raise ValueError("entries must be int or Fraction")
+            if not isinstance(x, int):
+                if not isinstance(x, Fraction):
+                    raise ValueError("entries must be int or Fraction")
+                ints = False
+    return ints
 
 
 def invert_unit_triangular(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact inverse of a unit triangular matrix (upper or lower).
-
-    Back substitution column by column; integer input gives an integer
-    inverse, Fraction input a Fraction inverse, and any other entry type is
-    refused. The result is unit triangular with the same orientation.
+    """Exact inverse of a unit triangular matrix (upper or lower), by back
+    substitution column by column.  The result is unit triangular with the
+    same orientation.
     """
-    lower = _classify_triangular(rows) == "lower"
+    lower, ints = _classify_triangular(rows)
     if lower:
         rows = transpose(rows)
     n = len(rows)
-    inv = identity(n)
+    zero, one = (0, 1) if ints else (Fraction(0), Fraction(1))
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for j in range(n):
         col = [r[j] for r in inv]
         for i in range(j - 1, -1, -1):
-            s = 0
+            s = zero
             row = rows[i]
             for k in range(i + 1, j + 1):
                 a = row[k]
@@ -163,27 +164,25 @@ def entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     return sum(sum(r, 0) for r in rows)
 
 
-def _check_unit_upper(rows: Sequence[Sequence[Scalar]]) -> None:
-    """Raise ValueError unless ``rows`` is square and unit upper triangular,
-    with int and Fraction entries."""
+def _check_unit_upper(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether every entry is an int; raises ValueError unless ``rows`` is
+    square and unit upper triangular, with int and Fraction entries."""
     _dimension(rows)
-    _check_entries(rows)
+    ints = _check_entries(rows)
     for i, r in enumerate(rows):
         if r[i] != 1 or any(r[:i]):
             raise ValueError("matrix is not unit upper triangular")
+    return ints
 
 
 def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
     """Column sums of the inverse of a unit upper triangular matrix.
 
     Solves w A = (1, ..., 1) by forward substitution,
-    w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed;
-    all-int entries give int sums, any Fraction entry all Fraction sums, and
-    any other entry type is refused.  The entry sum of the inverse is
-    ``sum`` of the result.
+    w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed.
+    The entry sum of the inverse is ``sum`` of the result.
     """
-    _check_unit_upper(rows)
-    if all(isinstance(x, int) for r in rows for x in r):
+    if _check_unit_upper(rows):
         return _column_sums(rows)
     return [Fraction(x) for x in _column_sums(rows)]
 
@@ -204,13 +203,11 @@ def _column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
 
-    Checks that ``rows`` is square and unit upper triangular, with int or
-    Fraction entries.  All-int input gives an int, from the plain forward
-    substitution of :func:`inverse_column_sums`; any other input a
-    Fraction, from the last pair of :func:`block_inverse_entry_sum_pairs`.
+    All-int input takes the plain forward substitution of
+    :func:`inverse_column_sums`, Fraction input the last pair of
+    :func:`block_inverse_entry_sum_pairs`.
     """
-    _check_unit_upper(rows)
-    if all(isinstance(x, int) for r in rows for x in r):
+    if _check_unit_upper(rows):
         return sum(_column_sums(rows))
     return Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
 
@@ -256,13 +253,6 @@ def block_inverse_entry_sum_pairs(rows: Sequence[Sequence[Scalar]]) -> list:
     return pairs
 
 
-def _require_int_entries(rows: Sequence[Sequence[Scalar]]) -> None:
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int):
-                raise ValueError("integer matrix required, got a non-integer entry")
-
-
 def determinant_exact(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix.
 
@@ -271,7 +261,8 @@ def determinant_exact(rows: Sequence[Sequence[int]]) -> int:
     the column; row swaps flip the sign.
     """
     _dimension(rows)
-    _require_int_entries(rows)
+    if not _check_entries(rows):
+        raise ValueError("integer matrix required, got a non-integer entry")
     return _bareiss([list(r) for r in rows])
 
 
@@ -321,7 +312,8 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     (det = 0).
     """
     n = _dimension(rows)
-    _require_int_entries(rows)
+    if not _check_entries(rows):
+        raise ValueError("integer matrix required, got a non-integer entry")
     m = [list(r) for r in rows]
     perm = list(range(n))  # row i of the array eliminates row perm[i] of A
     sign = 1

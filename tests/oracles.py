@@ -234,10 +234,12 @@ def _subset_sums(values):
 
 
 def _column_places(n, j):
-    """places[v]: the word bits of the cells (i, j) for the rows i in mask v."""
+    """places[v]: the word bits of the cells (i, j) for the rows i in mask v.
+    Cell (i, j) of the row-major word is bit i(n-1) - i(i-1)/2 + j - i - 1:
+    rows 0..i-1 hold (n-1) + (n-2) + ... + (n-i) cells before row i's."""
     places = [0]
     for i in range(j):
-        bit = 1 << Triangular01.bit_index(n, i, j)
+        bit = 1 << (i * (n - 1) - i * (i - 1) // 2 + j - i - 1)
         places += [p | bit for p in places]
     return places
 

@@ -300,6 +300,15 @@ class TestConstructWMatrix:
         with pytest.raises(ValueError):
             WMatrix(((2, 1), (3, 2)))
 
+    @pytest.mark.parametrize("bad", [2.0, Fraction(2), Decimal(2)],
+                             ids=["float", "Fraction", "Decimal"])
+    def test_wmatrix_type_rejects_non_int_entries(self, bad):
+        # Refused when built, not later by det_and_inverse.
+        with pytest.raises(ValueError, match="integer matrix required"):
+            WMatrix(((bad, 1), (1, 2)))
+        with pytest.raises(ValueError, match="integer matrix required"):
+            WMatrix(((2, 1), (bad, 2)))
+
 
 class TestSampleGMatrix:
     def test_seeded_sample_in_interval(self):

@@ -76,6 +76,28 @@ class TestInvertUnitTriangular:
                     assert len(calls) == 1
                     assert inv == invert_adjugate(rows)
 
+    def test_result_type_follows_the_input(self):
+        # Any Fraction entry, upper or lower, makes every inverse entry a
+        # Fraction, the unit diagonal and the zeros included; all-int input
+        # gives ints throughout.
+        f = Fraction
+        half = [[f(1), f(0), f(1, 2)], [f(0), f(1), f(0)], [f(0), f(0), f(1)]]
+        cases = [(half, Fraction)]
+        rng = random.Random(22)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                ints = Triangular01(n, rng.getrandbits(n * (n - 1) // 2)).rows()
+                one_fraction = [r[:] for r in ints]
+                i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                one_fraction[i][j] = f(one_fraction[i][j])
+                cases += [(ints, int), (one_fraction, Fraction),
+                          ([[f(x) for x in r] for r in ints], Fraction)]
+        for rows, kind in cases:
+            for oriented in (rows, transpose(rows)):
+                inv = invert_unit_triangular(oriented)
+                assert all(type(x) is kind for r in inv for x in r)
+                assert inv == invert_adjugate(oriented)
+
     def test_rational_entries(self):
         a = [[1, Fraction(1, 2), Fraction(1, 3)],
              [0, 1, Fraction(2, 5)],
@@ -304,6 +326,14 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant_exact([[Fraction(1, 2), 0], [0, 1]])
 
+    def test_refusal_names_the_entry_type(self):
+        for refuse in (determinant_exact, adjugate_exact):
+            with pytest.raises(ValueError, match="integer matrix required"):
+                refuse([[Fraction(1), 0], [0, 1]])
+            for bad in (1.0, Decimal(1)):
+                with pytest.raises(ValueError, match="entries must be int or Fraction"):
+                    refuse([[bad, 0], [0, 1]])
+
 
 class TestInverseSumViaDeterminant:
     def test_known_7x7_records(self):
@@ -442,6 +472,21 @@ class TestTriangular01:
         assert a.rows() == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
         a = Triangular01(3, 0b100)
         assert a.rows() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+
+    def test_single_cell_packs_at_closed_form_bit(self):
+        # Row-major over the strictly upper cells: rows 0..i-1 hold
+        # (n-1) + (n-2) + ... + (n-i) cells before row i's first, (i, i+1).
+        for n in range(1, 13):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows = identity(n)
+                    rows[i][j] = 1
+                    bit = i * (n - 1) - i * (i - 1) // 2 + j - i - 1
+                    assert Triangular01.from_rows(rows).upper_mask == 1 << bit
+
+    def test_from_rows_packs_float_ones(self):
+        # 1.0 == 1 passes the entry checks, so it must pack like 1.
+        assert Triangular01.from_rows([[1.0, 1.0], [0, 1]]).upper_mask == 1
 
     def test_from_rows_rejects_bad_entries(self):
         with pytest.raises(ValueError):
