@@ -5,6 +5,11 @@ precision) or ``fractions.Fraction``.  One scan of a matrix's entries refuses
 any other type and sets the result type: ints for all-int input, else
 Fractions throughout.
 
+Every solve with a unit triangular matrix A is one forward substitution,
+y A = x with A upper: the inverse row by row, x = e_r, and the inverse's
+column sums, x = 1.  :func:`block_inverse_entry_sum_pairs` runs the same
+recursion in scaled integers.
+
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
 (unit diagonal is implicit); the enumeration code decodes witnesses with it.
@@ -108,12 +113,12 @@ def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> tuple:
     """``(lower, ints)`` for a unit triangular matrix of int and Fraction
     entries, ``ints`` as from :func:`_check_entries`; else raise ValueError."""
     n = _dimension(rows)
+    ints = _check_entries(rows)
     for i in range(n):
         if rows[i][i] != 1:
             raise ValueError("matrix is not unit triangular (diagonal entry != 1)")
     lower_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i))
     upper_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    ints = _check_entries(rows)
     if lower_zero:
         return False, ints
     if upper_zero:
@@ -135,28 +140,42 @@ def _check_entries(rows: Sequence[Sequence[Scalar]]) -> bool:
 
 
 def invert_unit_triangular(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact inverse of a unit triangular matrix (upper or lower), by back
-    substitution column by column.  The result is unit triangular with the
-    same orientation.
+    """Exact inverse of a unit triangular matrix (upper or lower).  The
+    result is unit triangular with the same orientation.
+
+    Row r of the inverse of an upper A solves y A = e_r, one forward
+    substitution from column r; a lower A is solved as its transpose.
     """
     lower, ints = _classify_triangular(rows)
     if lower:
         rows = transpose(rows)
     n = len(rows)
     zero, one = (0, 1) if ints else (Fraction(0), Fraction(1))
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for j in range(n):
-        col = [r[j] for r in inv]
-        for i in range(j - 1, -1, -1):
-            s = zero
-            row = rows[i]
-            for k in range(i + 1, j + 1):
-                a = row[k]
-                if a:
-                    s += a * col[k]
-            col[i] = -s
-            inv[i][j] = -s
+    inv = [[zero] * n for _ in range(n)]
+    for r, y in enumerate(inv):
+        y[r] = one
+        _forward(rows, y, r)
     return transpose(inv) if lower else inv
+
+
+def _forward(rows: Sequence[Sequence[Scalar]], y: list, start: int = 0) -> list:
+    """Solve y A = x in place and return y, for A = ``rows`` unit upper
+    triangular and x the given ``y``:
+    y_j = x_j - (sum of y_i a_ij over start <= i < j) for j >= start, and
+    entries before ``start`` are left as given.  Each y_i, once final, is
+    taken out of the later entries along row i of A; a zero y_i is skipped.
+    No checks.
+    """
+    n = len(rows)
+    for i in range(start, n - 1):
+        yi = y[i]
+        if yi:
+            row = rows[i]
+            for j in range(i + 1, n):
+                a = row[j]
+                if a:
+                    y[j] -= a * yi
+    return y
 
 
 def entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -180,36 +199,15 @@ def inverse_column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
 
     Solves w A = (1, ..., 1) by forward substitution,
     w_j = 1 - (sum of w_i a_ij over i < j), so the inverse is never formed.
-    The entry sum of the inverse is ``sum`` of the result.
     """
-    if _check_unit_upper(rows):
-        return _column_sums(rows)
-    return [Fraction(x) for x in _column_sums(rows)]
-
-
-def _column_sums(rows: Sequence[Sequence[Scalar]]) -> list:
-    """:func:`inverse_column_sums` without its check."""
-    w = []
-    for j in range(len(rows)):
-        s = 1
-        for i, wi in enumerate(w):
-            a = rows[i][j]
-            if a:
-                s -= a * wi
-        w.append(s)
-    return w
+    one = 1 if _check_unit_upper(rows) else Fraction(1)
+    return _forward(rows, [one] * len(rows))
 
 
 def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly.
-
-    All-int input takes the plain forward substitution of
-    :func:`inverse_column_sums`, Fraction input the last pair of
-    :func:`block_inverse_entry_sum_pairs`.
-    """
-    if _check_unit_upper(rows):
-        return sum(_column_sums(rows))
-    return Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
+    """S(A^{-1}) = 1^T A^{-1} 1 for a unit upper triangular matrix, exactly:
+    the sum of :func:`inverse_column_sums`."""
+    return sum(inverse_column_sums(rows))
 
 
 def block_inverse_entry_sum_pairs(rows: Sequence[Sequence[Scalar]]) -> list:

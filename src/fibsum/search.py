@@ -12,7 +12,7 @@ the first two by one algorithm:
   n = 9 the last level has 29 044 states for 2^36 matrices.
 * ``w-determinant``: all 2^(n(n-1)/2) members J + L of the (1,2) family,
   L (0,1) unit lower triangular, n <= TRIANGULAR_MAX_N, by the same DP over
-  the rows of L, top first, in the family's word: det(J + L) = 1 + S(L).
+  the rows of L, top first, in the family's word: det(J + L) = 1 + S(L^{-1}).
 * ``general``: all 2^(n^2) (0,1) matrices, n <= GENERAL_MAX_N, one set of
   distinct rows at a time.  Permuting the rows of A permutes the columns of
   A^{-1}, so all n! row orders share one inverse entry sum, and an invertible
@@ -225,7 +225,7 @@ def enumerate_triangular(n: int) -> SumDistribution:
 def enumerate_w_determinants(n: int) -> SumDistribution:
     """Exhaustive determinant distribution over the (1,2) family J + L,
     L (0,1) unit lower triangular (3 <= n <= TRIANGULAR_MAX_N), with no
-    determinant: det(J + L) = 1 + S(L), S the inverse entry sum, so the
+    determinant: det(J + L) = 1 + S(L^{-1}), S the entry sum, so the
     row-sum states of L, which grow over tenfold per size, give it shifted
     by 1."""
     return _row_sum_distribution("w-determinant", n, False, 1)

@@ -3,11 +3,11 @@
 Each case runs one command through ``fibsum.cli.main`` and pins its exit
 code and the sha256 of everything it wrote: stdout, stderr and the
 ``--out`` file, joined by NUL bytes.  Every subcommand is covered in text
-and ``--json`` mode at small n, with seeded ``search`` and ``verify``, plus
-``search`` at its default budget at n = 7 and 8 and one refusal for each of
-exit codes 1, 2 and 3.  A change to any byte of any of these outputs fails
-here; re-record a digest only for an intended output change, and say which
-in CHANGES.md.
+and ``--json`` mode at small n, ``invert`` on upper and lower input, with
+seeded ``search`` and ``verify``, plus ``search`` at its default budget at
+n = 7 and 8 and one refusal for each of exit codes 1, 2 and 3.  A change to
+any byte of any of these outputs fails here; re-record a digest only for an
+intended output change, and say which in CHANGES.md.
 """
 
 import contextlib
@@ -24,6 +24,8 @@ from fibsum.cli import main
 OUT = "<out>"  # replaced by a file path under the test's tmp_path
 TRIANGULAR = "# a unit triangular matrix\n4\n1 1 0 1\n0 1 1 0\n0 0 1 1\n0 0 0 1\n"
 RATIONAL = "3\n1 1/2 0\n0 1 1/3\n0 0 1\n"
+LOWER = "4\n1 0 0 0\n1 1 0 0\n0 1 1 0\n1 0 1 1\n"
+LOWER_RATIONAL = "3\n1 0 0\n1 1 0\n0 1/2 1\n"
 SEEDED_VERIFY = ("--samples", "12", "--count", "9", "--bound", "5", "--seed", "7")
 
 # The search at the default budget of 200 restarts x 300 steps, at
@@ -135,6 +137,16 @@ CASES = [
      "8d8d44b88b9e1569b03908109f8873d73b0dc000d62302f1e29a670a08792299"),
     (("invert", "--json"), "2\n1 1_0\n0 1\n", 3,
      "fdf0dbecc61d09c2a46050b5b402348baf185ff284cdcc2c18b69ececc58cfb6"),
+    # Lower triangular input, int and rational (listed last so that the
+    # ids of the invert cases above keep their suffixes).
+    (("invert",), LOWER, 0,
+     "4e0790618a0e918ea1fae1716911eddb4d90abfef7cf31fac99ffbba54211b0a"),
+    (("invert", "--json"), LOWER, 0,
+     "ae0f2532578fc2c056ec3ee87a42bb440059869ec7bb1e7061b86ff64dde060f"),
+    (("invert",), LOWER_RATIONAL, 0,
+     "5054a89aec8d3762af0e7d268ca7d5794bc03dde11d8ac57e0779fb4272ee043"),
+    (("invert", "--json"), LOWER_RATIONAL, 0,
+     "2b5dd7b539804e16a7e02fcf90b29d14ac4fb08c7749d025c31dc32bb78faa6d"),
 ]
 
 # Commands that exit 2, run with corollary 3 made to fail at n = 7.

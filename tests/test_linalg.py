@@ -10,7 +10,8 @@ from fibsum import linalg
 from fibsum.construct import sample_g_matrix
 from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
-                           determinant_exact, entry_sum, identity,
+                           block_inverse_entry_sum_pairs, determinant_exact,
+                           entry_sum, identity,
                            invert_unit_triangular, inverse_column_sums,
                            inverse_entry_sum, inverse_sum_via_determinant,
                            transpose)
@@ -124,6 +125,18 @@ class TestInvertUnitTriangular:
             with pytest.raises(ValueError, match="entries must be int or Fraction"):
                 invert_unit_triangular(rows)
 
+    @pytest.mark.parametrize("bad", [Decimal("0.5"), 2.0])
+    def test_entry_type_checked_before_the_diagonal(self, bad):
+        # An inexact diagonal entry gets the type message from every entry
+        # point, not the diagonal or shape message.
+        for upper in ([[bad, 0], [0, 1]], [[bad, 1], [0, 1]]):
+            for rows in (upper, transpose(upper)):
+                for f in (invert_unit_triangular, inverse_column_sums,
+                          inverse_entry_sum):
+                    with pytest.raises(ValueError,
+                                       match="^entries must be int or Fraction$"):
+                        f(rows)
+
     def test_random_masks_exact_inverse_up_to_n50(self):
         rng = random.Random(1311)
         for n in (2, 3, 5, 8, 13, 21, 34, 50):
@@ -169,6 +182,11 @@ class TestRowSumVector:
                 sums = inverse_column_sums(rows)
                 assert sums == [sum(inv[i][j] for i in range(n)) for j in range(n)]
                 assert sums[0] == 1
+                # The library's inverse runs the same substitution; the
+                # augmented Gauss-Jordan adjugate shares no code with it.
+                det, adj = adjugate_augmented(rows)
+                assert det == 1
+                assert sums == [sum(r[j] for r in adj) for j in range(n)]
 
     def test_rational_entries_match_inverse(self):
         rng = random.Random(11)
@@ -180,6 +198,9 @@ class TestRowSumVector:
             cols = [sum(inv[i][j] for i in range(n)) for j in range(n)]
             assert inverse_column_sums(rows) == cols
             assert sum(inverse_column_sums(rows)) == entry_sum(inv)
+            cofactor = invert_adjugate(rows)
+            assert inverse_column_sums(rows) == [sum(r[j] for r in cofactor)
+                                                 for j in range(n)]
 
     def test_any_fraction_entry_gives_all_fraction_sums(self):
         # w_0, and a w_j whose column above the diagonal holds only zero
@@ -225,6 +246,7 @@ class TestInverseEntrySum:
                 assert isinstance(s, Fraction)
                 assert s == entry_sum(invert_unit_triangular(rows))
                 assert s == sum(inverse_column_sums(rows))
+                assert s == Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
 
     def test_every_01_triangular_matrix_to_n5_gives_an_int(self):
         for n in range(1, 6):
@@ -233,12 +255,15 @@ class TestInverseEntrySum:
                 s = inverse_entry_sum(rows)
                 assert type(s) is int
                 assert s == sum(inverse_column_sums(rows))
+                assert s == inverse_sum_via_determinant(rows)
 
     def test_large_denominators(self):
         # Column-wise scaling keeps the integers near the product of the
         # column lcms; the result must still be exact.
         rows = sample_g_matrix(14, 3, 10**6).rows
         assert inverse_entry_sum(rows) == sum(inverse_column_sums(rows))
+        assert inverse_entry_sum(rows) == Fraction(
+            *block_inverse_entry_sum_pairs(rows)[-1])
 
     def test_integral_fraction_input_stays_a_fraction(self):
         rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -248,12 +273,14 @@ class TestInverseEntrySum:
     def test_one_fraction_entry_anywhere_gives_a_fraction(self):
         base = Triangular01(4, 0b101101).rows()
         expected = sum(inverse_column_sums(base))
+        assert expected == inverse_sum_via_determinant(base)
         for i in range(4):
             for j in range(i, 4):
                 rows = [list(r) for r in base]
                 rows[i][j] = Fraction(rows[i][j])
                 s = inverse_entry_sum(rows)
                 assert isinstance(s, Fraction) and s == expected
+                assert s == Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
 
     def test_affine_in_each_upper_entry(self):
         # Each inverse entry is a signed sum over increasing paths, each

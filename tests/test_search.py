@@ -230,7 +230,7 @@ class TestEnumerateWDeterminants:
             assert dist.witness_words == oracle.witness_words, n
 
     def test_n7_to_n9_shifted_triangular(self):
-        # Beyond the Bareiss oracle: det(J + L) = 1 + S(L) shifts the
+        # Beyond the Bareiss oracle: det(J + L) = 1 + S(L^{-1}) shifts the
         # triangular counts by one, and each witness is checked directly.
         for n in range(7, 10):
             dist = enumerate_w_determinants(n)
