@@ -1,13 +1,19 @@
-"""Seeded shuffles straight from ``random.Random.getrandbits``.
+"""Seeded draws straight from ``random.Random.getrandbits``.
 
-``Random.shuffle`` spends most of its time in the Python wrappers around
-``getrandbits``.  :func:`shuffle` repeats CPython's ``Random.shuffle`` and
-its ``_randbelow_with_getrandbits`` (the same in 3.10 to 3.13) step for
-step, so it consumes the same words and leaves ``x`` as
-``rng.shuffle(x)`` would.
+``Random.shuffle`` and ``Random.randint`` spend most of their time in the
+Python wrappers around ``getrandbits``.  :func:`shuffle` repeats CPython's
+``Random.shuffle`` and its ``_randbelow_with_getrandbits`` (the same in 3.10
+to 3.13) step for step, and :func:`coin_flips` takes a run of
+``randint(0, 1)`` draws in a few bulk calls.  Each consumes the same words
+as the methods it replaces and gives their results.
 """
 
 from __future__ import annotations
+
+# A word's top byte b holds getrandbits(2) as b >> 6; b >= 128 is a draw of
+# 2 or 3, which randint(0, 1) rejects.
+_TOP_BITS = bytes(b >> 6 for b in range(256))
+_REJECTED = bytes(range(128, 256))
 
 
 def shuffle(x: list, getrandbits) -> None:
@@ -20,3 +26,21 @@ def shuffle(x: list, getrandbits) -> None:
         while j >= m:  # as Random._randbelow_with_getrandbits(m)
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
+
+
+def coin_flips(count: int, getrandbits) -> bytes:
+    """``count`` draws of ``randint(0, 1)`` as bytes of value 0 or 1.
+
+    Each draw is getrandbits(2), the top two bits of one 32-bit word,
+    repeated while it is 2 or 3.  ``getrandbits(32 * m)`` returns the next
+    m words with the first in the lowest bits, so byte 4t + 3 of its
+    little-endian bytes is word t's top byte.  A batch takes one word for
+    each of the m draws still needed and keeps the words that are not
+    rejected, so no batch reads past the last draw.
+    """
+    out = b""
+    while len(out) < count:
+        m = count - len(out)
+        top = getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        out += top.translate(_TOP_BITS, _REJECTED)
+    return out

@@ -271,26 +271,48 @@ def _bareiss(m: list) -> int:
     the caller owns, since elimination overwrites it.
     """
     n = len(m)
+    return _eliminate(m, n - 1, n) * m[n - 1][n - 1]
+
+
+def _eliminate(m: list, steps: int, pivot_rows: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first ``steps`` columns
+    of ``m`` in place, returning the sign of its row swaps, or 0 at once
+    when some column k has no nonzero entry in rows k .. pivot_rows - 1.
+
+    Pivot k is the first nonzero entry of column k from row k down, and
+    after step k entry (i, j), i, j > k, is the minor of rows 0..k, i and
+    columns 0..k, j of the swapped ``m``: pivot k is its leading
+    (k + 1) x (k + 1) minor.  A row whose multiplier m_ik is 0 is only
+    scaled by pivot / prev, so it is left as it is when pivot == prev.
+    No checks: ``m`` must be a square list of lists of ints that the
+    caller owns, with steps < len(m) and pivot_rows <= len(m).
+    """
+    n = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
+    for k in range(steps):
+        mk = m[k]
+        if mk[k] == 0:
+            for r in range(k + 1, pivot_rows):
                 if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
+                    m[k], m[r] = m[r], mk
+                    mk = m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        pivot = mk[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             mi = m[i]
-            mk = m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            mik = mi[k]
+            if mik:
+                for j in range(k + 1, n):
+                    mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            elif pivot != prev:
+                for j in range(k + 1, n):
+                    mi[j] = mi[j] * pivot // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign
 
 
 def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
@@ -306,8 +328,9 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     array, so elimination runs on P A, P the permutation of the swaps, and
     the array R ends as p (P A)^{-1} with p = det(P A).  Then det A = s p
     and adj A = s R P, a permutation of R's columns, with s = -1 per swap.
-    Raises :class:`SingularMatrixError` when some column has no pivot
-    (det = 0).
+    A row whose multiplier is 0 is only scaled by p_k / p_{k-1}, as in
+    :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
+    column has no pivot (det = 0).
     """
     n = _dimension(rows)
     if not _check_entries(rows):
@@ -333,9 +356,12 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
             if i != k:
                 mi = m[i]
                 mik = mi[k]
-                # Slot k comes out 0 here and takes -mik below.
-                mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
-                mi[k] = -mik
+                if mik:
+                    # Slot k comes out 0 here and takes -mik below.
+                    mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
+                    mi[k] = -mik
+                elif pivot != prev:  # slot k is 0 and stays 0
+                    m[i] = [x * pivot // prev for x in mi]
         mk[k] = prev
         prev = pivot
     if perm == sorted(perm):  # no row was swapped

@@ -31,9 +31,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._rng import shuffle
-from .linalg import (InvariantError, Triangular01, _bareiss, adjugate_exact,
-                     inverse_sum_via_determinant)
+from ._rng import coin_flips, shuffle
+from .linalg import (InvariantError, Triangular01, _bareiss, _eliminate,
+                     adjugate_exact, inverse_sum_via_determinant)
 from .matrixio import format_scalar, json_scalar
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
@@ -305,9 +305,9 @@ def enumerate_general(n: int) -> SumDistribution:
 
 # Largest n, restarts and max_steps a search takes, each sized so that it
 # alone, with the rest at the defaults, ends in minutes on one core.  A
-# restart costs about 0.35 ms at n = 7, 1.3 ms at n = 12 and 0.26 s at
-# n = 64, so n = 64 at 200 restarts takes about a minute, and
-# SEARCH_MAX_RESTARTS about 35 s at n = 7.  Climbs stop at a local optimum
+# restart costs about 0.3 ms at n = 7, 1.2 ms at n = 12 and 0.18 s at
+# n = 64, so n = 64 at 200 restarts takes under a minute, and
+# SEARCH_MAX_RESTARTS about 30 s at n = 7.  Climbs stop at a local optimum
 # within 50 steps at every n measured, so only a climb that keeps improving
 # meets SEARCH_MAX_STEPS: a step at n = 7 takes at most about 0.05 ms, so
 # 200 restarts that all ran SEARCH_MAX_STEPS steps would take under two
@@ -351,10 +351,23 @@ class SearchResult:
     restarts_used: int
 
 
-def _objective(rows, det: int) -> Fraction:
-    """The inverse entry sum (det(A + J) - det(A)) / det(A) of a start
-    matrix, given its nonzero determinant from the draw's singularity test."""
-    return Fraction(_bareiss([[x + 1 for x in row] for row in rows]) - det, det)
+def _objective(rows) -> tuple:
+    """``(det A, det(A + J))`` for a drawn matrix A, whose inverse entry
+    sum is their difference over det A; ``(0, None)`` when A is singular.
+
+    One Bareiss elimination of the bordered matrix [[A, -1], [1^T, 1]],
+    pivots taken from A's rows only: pivot n - 1 is det A, up to the
+    swaps' sign, and the last entry is the whole determinant,
+    det A + 1^T adj(A) 1 = det(A + J).  Stops at the first column of A
+    with no pivot.
+    """
+    n = len(rows)
+    m = [row + [-1] for row in rows]
+    m.append([1] * (n + 1))
+    sign = _eliminate(m, n, n)
+    if not sign:
+        return 0, None
+    return sign * m[n - 1][n - 1], sign * m[n][n]
 
 
 class RankOneState:
@@ -417,6 +430,10 @@ class RankOneState:
         row_sums = []
         for r, row in enumerate(self.adj):
             c = d * row[i]
+            if not c and det2 == det:  # (D x - 0 y) / D = x
+                adj.append(row)
+                row_sums.append(self.row_sums[r])
+                continue
             new = [(det2 * x - c * y) // det for x, y in zip(row, adj_row)]
             # Floor remainders all share the sign of D, so the row's
             # remainders vanish exactly when its quotients sum to the sum
@@ -453,14 +470,15 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     cell as ``randint(0, 1)``, row-major, and each step's order as a
     ``shuffle`` of the n^2 cells.  Since seed >= 0 and r < SEARCH_MAX_RESTARTS
     < 2^20, each (seed, restart) pair has a stream of its own.  The draws
-    are taken straight from ``getrandbits``, the start cells inline and the
-    shuffle by :mod:`fibsum._rng`, word for word as those methods take them,
-    so the results are theirs.
+    are taken straight from ``getrandbits`` by :mod:`fibsum._rng`, the start
+    cells in bulk and the shuffle step by step, word for word as those
+    methods take them, so the results are theirs.
 
     Flips are scored by :class:`RankOneState` in O(1) exact integer
-    arithmetic, with no determinant.  Each start matrix is cross-checked
-    against two determinants: det(A) from the draw's singularity test and
-    det(A + J), which must give the adjugate's D and T / D.
+    arithmetic, with no determinant.  Each draw costs one bordered
+    elimination, :func:`_objective`, which tests it for singularity and
+    gives det(A) and det(A + J); the adjugate's D and T must equal det(A)
+    and det(A + J) - det(A).
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1
@@ -472,27 +490,19 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
         getrandbits = random.Random((config.seed << 20) ^ r).getrandbits
         rows = None
         for _ in range(200):
-            cand = []
-            for _ in range(n):
-                row = []
-                for _ in range(n):
-                    bit = getrandbits(2)
-                    while bit >= 2:  # as Random._randbelow_with_getrandbits(2)
-                        bit = getrandbits(2)
-                    row.append(bit)
-                cand.append(row)
-            det = _bareiss([row[:] for row in cand])
-            if det != 0:
+            flips = coin_flips(n * n, getrandbits)
+            cand = [list(flips[b:b + n]) for b in range(0, n * n, n)]
+            det, det_plus = _objective(cand)
+            if det:
                 rows = cand
                 break
         if rows is None:
             continue
-        start = _objective(rows, det)
         state = RankOneState(rows)
-        if state.det != det or state.inverse_sum() != start:
+        if state.det != det or state.total != det_plus - det:
             raise InvariantError(
-                f"start matrix: adjugate gives det {state.det} and sum "
-                f"{state.inverse_sum()}, determinants give {det} and {start}")
+                f"start matrix: adjugate gives det {state.det} and total "
+                f"{state.total}, determinants give {det} and {det_plus - det}")
         for _ in range(config.max_steps):
             order = cells[:]
             shuffle(order, getrandbits)

@@ -325,6 +325,41 @@ class TestInverseEntrySum:
                 inverse_entry_sum(rows)
 
 
+def sparse_integer_matrices(seed, max_n, count=600):
+    """Seeded integer matrices of sizes 2..max_n, about half their entries 0;
+    every other one has a unit diagonal, so that no swap is needed early."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 2 + k % (max_n - 1)
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if k % 2:
+            for i in range(n):
+                rows[i][i] = 1
+        yield rows
+
+
+def zero_multipliers(rows):
+    """How often Bareiss elimination of ``rows`` without swaps meets a row
+    whose multiplier is 0, as ``(pivot == prev, pivot != prev)`` counts,
+    read off cofactor minors; (0, 0) when it would need a swap.
+
+    Step k has prev = D_k and pivot = D_{k+1}, D_k the leading k x k minor,
+    and row i > k has the multiplier det(rows 0..k-1, i; columns 0..k).
+    """
+    n = len(rows)
+    lead = [det_cofactor([r[:k] for r in rows[:k]]) for k in range(n)]
+    if 0 in lead[1:]:
+        return 0, 0
+    same = scaled = 0
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            if det_cofactor([r[:k + 1] for r in rows[:k] + [rows[i]]]) == 0:
+                same += lead[k + 1] == lead[k]
+                scaled += lead[k + 1] != lead[k]
+    return same, scaled
+
+
 class TestDeterminant:
     def test_unit_triangular_is_one(self):
         rng = random.Random(5)
@@ -348,6 +383,14 @@ class TestDeterminant:
         for _ in range(10_000):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
             assert determinant_exact(rows) == det_cofactor(rows)
+
+    def test_zero_multipliers_match_cofactor_oracle(self):
+        same, scaled = 0, 0
+        for rows in sparse_integer_matrices(5150, 6):
+            assert determinant_exact(rows) == det_cofactor(rows)
+            s, c = zero_multipliers(rows)
+            same, scaled = same + s, scaled + c
+        assert same >= 400 and scaled >= 150
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
@@ -465,6 +508,16 @@ class TestAdjugateExact:
                 assert assert_adjugate_matches_oracles(rows) == (expected is None)
             assert rows == copy
         assert singular >= 40 and swapped >= 60
+
+    def test_zero_multipliers_match_cofactor_oracle(self):
+        # Gauss-Jordan meets the zero multipliers of the rows below each
+        # pivot that Bareiss elimination meets, and those above it too.
+        same, scaled = 0, 0
+        for rows in sparse_integer_matrices(5151, 6):
+            assert_adjugate_matches_oracles(rows)
+            s, c = zero_multipliers(rows)
+            same, scaled = same + s, scaled + c
+        assert same >= 400 and scaled >= 150
 
     def test_needs_row_swaps(self):
         rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]

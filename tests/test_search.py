@@ -287,6 +287,57 @@ def ones_at(rows, value):
     return cell
 
 
+def det_pair(rows):
+    """``(det A, det(A + J))`` from two determinants, ``(0, None)`` for a
+    singular A: what the bordered elimination of search._objective gives."""
+    det = determinant_exact(rows)
+    if det == 0:
+        return 0, None
+    return det, determinant_exact([[x + 1 for x in row] for row in rows])
+
+
+class TestObjective:
+    def assert_matches_two_determinants(self, rows):
+        copy = [list(row) for row in rows]
+        assert search._objective(rows) == det_pair(rows), rows
+        assert rows == copy
+
+    def test_every_binary_3x3(self):
+        singular = 0
+        for word in range(1 << 9):
+            rows = [[(word >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
+            self.assert_matches_two_determinants(rows)
+            singular += search._objective(rows)[0] == 0
+        assert singular == 338
+
+    def test_seeded_binary_n4_to_n9(self):
+        rng = random.Random(4099)
+        for n in range(4, 10):
+            for _ in range(150):
+                self.assert_matches_two_determinants(
+                    [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+
+    def test_seeded_integer_n1_to_n6(self):
+        rng = random.Random(4100)
+        for k in range(600):
+            n = 1 + k % 6
+            self.assert_matches_two_determinants(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+    def test_singular_a_with_invertible_a_plus_j(self):
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+        assert determinant_exact([[x + 1 for x in row] for row in rows]) == 1
+        assert search._objective(rows) == (0, None)
+
+    def test_invertible_a_with_singular_a_plus_j(self):
+        # S(A^{-1}) = -1, so det(A + J) = det A (1 + S(A^{-1})) = 0.
+        for rows in ([[1, 1, 0, 1, 1], [1, 0, 0, 0, 0], [0, 1, 0, 1, 0],
+                      [0, 0, 0, 1, 1], [1, 0, 1, 1, 0]],
+                     [[-1, -1, -1], [0, 1, 0], [0, 0, 1]]):
+            assert inverse_sum_via_determinant(rows) == -1
+            assert search._objective(rows) == (determinant_exact(rows), 0)
+
+
 class TestHillClimb:
     def test_n3_reaches_exhaustive_extremes(self):
         top = hill_climb_general(SearchConfig(n=3, direction="max",
@@ -321,11 +372,12 @@ class TestHillClimb:
                                 == hill_climb_two_determinants(cfg)), cfg
 
     def test_no_determinant_per_scored_flip(self, monkeypatch):
-        # Determinants go to the start draws, the start scores and the final
-        # re-verification only, so their number does not grow with the
-        # flips a longer climb scores.
+        # Eliminations go to the start draws, one bordered _objective per
+        # draw, and the final re-verification only, so their number does
+        # not grow with the flips a longer climb scores.
         calls = []
-        for module, name in ((linalg, "determinant_exact"), (search, "_bareiss")):
+        for module, name in ((linalg, "determinant_exact"), (search, "_bareiss"),
+                             (search, "_objective")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda rows, original=original:
                                 calls.append(1) or original(rows))
@@ -336,13 +388,12 @@ class TestHillClimb:
                                                      max_steps=max_steps, seed=3))
             counts.append(len(calls))
         assert result.steps_taken > 5
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] >= 5 + 2
 
     def test_final_verifier_disagreement_raises(self, monkeypatch):
         # _objective is pinned to the true start score, so only the final
         # re-verification sees the fault.
-        monkeypatch.setattr(search, "_objective",
-                            lambda rows, det: inverse_sum_via_determinant(rows))
+        monkeypatch.setattr(search, "_objective", det_pair)
         monkeypatch.setattr(search, "inverse_sum_via_determinant",
                             lambda rows: inverse_sum_via_determinant(rows) + 1)
         with pytest.raises(InvariantError, match="from determinants"):
@@ -350,23 +401,33 @@ class TestHillClimb:
 
     def test_start_score_disagreement_raises(self, monkeypatch):
         original = search._objective
-        monkeypatch.setattr(search, "_objective",
-                            lambda rows, det: original(rows, det) + 1)
+
+        def shifted(rows):
+            det, det_plus = original(rows)
+            return (det, det_plus + 1) if det else (det, det_plus)
+
+        monkeypatch.setattr(search, "_objective", shifted)
         with pytest.raises(InvariantError, match="start matrix"):
             hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
 
     def test_start_determinant_disagreement_raises(self, monkeypatch):
-        # A doubled adjugate keeps T / D but not D, which only the
-        # comparison with the draw's determinant sees.
+        # A doubled adjugate keeps T / D but not D or T, which the integer
+        # comparisons with the draw's determinants see.  A doubled D alone
+        # keeps T, so only the comparison of the determinants sees it.
         original = search.adjugate_exact
 
         def doubled(rows):
             det, adj = original(rows)
             return 2 * det, [[2 * x for x in row] for row in adj]
 
-        monkeypatch.setattr(search, "adjugate_exact", doubled)
-        with pytest.raises(InvariantError, match="start matrix"):
-            hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
+        def doubled_det(rows):
+            det, adj = original(rows)
+            return 2 * det, adj
+
+        for fault in (doubled, doubled_det):
+            monkeypatch.setattr(search, "adjugate_exact", fault)
+            with pytest.raises(InvariantError, match="start matrix"):
+                hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
