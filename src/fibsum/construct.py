@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .fibonacci import fib
 from .linalg import (InvariantError, Matrix, Triangular01, _dimension,
@@ -337,23 +338,19 @@ def _fraction_table(bound: int) -> tuple:
                          for q in range(1, bound + 1))
 
 
-def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
-    """Deterministic pseudo-random member of the continuous relaxation.
+def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
+    """The strictly upper entries of a seeded member of the continuous
+    relaxation, column by column, as integer pairs: ``columns[j][i]`` is
+    (p, q), reduced by their gcd, for the entry p/q at row i < j.
 
-    Strictly upper entries are exact rationals p/q with 0 <= p <= q <=
-    ``denominator_bound``, drawn in row-major order from
-    ``random.Random(seed)``: ``randint(1, bound)`` for q, then
-    ``randint(0, q)`` for p.  Both are taken straight from ``getrandbits``
-    as CPython's ``Random._randbelow_with_getrandbits`` takes them, word
-    for word as ``randint`` does.  Exact rationals keep the closed-interval
-    bound on the inverse entry sum testable with no rounding slack.
-
-    Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
-    table of shared Fractions instead of building it with its gcd; larger
-    bounds build it.  The draws, and so the values, are the same either
-    way.  Every entry is a Fraction, 0 and 1 included: with int entries,
-    :func:`fibsum.linalg.inverse_entry_sum` would return an int on a sample
-    whose uppers are all 0 or 1.  The sample is validated once, here.
+    Each entry is drawn as p/q with 0 <= p <= q <= ``denominator_bound``,
+    in row-major order from ``random.Random(seed)``: ``randint(1, bound)``
+    for q, then ``randint(0, q)`` for p.  Both are taken straight from
+    ``getrandbits`` as CPython's ``Random._randbelow_with_getrandbits``
+    takes them, word for word as ``randint`` does.  Exact rationals keep
+    the closed-interval bound on the inverse entry sum testable with no
+    rounding slack; the pairs feed
+    :func:`fibsum.linalg.column_block_sum_pairs` with no Fraction built.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -364,13 +361,10 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
         # random.Random seeds with |seed|: -5 would replay seed 5.
         raise ValueError(f"seed must be >= 0, got {seed}")
     getrandbits = random.Random(seed).getrandbits
-    table = (_fraction_table(denominator_bound)
-             if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
     kq = denominator_bound.bit_length()
-    rows = []
+    columns = [[] for _ in range(n)]
     for i in range(n):
-        row = [_ZERO] * i + [_ONE]
-        for _ in range(n - 1 - i):
+        for column in columns[i + 1:]:
             q = getrandbits(kq)  # _randbelow_with_getrandbits(bound)
             while q >= denominator_bound:
                 q = getrandbits(kq)
@@ -379,6 +373,27 @@ def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
             p = getrandbits(kp)  # _randbelow_with_getrandbits(q + 1)
             while p > q:
                 p = getrandbits(kp)
+            g = gcd(p, q)
+            column.append((p // g, q // g))
+    return columns
+
+
+def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
+    """Deterministic pseudo-random member of the continuous relaxation: the
+    entries that :func:`relaxation_columns` draws, as Fractions.
+
+    Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
+    table of shared Fractions instead of building it; larger bounds build
+    it.  The draws, and so the values, are the same either way.  Every
+    entry is a Fraction, 0 and 1 included: with int entries,
+    :func:`fibsum.linalg.inverse_entry_sum` would return an int on a sample
+    whose uppers are all 0 or 1.  The sample is validated once, here.
+    """
+    columns = relaxation_columns(n, seed, denominator_bound)
+    table = (_fraction_table(denominator_bound)
+             if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
+    rows = [[_ZERO] * i + [_ONE] for i in range(n)]
+    for column in columns:  # column j appends entry (i, j) to each row i < j
+        for row, (p, q) in zip(rows, column):
             row.append(Fraction(p, q) if table is None else table[q][p])
-        rows.append(row)
     return GMatrix(rows)

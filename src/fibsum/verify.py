@@ -6,8 +6,9 @@ and ``gsampling`` (the continuous relaxation).  Each returns a list of
 :class:`CheckResult`.
 
 The functions under check are reached through their modules
-(``construct.sample_g_matrix``), so wrappers set on those modules, such as
-``bench/tracer.py``, see every call.
+(``construct.relaxation_columns``, ``linalg.column_block_sum_pairs``), so
+wrappers set on those modules, such as ``bench/tracer.py`` and the tests'
+planted faults, see every call.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ CONSTRUCTIVE_MAX_N = 20
 # which the suite would run for more than a few minutes on one core of a
 # 2-vCPU Xeon host: the pattern suite grows about as n^3.6 (9 s at n = 160,
 # 23 s at 200), remark at 60 with MAX_COUNT draws takes about 60 s, and
-# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND about 12 s, most
-# of it in the entry sums' integer arithmetic (one forward substitution per
-# seed, at n = 20, gives every n).
+# gsampling at 20 with MAX_SAMPLES samples and MAX_BOUND 4.5-5.5 s, about
+# 60% of it in the block sums' integer arithmetic (one forward substitution
+# per seed, at n = 20, gives every n) and most of the rest in the draws.
 # Theorem and corollaries stop where their checks do.
 SUITE_SIZES = {"theorem": (7, 3, CONSTRUCTIVE_MAX_N),
                "corollaries": (90, 6, fibonacci.IDENTITY_MAX_N),
@@ -263,15 +264,30 @@ def suite_remark(max_n: int, count: int, seed: int) -> list:
 # Continuous relaxation
 
 
+def _check_draws(columns: list, bound: int, seed: int) -> None:
+    """Raise InvariantError unless every drawn pair (p, q) of ``columns``
+    has 1 <= q <= ``bound`` and 0 <= p <= q: the entry p/q lies in [0, 1],
+    the range that ``GMatrix`` validation enforces."""
+    for j, column in enumerate(columns):
+        for i, (p, q) in enumerate(column):
+            if not (1 <= q <= bound and 0 <= p <= q):
+                raise linalg.InvariantError(
+                    f"seed {seed}: entry ({i}, {j}) drawn as ({p}, {q}), "
+                    f"not p/q with 0 <= p <= q <= {bound}")
+
+
 def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     """Each of the ``samples`` seeds s from ``seed`` on draws one sample,
-    ``sample_g_matrix(max_n, s, bound)``, and its n x n leading principal
-    block is the n x n sample of seed s, for 3 <= n <= max_n.  The block
-    has iid entries from the same law as a sample drawn at n, and one
-    forward substitution of the max_n sample gives every block's inverse
-    entry sum.  A reported ``(n, s, sum)`` names the n x n block of seed
-    s's max_n sample.  The report lists the sums outside the interval n by
-    n, at most five in all, each as ``(n, s, p/q)``.
+    ``relaxation_columns(max_n, s, bound)``, and its n x n leading
+    principal block is the n x n sample of seed s, for 3 <= n <= max_n.
+    The block has iid entries from the same law as a sample drawn at n.
+    Every drawn pair (p, q) is checked as integers, and one forward
+    substitution of the max_n sample's pairs gives every block's inverse
+    entry sum as an integer pair (T, E), compared with the interval as
+    low E <= T <= high E.  A reported ``(n, s, sum)`` names the n x n
+    block of seed s's max_n sample.  The report lists the sums outside the
+    interval n by n, at most five in all, each as ``(n, s, p/q)``; only
+    those are built as Fractions.
 
     The interval is a corollary of the (0,1) case: each entry of A^{-1} is
     a signed sum over increasing paths, each using a cell at most once, so
@@ -282,8 +298,9 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     intervals = [(n, 2 - fib(n - 1), 2 + fib(n - 1)) for n in sizes]
     outside_by_n = {n: [] for n in sizes}  # at most the first five each
     for k in range(samples):
-        g = construct.sample_g_matrix(max_n, seed + k, bound)
-        pairs = g.block_inverse_entry_sum_pairs()
+        columns = construct.relaxation_columns(max_n, seed + k, bound)
+        _check_draws(columns, bound, seed + k)
+        pairs = linalg.column_block_sum_pairs(columns)
         for n, low, high in intervals:
             num, den = pairs[n - 1]
             if not low * den <= num <= high * den and len(outside_by_n[n]) < 5:

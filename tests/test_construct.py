@@ -9,7 +9,8 @@ from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
                               GMatrix, WMatrix, band_partition,
                               construct_w_matrix, construct_with_sum,
                               dominant_matrix, extremal_pattern_matrix,
-                              sample_g_matrix, small_extremal, toeplitz_sum_two)
+                              relaxation_columns, sample_g_matrix,
+                              small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
 from fibsum import linalg
@@ -259,7 +260,8 @@ class TestSizeLimit:
                       lambda: band_partition(n, 2),
                       lambda: extremal_pattern_matrix(n, 3),
                       lambda: construct_w_matrix(n, 3),
-                      lambda: sample_g_matrix(n, 0, 16)):
+                      lambda: sample_g_matrix(n, 0, 16),
+                      lambda: relaxation_columns(n, 0, 16)):
             with pytest.raises(ValueError,
                                match=f"CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, got {n}"):
                 build()
@@ -417,6 +419,24 @@ class TestSampleGMatrix:
         assert g.rows == ((1, Fraction(1, 2)), (0, 1))
         assert type(g.rows) is tuple and all(type(r) is tuple for r in g.rows)
         assert g == GMatrix(((1, Fraction(1, 2)), (0, 1)))
+
+
+class TestRelaxationColumns:
+    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
+                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    def test_pairs_and_block_sums_match_the_fraction_path(self, bound):
+        # The drawer gives the oracle's entries as reduced ratios, and the
+        # column kernel on them gives the pairs that the rows path gives on
+        # the sampled GMatrix: equal as integer pairs, not only as values.
+        for n in range(3, 13):
+            for seed in range(50):
+                columns = relaxation_columns(n, seed, bound)
+                rows = sample_g_rows(n, seed, bound)
+                assert columns == [[rows[i][j].as_integer_ratio() for i in range(j)]
+                                   for j in range(n)]
+                assert (linalg.column_block_sum_pairs(columns)
+                        == linalg.block_inverse_entry_sum_pairs(
+                            sample_g_matrix(n, seed, bound).rows))
 
 
 def same_value_and_type(a, b):

@@ -3,6 +3,7 @@ per-layer hooks still see the suites and the functions they check."""
 
 import importlib.util
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import fibsum
 from fibsum import cli, construct, fibonacci, linalg, search
-from fibsum.linalg import SingularMatrixError, Triangular01
+from fibsum.linalg import InvariantError, SingularMatrixError, Triangular01
 from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES,
                            check_options, suite_sizes)
 
@@ -110,29 +111,21 @@ def singular_not_rejected(monkeypatch):
                         inverse_sum_via_determinant)
 
 
-class PlantedSample:
-    """Stands in for a sampled ``GMatrix``: its n x n block sums to n - entry
-    where ``planted(n)`` holds (as ``entry`` at (0, 1) of the identity
-    would, putting -entry in the inverse), and to the real sample's sum
-    elsewhere."""
-
-    def __init__(self, sample, planted, entry):
-        self.sample, self.planted, self.entry = sample, planted, entry
-
-    def block_inverse_entry_sum_pairs(self):
-        rows = linalg.identity(self.sample.n)
-        rows[0][1] = self.entry
-        planted_pairs = linalg.block_inverse_entry_sum_pairs(rows)
-        return [p if self.planted(n) else s for n, (s, p) in enumerate(
-            zip(self.sample.block_inverse_entry_sum_pairs(), planted_pairs), 1)]
-
-
 def samples_outside_interval(planted, entry=-100):
+    """Plant through the block-sum kernel: the n x n block sums to
+    n - entry where ``planted(n)`` holds (as ``entry`` at (0, 1) of the
+    identity would, putting -entry in the inverse), and to the drawn
+    sample's sum elsewhere."""
     def patch(monkeypatch):
-        real = construct.sample_g_matrix
-        monkeypatch.setattr(construct, "sample_g_matrix",
-                            lambda n, seed, bound: PlantedSample(real(n, seed, bound),
-                                                                 planted, entry))
+        real = linalg.column_block_sum_pairs
+
+        def column_block_sum_pairs(columns):
+            identity = [[(0, 1)] * j for j in range(len(columns))]
+            identity[1][0] = entry.as_integer_ratio()
+            return [p if planted(n) else s for n, (s, p) in enumerate(
+                zip(real(columns), real(identity)), 1)]
+
+        monkeypatch.setattr(linalg, "column_block_sum_pairs", column_block_sum_pairs)
     return patch
 
 
@@ -226,6 +219,24 @@ class TestGsamplingReport:
         check, = [c for c in json.loads(out)["checks"] if not c["pass"]]
         assert check["detail"] == ("sums outside interval: [(3, 7, 207/2), (3, 8, 207/2), "
                                    "(3, 9, 207/2), (3, 10, 207/2), (3, 11, 207/2)]")
+
+    @pytest.mark.parametrize("pair", [(3, 2), (-1, 2), (0, 0), (1, 17)])
+    def test_draw_outside_its_range_raises(self, monkeypatch, pair):
+        # p > q, p < 0, q < 1 and q above --bound 16: each is a drawer
+        # fault, refused as an invariant, not reported as a sum.
+        real = construct.relaxation_columns
+
+        def relaxation_columns(n, seed, bound):
+            columns = real(n, seed, bound)
+            if seed == 9:
+                columns[4][2] = pair
+            return columns
+
+        monkeypatch.setattr(construct, "relaxation_columns", relaxation_columns)
+        with pytest.raises(InvariantError,
+                           match=re.escape(f"seed 9: entry (2, 4) drawn as {pair}")):
+            cli.main(["verify", "--suite", "gsampling", "--n", "6",
+                      "--samples", "20", "--seed", "7", "--bound", "16"])
 
 
 class TestSuiteSizes:
@@ -333,8 +344,9 @@ class TestBenchmarkHooks:
             t.restore()
         capsys.readouterr()
         layers = [f"cli.verify.{suite}" for suite in tracer.VERIFY_SUITES]
-        layers += ["construct.sample_g", "construct.extremal",
-                   "linalg.inv_tri.int", "fibonacci.identities"]
+        # construct.sample_g is not among them: gsampling draws through
+        # construct.relaxation_columns, which the tracer does not wrap.
+        layers += ["construct.extremal", "linalg.inv_tri.int", "fibonacci.identities"]
         assert [layer for layer in layers if not t.calls.get(layer)] == []
 
     def test_tracer_sees_the_climb_and_its_start_scores(self, capsys):
