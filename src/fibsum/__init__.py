@@ -3,10 +3,10 @@ of (0,1) triangular matrices, plus the Fibonacci machinery behind them."""
 
 __version__ = "0.1.0"
 
-from .construct import (GMatrix, WMatrix, band_partition, construct_w_matrix,
+from .construct import (WMatrix, band_partition, construct_w_matrix,
                         construct_with_sum, dominant_matrix,
-                        extremal_pattern_matrix, sample_g_matrix,
-                        small_extremal, toeplitz_sum_two)
+                        extremal_pattern_matrix, small_extremal,
+                        toeplitz_sum_two)
 from .fibonacci import (check_corollary3, check_corollary4, check_lemma1,
                         fib)
 from .linalg import (InvariantError, SingularMatrixError, Triangular01,
@@ -25,9 +25,9 @@ from .verify import (CheckResult, TheoremRangeReport, VerificationReport,
 
 __all__ = [
     "__version__",
-    "GMatrix", "WMatrix", "band_partition", "construct_w_matrix",
-    "construct_with_sum", "dominant_matrix", "extremal_pattern_matrix",
-    "sample_g_matrix", "small_extremal", "toeplitz_sum_two",
+    "WMatrix", "band_partition", "construct_w_matrix", "construct_with_sum",
+    "dominant_matrix", "extremal_pattern_matrix", "small_extremal",
+    "toeplitz_sum_two",
     "check_corollary3", "check_corollary4", "check_lemma1", "fib",
     "InvariantError", "SingularMatrixError", "Triangular01", "adjugate_exact",
     "determinant_exact", "entry_sum", "identity", "invert_unit_triangular",

@@ -3,8 +3,8 @@
 Covers: the dominant-vector family (whose inverse column sums alternate in
 sign with Fibonacci magnitudes), the any-target-sum constructor, the
 Toeplitz sum-2 matrix, the banded extremal matrices with Fibonacci-patterned
-inverses, the (1,2)-matrix determinant constructor, and exact rational
-sampling of the continuous relaxation.
+inverses, the (1,2)-matrix determinant constructor, and seeded draws of
+the continuous relaxation as exact integer pairs.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .fibonacci import fib
 from .linalg import (InvariantError, Matrix, Triangular01, _dimension,
-                     block_inverse_entry_sum_pairs, entry_sum, identity,
-                     invert_unit_triangular, inverse_column_sums, transpose)
+                     entry_sum, identity, invert_unit_triangular,
+                     inverse_column_sums, transpose)
 
 # Largest n any constructor here builds, checked before any work.  The
 # pattern suite checks the banded matrices up to n = 200, where `fibsum
@@ -266,78 +265,6 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
 # Continuous relaxation sampling
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    """Unit upper triangular matrix with rational entries from [0, 1] above.
-
-    Entries are ints or Fractions.  Those of :func:`sample_g_matrix` are
-    all Fractions, and at small bounds cells with equal values hold one
-    shared object from its table; Fractions are immutable, so sharing
-    changes no value.
-
-    ``rows`` is stored as a tuple of tuples, so a validated matrix cannot
-    change later.  Validation reads each entry once: it must be an int or
-    a Fraction (floats and Decimals also have ``as_integer_ratio``) and is
-    checked on one ``as_integer_ratio()``.
-    """
-
-    rows: tuple
-
-    def __post_init__(self):
-        # tuple() of a list, not of an iterator: a tuple grown from an
-        # iterator is resized in place and, once freed, stays on the tuple
-        # free list, one more per sample.
-        rows = tuple([tuple(r) for r in self.rows])
-        _dimension(rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, Fraction)):
-                    raise ValueError(f"entry ({i}, {j}) is not an int or a Fraction: "
-                                     f"{v!r}")
-                num, den = v.as_integer_ratio()  # den > 0
-                if j == i:
-                    if num != den:
-                        raise ValueError("diagonal entries must be 1")
-                elif j < i:
-                    if num:
-                        raise ValueError("entries below the diagonal must be 0")
-                elif not 0 <= num <= den:
-                    raise ValueError("strictly upper entries must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def to_rows(self) -> Matrix:
-        return [list(r) for r in self.rows]
-
-    def block_inverse_entry_sum_pairs(self) -> list:
-        """The inverse entry sum of every leading principal block, the
-        k x k block at index k - 1, as an unreduced integer pair (T, E),
-        E > 0, from one forward substitution: ``Fraction(T, E)`` equals
-        :func:`fibsum.linalg.inverse_entry_sum` of the block."""
-        return block_inverse_entry_sum_pairs(self.rows)
-
-
-# Denominator bounds up to this draw their entries from one cached table of
-# every p/q with 0 <= p <= q <= bound: 2 144 Fractions, about 120 KiB, at
-# 64.  Larger bounds build each entry on its own, as a table would grow as
-# bound^2 / 2.
-FRACTION_TABLE_MAX_BOUND = 64
-
-
-@lru_cache(maxsize=4)
-def _fraction_table(bound: int) -> tuple:
-    """``table[q][p] == Fraction(p, q)`` for 1 <= q <= bound, 0 <= p <= q."""
-    return ((),) + tuple(tuple(Fraction(p, q) for p in range(q + 1))
-                         for q in range(1, bound + 1))
-
-
 def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
     """The strictly upper entries of a seeded member of the continuous
     relaxation, column by column, as integer pairs: ``columns[j][i]`` is
@@ -378,22 +305,11 @@ def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
     return columns
 
 
-def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> GMatrix:
-    """Deterministic pseudo-random member of the continuous relaxation: the
-    entries that :func:`relaxation_columns` draws, as Fractions.
-
-    Bounds up to ``FRACTION_TABLE_MAX_BOUND`` look each p/q up in a cached
-    table of shared Fractions instead of building it; larger bounds build
-    it.  The draws, and so the values, are the same either way.  Every
-    entry is a Fraction, 0 and 1 included: with int entries,
-    :func:`fibsum.linalg.inverse_entry_sum` would return an int on a sample
-    whose uppers are all 0 or 1.  The sample is validated once, here.
-    """
+def sample_g_matrix(n: int, seed: int, denominator_bound: int) -> Matrix:
+    """The :func:`relaxation_columns` draw as rows of Fractions, 0 and 1
+    included.  No program path calls it: it stays only as the binding that
+    ``bench/tracer.py`` wraps, and goes when ROADMAP item 6 retires the
+    tracer."""
     columns = relaxation_columns(n, seed, denominator_bound)
-    table = (_fraction_table(denominator_bound)
-             if denominator_bound <= FRACTION_TABLE_MAX_BOUND else None)
-    rows = [[_ZERO] * i + [_ONE] for i in range(n)]
-    for column in columns:  # column j appends entry (i, j) to each row i < j
-        for row, (p, q) in zip(rows, column):
-            row.append(Fraction(p, q) if table is None else table[q][p])
-    return GMatrix(rows)
+    return [[Fraction(*columns[j][i]) if j > i else Fraction(int(j == i))
+             for j in range(n)] for i in range(n)]

@@ -9,8 +9,7 @@ Every solve with a unit triangular matrix A is one forward substitution,
 y A = x with A upper: the inverse row by row, x = e_r, and the inverse's
 column sums, x = 1.  :func:`column_block_sum_pairs` runs the same
 recursion in scaled integers on integer ratio pairs, given column by
-column; :func:`block_inverse_entry_sum_pairs` feeds it a matrix's
-entries.
+column, as ``construct.relaxation_columns`` draws them.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
@@ -212,24 +211,13 @@ def inverse_entry_sum(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     return sum(inverse_column_sums(rows))
 
 
-def block_inverse_entry_sum_pairs(rows: Sequence[Sequence[Scalar]]) -> list:
-    """S(B^{-1}) for every leading principal block B of ``rows`` as an
-    integer pair (T, E), E > 0, whose ratio T / E is the sum, not reduced:
-    the k x k block's pair at index k - 1.  No checks: ``rows`` must be
-    square and unit upper triangular, with int or Fraction entries above
-    the diagonal (floats have ``as_integer_ratio`` too).  Reads each upper
-    entry's ``as_integer_ratio()`` once and runs
-    :func:`column_block_sum_pairs` on the ratios.
-    """
-    return column_block_sum_pairs([[rows[i][j].as_integer_ratio() for i in range(j)]
-                                   for j in range(len(rows))])
-
-
 def column_block_sum_pairs(columns: Sequence[Sequence[tuple]]) -> list:
-    """:func:`block_inverse_entry_sum_pairs` of the unit upper triangular
-    matrix whose strictly upper entries are given column by column as
-    integer pairs: ``columns[j][i]`` is (p, q), q > 0, for the entry
-    a_ij = p / q, i < j.  The pairs need not be reduced.  No checks.
+    """S(B^{-1}) for every leading principal block B of the unit upper
+    triangular matrix whose strictly upper entries are given column by
+    column as integer pairs: ``columns[j][i]`` is (p, q), q > 0, for the
+    entry a_ij = p / q, i < j.  The pairs need not be reduced.  Returns
+    one integer pair (T, E), E > 0, per block, the k x k block's at index
+    k - 1, whose ratio T / E is the sum, not reduced.  No checks.
 
     Column j of the forward substitution of :func:`inverse_column_sums`
     reads only columns <= j, so one substitution gives every block's sum
@@ -239,9 +227,9 @@ def column_block_sum_pairs(columns: Sequence[Sequence[tuple]]) -> list:
     W_j = E_j - (sum over i < j of W_i (d_j a_ij) d_{i+1} ... d_{j-1}),
     with each inner sum taken by Horner's rule, and
     T_j = sum over i <= j of W_i E_j / E_i.  No gcd is taken.  Scaling
-    column by column keeps E_{n-1} near the product of the column lcms;
-    one lcm d over the whole matrix would carry d^(n-1), far larger once
-    n and the denominators grow.
+    column by column makes E_{n-1} the product of the column lcms; one
+    lcm d over the whole matrix would carry d^(n-1), far larger once n
+    and the denominators grow.
     """
     pairs = []
     scales = []  # d_j

@@ -266,8 +266,8 @@ def suite_remark(max_n: int, count: int, seed: int) -> list:
 
 def _check_draws(columns: list, bound: int, seed: int) -> None:
     """Raise InvariantError unless every drawn pair (p, q) of ``columns``
-    has 1 <= q <= ``bound`` and 0 <= p <= q: the entry p/q lies in [0, 1],
-    the range that ``GMatrix`` validation enforces."""
+    has 1 <= q <= ``bound`` and 0 <= p <= q, so that each entry p/q lies
+    in [0, 1] with a denominator of at most ``bound``."""
     for j, column in enumerate(columns):
         for i, (p, q) in enumerate(column):
             if not (1 <= q <= bound and 0 <= p <= q):

@@ -298,9 +298,10 @@ def w_determinants_bareiss(n):
 
 
 def sample_g_rows(n, seed, bound):
-    """The rows of ``sample_g_matrix(n, seed, bound)`` as its first version
-    drew them: per strictly upper cell in row-major order, q = randint(1,
-    bound) then p = randint(0, q).  Pins the seeded stream."""
+    """A seeded relaxation sample as rows of Fractions, drawn as the first
+    sampler drew them: per strictly upper cell in row-major order,
+    q = randint(1, bound) then p = randint(0, q).  Pins the seeded stream
+    of ``relaxation_columns``."""
     rng = random.Random(seed)
     rows = []
     for i in range(n):
@@ -316,24 +317,6 @@ def sample_g_rows(n, seed, bound):
                 row.append(Fraction(p, q))
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def g_matrix_valid(rows):
-    """Whether ``GMatrix`` validation as first written, by comparisons of
-    the entries with 0 and 1, accepts ``rows``."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        return False
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if j == i and v != 1:
-                return False
-            if j < i and v != 0:
-                return False
-            if j > i and not 0 <= v <= 1:
-                return False
-    return True
 
 
 def dominant_rows_recursive(n):

@@ -1,30 +1,29 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsum.construct import (CONSTRUCT_MAX_N, FRACTION_TABLE_MAX_BOUND,
-                              GMatrix, WMatrix, band_partition,
+from fibsum.construct import (CONSTRUCT_MAX_N, WMatrix, band_partition,
                               construct_w_matrix, construct_with_sum,
                               dominant_matrix, extremal_pattern_matrix,
                               relaxation_columns, sample_g_matrix,
                               small_extremal, toeplitz_sum_two)
 from fibsum.fibonacci import fib
 from fibsum import construct
-from fibsum import linalg
-from fibsum.linalg import (InvariantError, Triangular01, determinant_exact,
-                           entry_sum, identity, invert_unit_triangular,
-                           inverse_column_sums, inverse_entry_sum)
+from fibsum.linalg import (InvariantError, Triangular01, column_block_sum_pairs,
+                           determinant_exact, entry_sum, identity,
+                           invert_unit_triangular, inverse_column_sums,
+                           inverse_entry_sum)
 from fibsum.verify import MAX_BOUND, SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
 from oracles import (band_of_frontier, construct_with_sum_by_representation,
-                     dominant_rows_recursive, g_matrix_valid, sample_g_rows)
-
-ZERO, ONE = construct._ZERO, construct._ONE
+                     dominant_rows_recursive, sample_g_rows)
 
 
 def expected_dominant_vector(n):
@@ -250,7 +249,7 @@ class TestSizeLimit:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "_fraction_table", "identity", "inverse_column_sums",
+        for name in ("fib", "gcd", "identity", "inverse_column_sums",
                      "invert_unit_triangular", "_dominant_rows", "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         n = CONSTRUCT_MAX_N + 1
@@ -260,7 +259,6 @@ class TestSizeLimit:
                       lambda: band_partition(n, 2),
                       lambda: extremal_pattern_matrix(n, 3),
                       lambda: construct_w_matrix(n, 3),
-                      lambda: sample_g_matrix(n, 0, 16),
                       lambda: relaxation_columns(n, 0, 16)):
             with pytest.raises(ValueError,
                                match=f"CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, got {n}"):
@@ -314,8 +312,8 @@ class TestConstructWMatrix:
 
 class TestSampleGMatrix:
     def test_seeded_sample_in_interval(self):
-        g = sample_g_matrix(6, 42, 16)
-        s = entry_sum(invert_unit_triangular(g.to_rows()))
+        rows = sample_g_matrix(6, 42, 16)
+        s = entry_sum(invert_unit_triangular(rows))
         assert 2 - fib(5) <= s <= 2 + fib(5)  # [-3, 7]
 
     def test_deterministic(self):
@@ -323,10 +321,10 @@ class TestSampleGMatrix:
         assert sample_g_matrix(5, 7, 10) != sample_g_matrix(5, 8, 10)
 
     def test_entry_shape(self):
-        g = sample_g_matrix(5, 0, 9)
+        rows = sample_g_matrix(5, 0, 9)
         for i in range(5):
             for j in range(5):
-                v = g.rows[i][j]
+                v = rows[i][j]
                 if j < i:
                     assert v == 0
                 elif j == i:
@@ -337,232 +335,114 @@ class TestSampleGMatrix:
 
     def test_zero_and_one_corners(self):
         # All-zero uppers: the identity, inverse sum n.  All-one uppers: the
-        # same sum as the all-ones (0,1) triangular matrix.
+        # same sum as the all-ones (0,1) triangular matrix.  Bound 1 draws
+        # only these two values, each a Fraction, so the sum is a Fraction
+        # equal to that of the (0,1) matrix with the same ones.
         n = 6
-        zero = GMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                             for i in range(n)))
-        assert entry_sum(invert_unit_triangular(zero.to_rows())) == n
-        one = GMatrix(tuple(tuple(Fraction(1) if j >= i else Fraction(0)
-                                  for j in range(n)) for i in range(n)))
-        ones01 = Triangular01.from_rows([[1 if j >= i else 0 for j in range(n)]
-                                         for i in range(n)])
-        assert (entry_sum(invert_unit_triangular(one.to_rows()))
-                == entry_sum(invert_unit_triangular(ones01.rows())))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_g_matrix(2, 0, 5)
-        with pytest.raises(ValueError):
-            sample_g_matrix(5, 0, 0)
-        # random.Random seeds with |seed|: -5 would replay seed 5.
-        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
-            sample_g_matrix(4, -5, 16)
-        with pytest.raises(ValueError):
-            GMatrix(((Fraction(1), Fraction(3, 2)), (Fraction(0), Fraction(1))))
+        ones01 = [[1 if j >= i else 0 for j in range(n)] for i in range(n)]
+        assert column_block_sum_pairs([[(0, 1)] * j for j in range(n)])[-1] == (n, 1)
+        assert (column_block_sum_pairs([[(1, 1)] * j for j in range(n)])[-1]
+                == (entry_sum(invert_unit_triangular(ones01)), 1))
+        for seed in range(5):
+            rows = sample_g_matrix(n, seed, 1)
+            s = inverse_entry_sum(rows)
+            assert type(s) is Fraction
+            assert s == inverse_entry_sum([[int(v) for v in row] for row in rows])
 
     @pytest.mark.parametrize("bound", [1, 16, 1000])
     def test_stream_pinned(self, bound):
         # The draws fix every seeded result of the gsampling suite, so a
-        # faster sampler must reproduce the first one's rows exactly.
+        # faster sampler must reproduce the first one's rows exactly, each
+        # entry a Fraction, 0 and 1 included.
         for n in range(3, 11):
             for seed in range(50):
-                assert sample_g_matrix(n, seed, bound).rows == sample_g_rows(n, seed, bound)
-
-    @pytest.mark.parametrize("bound", [1, FRACTION_TABLE_MAX_BOUND,
-                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
-    def test_stream_pinned_across_the_table_cap(self, bound):
-        # Up to the cap the entries come from the shared table, above it
-        # each is built on its own: the same draws and values either way,
-        # and every entry a Fraction, 0 and 1 included (bound 1 gives only
-        # those), so that inverse_entry_sum returns a Fraction.
-        for n in range(3, 7):
-            for seed in range(5):
-                rows = sample_g_matrix(n, seed, bound).rows
-                assert rows == sample_g_rows(n, seed, bound)
+                rows = sample_g_matrix(n, seed, bound)
+                assert rows == [list(r) for r in sample_g_rows(n, seed, bound)]
                 assert all(type(v) is Fraction for row in rows for v in row)
-                assert type(inverse_entry_sum(rows)) is Fraction
-
-    def test_fraction_table_cache_bounded(self):
-        table = construct._fraction_table
-        for bound in range(1, FRACTION_TABLE_MAX_BOUND + 1):
-            sample_g_matrix(3, 0, bound)
-        info = table.cache_info()
-        assert info.currsize <= info.maxsize
-        # Above the cap no table is built.
-        for bound in (FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND):
-            sample_g_matrix(3, 0, bound)
-        assert table.cache_info().misses == info.misses
-
-    def test_float_entry_refused(self):
-        for rows in (((1.0, Fraction(1, 2)), (0, 1)),
-                     ((1, 0.5), (0, 1)),
-                     ((1, 0), (0.0, 1))):
-            with pytest.raises(ValueError, match="not an int or a Fraction"):
-                GMatrix(rows)
-
-    def test_decimal_and_complex_entries_refused(self):
-        # Decimals have as_integer_ratio too, as floats do; complex has none.
-        for rows in (((1, Decimal("0.5")), (0, 1)),
-                     ((1, 0), (0, Decimal(1))),
-                     ((1, 0.5j), (0, 1))):
-            with pytest.raises(ValueError, match="not an int or a Fraction"):
-                GMatrix(rows)
-
-    def test_shared_constants_refused_where_illegal(self):
-        with pytest.raises(ValueError, match="below the diagonal must be 0"):
-            GMatrix(((ONE, ZERO), (ONE, ONE)))
-        with pytest.raises(ValueError, match="diagonal entries must be 1"):
-            GMatrix(((ONE, ZERO), (ZERO, ZERO)))
-
-    def test_list_rows_stored_as_tuples(self):
-        g = GMatrix([[1, Fraction(1, 2)], [0, 1]])
-        assert g.rows == ((1, Fraction(1, 2)), (0, 1))
-        assert type(g.rows) is tuple and all(type(r) is tuple for r in g.rows)
-        assert g == GMatrix(((1, Fraction(1, 2)), (0, 1)))
 
 
 class TestRelaxationColumns:
-    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
-                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n must be >= 3, got 2"):
+            relaxation_columns(2, 0, 5)
+        with pytest.raises(ValueError, match="denominator_bound must be >= 1"):
+            relaxation_columns(5, 0, 0)
+        # random.Random seeds with |seed|: -5 would replay seed 5.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            relaxation_columns(4, -5, 16)
+
+    @pytest.mark.parametrize("bound", [1, 16, 64, 65, MAX_BOUND])
     def test_pairs_and_block_sums_match_the_fraction_path(self, bound):
         # The drawer gives the oracle's entries as reduced ratios, and the
-        # column kernel on them gives the pairs that the rows path gives on
-        # the sampled GMatrix: equal as integer pairs, not only as values.
+        # column kernel's sum of the whole sample is the Fraction
+        # substitution's on the oracle's rows.
         for n in range(3, 13):
             for seed in range(50):
                 columns = relaxation_columns(n, seed, bound)
                 rows = sample_g_rows(n, seed, bound)
                 assert columns == [[rows[i][j].as_integer_ratio() for i in range(j)]
                                    for j in range(n)]
-                assert (linalg.column_block_sum_pairs(columns)
-                        == linalg.block_inverse_entry_sum_pairs(
-                            sample_g_matrix(n, seed, bound).rows))
-
-
-def same_value_and_type(a, b):
-    return type(a) is type(b) and a == b
+                assert (Fraction(*column_block_sum_pairs(columns)[-1])
+                        == inverse_entry_sum(rows))
 
 
 def principal_block(rows, n):
     return [r[:n] for r in rows[:n]]
 
 
-class TestGMatrixInverseEntrySum:
-    @pytest.mark.parametrize("bound", [1, 16, MAX_BOUND])
-    def test_samples_and_their_blocks(self, bound):
-        for seed in range(20):
-            g = sample_g_matrix(10, seed, bound)
-            for n in range(1, 11):
-                block = GMatrix(principal_block(g.rows, n))
-                s = linalg.inverse_entry_sum(block.rows)
-                assert type(s) is Fraction
-                assert s == Fraction(*block.block_inverse_entry_sum_pairs()[-1])
-                assert s == entry_sum(invert_unit_triangular(block.rows))
-
-    def test_all_int_matrices_give_ints(self):
-        for n in range(1, 5):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                g = GMatrix(Triangular01(n, mask).rows())
-                s = linalg.inverse_entry_sum(g.rows)
-                assert same_value_and_type(s, entry_sum(invert_unit_triangular(g.rows)))
-                assert type(s) is int
-
-    def test_one_shared_constant_gives_a_fraction(self):
-        rows = [list(r) for r in Triangular01(4, 0b110101).rows()]
-        for i, j in ((0, 0), (2, 1), (1, 3)):
-            mixed = [list(r) for r in rows]
-            mixed[i][j] = ONE if mixed[i][j] else ZERO
-            s = linalg.inverse_entry_sum(GMatrix(mixed).rows)
-            assert type(s) is Fraction
-            assert s == linalg.inverse_entry_sum(rows)
+def column_lcm_product(columns):
+    return prod(lcm(*[q for _, q in column]) for column in columns)
 
 
 class TestBlockInverseEntrySums:
-    @pytest.mark.parametrize("bound", [1, 16, FRACTION_TABLE_MAX_BOUND,
-                                       FRACTION_TABLE_MAX_BOUND + 1, MAX_BOUND])
+    @pytest.mark.parametrize("bound", [1, 16, 64, 65, MAX_BOUND])
     def test_matches_each_principal_block(self, bound):
-        # One substitution of the sample against each block on its own,
-        # by the checked entry sum and by inverting the block outright.
-        for size in range(3, 15):
+        # One substitution of the drawn pairs against each leading block on
+        # its own, the 1 x 1 and 2 x 2 blocks included, by the Fraction
+        # substitution on the oracle's rows.
+        for size in (3, 5, 8, 14, 20):
             for seed in range(3):
-                g = sample_g_matrix(size, seed, bound)
-                pairs = g.block_inverse_entry_sum_pairs()
+                columns = relaxation_columns(size, seed, bound)
+                rows = sample_g_rows(size, seed, bound)
+                pairs = column_block_sum_pairs(columns)
                 assert len(pairs) == size
                 for n, (num, den) in enumerate(pairs, 1):
                     assert den > 0
-                    block = principal_block(g.rows, n)
-                    assert Fraction(num, den) == linalg.inverse_entry_sum(block)
-                    assert Fraction(num, den) == entry_sum(invert_unit_triangular(block))
+                    assert den == column_lcm_product(columns[:n])
+                    assert Fraction(num, den) == inverse_entry_sum(principal_block(rows, n))
 
     def test_all_01_matrices_give_ints(self):
+        # Every cell a (0, 1) or (1, 1) pair: each denominator is 1.
         for size in range(1, 6):
             for mask in range(1 << (size * (size - 1) // 2)):
                 rows = Triangular01(size, mask).rows()
-                pairs = GMatrix(rows).block_inverse_entry_sum_pairs()
+                pairs = column_block_sum_pairs([[(rows[i][j], 1) for i in range(j)]
+                                                for j in range(size)])
                 assert len(pairs) == size
                 for n, (num, den) in enumerate(pairs, 1):
                     block = principal_block(rows, n)
                     assert den == 1
-                    assert num == linalg.inverse_entry_sum(block)
+                    assert num == inverse_entry_sum(block)
                     assert num == entry_sum(invert_unit_triangular(block))
+
+    def test_unreduced_pairs(self):
+        # Scaling a pair to (k p, k q) keeps every sum; E is the product of
+        # the lcms of the pairs as given, not as reduced.
+        rng = random.Random(26)
+        for seed in range(20):
+            columns = relaxation_columns(9, seed, 12)
+            scaled = []
+            for column in columns:
+                ks = [rng.randint(1, 6) for _ in column]
+                scaled.append([(p * k, q * k) for (p, q), k in zip(column, ks)])
+            pairs = column_block_sum_pairs(scaled)
+            for n, ((num, den), reduced) in enumerate(
+                    zip(pairs, column_block_sum_pairs(columns)), 1):
+                assert den == column_lcm_product(scaled[:n])
+                assert Fraction(num, den) == Fraction(*reduced)
 
     def test_principal_blocks_not_row_major_prefixes(self):
         # Cell (0, 2) = 1/3 lies outside the 2 x 2 block: w = (1, 1/2, 17/30).
-        rows = [[1, Fraction(1, 2), Fraction(1, 3)],
-                [0, 1, Fraction(1, 5)],
-                [0, 0, 1]]
-        pairs = GMatrix(rows).block_inverse_entry_sum_pairs()
-        assert [Fraction(num, den) for num, den in pairs] == [
+        columns = [[], [(1, 2)], [(1, 3), (1, 5)]]
+        assert [Fraction(num, den) for num, den in column_block_sum_pairs(columns)] == [
             1, Fraction(3, 2), Fraction(31, 15)]
-
-
-ENTRY = st.one_of(st.integers(-1, 2),
-                  st.fractions(min_value=-1, max_value=2, max_denominator=6),
-                  st.sampled_from([ZERO, ONE]),
-                  st.sampled_from([0.0, 0.5, 1.0, Decimal(0), Decimal("0.5"),
-                                   Decimal(1), 0j, 0.5j, complex(1)]))
-
-
-@st.composite
-def near_g_matrices(draw):
-    """Square matrices of mostly int and Fraction entries in [-1, 2]: a
-    valid relaxation member, some of its 0s and 1s the shared ``_ZERO`` and
-    ``_ONE``, with up to two cells overwritten by arbitrary entries (floats,
-    Decimals and complex numbers among them), so that accepted and refused
-    matrices both come up often."""
-    n = draw(st.integers(1, 4))
-    upper = st.one_of(st.sampled_from([0, 1, ZERO, ONE]),
-                      st.fractions(min_value=0, max_value=1, max_denominator=6))
-    rows = [[draw(upper) if j > i else
-             draw(st.sampled_from([int(i == j), Fraction(int(i == j)),
-                                   ONE if i == j else ZERO]))
-             for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 2))):
-        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ENTRY)
-    return tuple(tuple(r) for r in rows)
-
-
-@settings(max_examples=500, deadline=None)
-@given(near_g_matrices())
-@example(((ONE, ZERO), (ONE, ONE)))                  # _ONE below the diagonal
-@example(((ONE, ONE), (ZERO, ZERO)))                 # _ZERO on the diagonal
-@example(((ONE, ZERO, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
-@example(((1, 0.5), (0, 1)))                         # float
-@example(((1, 0), (0.0, 1)))
-@example(((1, Decimal("0.5")), (0, 1)))              # Decimal
-@example(((Decimal(1), 0), (0, 1)))
-@example(((1, 0.5j), (0, 1)))                        # complex
-@example(((1, 0), (0, complex(1))))
-def test_g_matrix_validation_matches_comparison_oracle(rows):
-    # The oracle compares entries with 0 and 1, which floats and Decimals
-    # pass; GMatrix takes ints and Fractions only.
-    rational = all(isinstance(v, (int, Fraction)) for r in rows for v in r)
-    try:
-        g = GMatrix(rows)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == (rational and g_matrix_valid(rows))
-    if accepted:
-        assert linalg.inverse_entry_sum(g.rows) == Fraction(
-            *g.block_inverse_entry_sum_pairs()[-1])

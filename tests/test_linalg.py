@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsum import linalg
-from fibsum.construct import sample_g_matrix
+from fibsum.construct import relaxation_columns
 from fibsum.fibonacci import fib
 from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
-                           block_inverse_entry_sum_pairs, determinant_exact,
+                           column_block_sum_pairs, determinant_exact,
                            entry_sum, identity,
                            invert_unit_triangular, inverse_column_sums,
                            inverse_entry_sum, inverse_sum_via_determinant,
@@ -19,7 +19,8 @@ from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            max_abs_row_sum_vector)
 
 from fixtures import BANDED_9_L2, BANDED_9_L2_INVERSE
-from oracles import adjugate_augmented, det_cofactor, invert_adjugate, matmul
+from oracles import (adjugate_augmented, det_cofactor, invert_adjugate, matmul,
+                     sample_g_rows)
 
 
 def intro_fibonacci_lower(n):
@@ -241,12 +242,13 @@ class TestInverseEntrySum:
     def test_matches_both_substitutions_on_samples(self, bound):
         for n in range(3, 11):
             for seed in range(25):
-                rows = sample_g_matrix(n, seed, bound).rows
+                rows = sample_g_rows(n, seed, bound)
                 s = inverse_entry_sum(rows)
                 assert isinstance(s, Fraction)
                 assert s == entry_sum(invert_unit_triangular(rows))
                 assert s == sum(inverse_column_sums(rows))
-                assert s == Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
+                assert s == Fraction(*column_block_sum_pairs(
+                    relaxation_columns(n, seed, bound))[-1])
 
     def test_every_01_triangular_matrix_to_n5_gives_an_int(self):
         for n in range(1, 6):
@@ -260,10 +262,10 @@ class TestInverseEntrySum:
     def test_large_denominators(self):
         # Column-wise scaling keeps the integers near the product of the
         # column lcms; the result must still be exact.
-        rows = sample_g_matrix(14, 3, 10**6).rows
+        rows = sample_g_rows(14, 3, 10**6)
         assert inverse_entry_sum(rows) == sum(inverse_column_sums(rows))
         assert inverse_entry_sum(rows) == Fraction(
-            *block_inverse_entry_sum_pairs(rows)[-1])
+            *column_block_sum_pairs(relaxation_columns(14, 3, 10**6))[-1])
 
     def test_integral_fraction_input_stays_a_fraction(self):
         rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -280,7 +282,6 @@ class TestInverseEntrySum:
                 rows[i][j] = Fraction(rows[i][j])
                 s = inverse_entry_sum(rows)
                 assert isinstance(s, Fraction) and s == expected
-                assert s == Fraction(*block_inverse_entry_sum_pairs(rows)[-1])
 
     def test_affine_in_each_upper_entry(self):
         # Each inverse entry is a signed sum over increasing paths, each
@@ -291,7 +292,7 @@ class TestInverseEntrySum:
             n = rng.randint(3, 9)
             i = rng.randrange(n - 1)
             j = rng.randrange(i + 1, n)
-            rows = [list(r) for r in sample_g_matrix(n, k, 16).rows]
+            rows = [list(r) for r in sample_g_rows(n, k, 16)]
             sums = []
             for value in (Fraction(0), Fraction(1, 2), Fraction(1)):
                 rows[i][j] = value
