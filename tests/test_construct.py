@@ -394,6 +394,24 @@ def column_lcm_product(columns):
     return prod(lcm(*[q for _, q in column]) for column in columns)
 
 
+class TestGMatrixInverseEntrySum:
+    @pytest.mark.parametrize("bound", [1, 16, MAX_BOUND])
+    def test_samples_and_their_blocks(self, bound):
+        # Each leading block of a sampled G matrix, drawn as pairs and as
+        # the oracle's Fraction rows: the checked entry sum is a Fraction,
+        # the pairs of the block's own columns give it, and so does
+        # inverting the block outright.
+        for seed in range(20):
+            columns = relaxation_columns(10, seed, bound)
+            rows = sample_g_rows(10, seed, bound)
+            for n in range(1, 11):
+                block = principal_block(rows, n)
+                s = inverse_entry_sum(block)
+                assert type(s) is Fraction
+                assert s == Fraction(*column_block_sum_pairs(columns[:n])[-1])
+                assert s == entry_sum(invert_unit_triangular(block))
+
+
 class TestBlockInverseEntrySums:
     @pytest.mark.parametrize("bound", [1, 16, 64, 65, MAX_BOUND])
     def test_matches_each_principal_block(self, bound):
