@@ -73,6 +73,8 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
     5, ...) has each term at most 1 plus the sum of the terms before it,
     and the whole sum is F_{n-1}.
     """
+    if not isinstance(target_sum, int):
+        raise ValueError(f"sum must be an int, got {target_sum!r}")
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
     _check_size(n)
@@ -248,6 +250,8 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
     inverse sums to det - 1 and shifting every entry by one lands exactly
     on the target.
     """
+    if not isinstance(det, int):
+        raise ValueError(f"determinant must be an int, got {det!r}")
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
     _check_size(n)

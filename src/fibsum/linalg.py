@@ -11,6 +11,10 @@ column sums, x = 1.  :func:`column_block_sum_pairs` runs the same
 recursion in scaled integers on integer ratio pairs, given column by
 column, as ``construct.relaxation_columns`` draws them.
 
+Every determinant is one Bareiss elimination, :func:`_eliminate`; in
+``_det_pair`` it gives det A and det(A + J), J all ones, in one pass, for
+the matrix determinant lemma S(A^{-1}) = (det(A + J) - det A) / det A.
+
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
 (unit diagonal is implicit); the enumeration code decodes witnesses with it.
@@ -252,32 +256,43 @@ def column_block_sum_pairs(columns: Sequence[Sequence[tuple]]) -> list:
 
 
 def determinant_exact(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix.
+    """Exact determinant of an integer matrix, by one fraction-free
+    (Bareiss) elimination, :func:`_eliminate`: every division is exact."""
+    n = _integer_dimension(rows)
+    m = [list(r) for r in rows]
+    return _eliminate(m, n) * m[n - 1][n - 1]
 
-    Fraction-free (Bareiss) elimination: all intermediate values are
-    integers, every division is exact.  Pivot is the first nonzero entry in
-    the column; row swaps flip the sign.
-    """
-    _dimension(rows)
+
+def _integer_dimension(rows: Sequence[Sequence[int]]) -> int:
+    """n for a non-empty n x n integer matrix; else raises ValueError."""
+    n = _dimension(rows)
     if not _check_entries(rows):
         raise ValueError("integer matrix required, got a non-integer entry")
-    return _bareiss([list(r) for r in rows])
+    return n
 
 
-def _bareiss(m: list) -> int:
-    """Bareiss elimination of ``m`` in place, returning its determinant.
+def _det_pair(rows: Sequence[Sequence[int]]) -> tuple:
+    """``(det A, det(A + J))`` for a square integer matrix A, J all ones;
+    ``(0, None)`` when A is singular.  No checks; ``rows`` is not changed
+    and may be tuples.
 
-    No checks: ``m`` must be a non-empty square list of lists of ints that
-    the caller owns, since elimination overwrites it.
+    One Bareiss elimination of [[A, -1], [1^T, 1]], pivots from A's rows
+    only: pivot n - 1 is det A up to the swaps' sign, and the last entry
+    is the whole determinant, det A + 1^T adj(A) 1 = det(A + J).
     """
-    n = len(m)
-    return _eliminate(m, n - 1, n) * m[n - 1][n - 1]
+    n = len(rows)
+    m = [[*row, -1] for row in rows]
+    m.append([1] * (n + 1))
+    sign = _eliminate(m, n)
+    if not sign:
+        return 0, None
+    return sign * m[n - 1][n - 1], sign * m[n][n]
 
 
-def _eliminate(m: list, steps: int, pivot_rows: int) -> int:
+def _eliminate(m: list, steps: int) -> int:
     """Fraction-free (Bareiss) elimination of the first ``steps`` columns
     of ``m`` in place, returning the sign of its row swaps, or 0 at once
-    when some column k has no nonzero entry in rows k .. pivot_rows - 1.
+    when some column k has no nonzero entry in rows k .. steps - 1.
 
     Pivot k is the first nonzero entry of column k from row k down, and
     after step k entry (i, j), i, j > k, is the minor of rows 0..k, i and
@@ -285,7 +300,7 @@ def _eliminate(m: list, steps: int, pivot_rows: int) -> int:
     (k + 1) x (k + 1) minor.  A row whose multiplier m_ik is 0 is only
     scaled by pivot / prev, so it is left as it is when pivot == prev.
     No checks: ``m`` must be a square list of lists of ints that the
-    caller owns, with steps < len(m) and pivot_rows <= len(m).
+    caller owns, with steps <= len(m).
     """
     n = len(m)
     sign = 1
@@ -293,7 +308,7 @@ def _eliminate(m: list, steps: int, pivot_rows: int) -> int:
     for k in range(steps):
         mk = m[k]
         if mk[k] == 0:
-            for r in range(k + 1, pivot_rows):
+            for r in range(k + 1, steps):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], mk
                     mk = m[k]
@@ -332,9 +347,7 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
     column has no pivot (det = 0).
     """
-    n = _dimension(rows)
-    if not _check_entries(rows):
-        raise ValueError("integer matrix required, got a non-integer entry")
+    n = _integer_dimension(rows)
     m = [list(r) for r in rows]
     perm = list(range(n))  # row i of the array eliminates row perm[i] of A
     sign = 1
@@ -374,16 +387,14 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
 
 
 def inverse_sum_via_determinant(rows: Sequence[Sequence[int]]) -> Fraction:
-    """Entry sum of the inverse, computed from two determinants.
-
-    Uses the Cramer-rule identity: the sum equals
-    (det(A + J) - det(A)) / det(A), with J the all-ones matrix.  A + J is
-    formed entry-wise; J itself is never materialized.
+    """Entry sum of the inverse, (det(A + J) - det A) / det A with J the
+    all-ones matrix (the matrix determinant lemma), from one bordered
+    elimination, :func:`_det_pair`; A + J is never formed.
 
     Raises :class:`SingularMatrixError` when det(A) = 0.
     """
-    d = determinant_exact(rows)
+    _integer_dimension(rows)
+    d, d_plus = _det_pair(rows)
     if d == 0:
         raise SingularMatrixError("matrix is singular (determinant 0), inverse sum undefined")
-    shifted = [[x + 1 for x in r] for r in rows]
-    return Fraction(determinant_exact(shifted) - d, d)
+    return Fraction(d_plus - d, d)

@@ -16,8 +16,8 @@ the first two by one algorithm:
 * ``general``: all 2^(n^2) (0,1) matrices, n <= GENERAL_MAX_N, one set of
   distinct rows at a time.  Permuting the rows of A permutes the columns of
   A^{-1}, so all n! row orders share one inverse entry sum, and an invertible
-  matrix has distinct nonzero rows.  Each such row set costs two exact
-  fraction-free determinants, det(A) and det(A + J), and counts n! times.
+  matrix has distinct nonzero rows.  Each such row set costs one bordered
+  fraction-free elimination, for det(A) and det(A + J), and counts n! times.
 
 The witness kept per sum is the matrix with the smallest packed word, which
 makes witness selection independent of the scan order.
@@ -32,8 +32,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._rng import coin_flips, shuffle
-from .linalg import (InvariantError, Triangular01, _bareiss, _eliminate,
-                     adjugate_exact, inverse_sum_via_determinant)
+from .linalg import (InvariantError, Triangular01, adjugate_exact,
+                     inverse_sum_via_determinant)
+# The scan and the climb score a matrix by this name, the one bench/tracer.py wraps.
+from .linalg import _det_pair as _objective
 from .matrixio import format_scalar, json_scalar
 
 # Known 7x7 invertible (0,1) matrices whose inverse entry sums (-7 and 11)
@@ -272,13 +274,12 @@ def enumerate_general(n: int) -> SumDistribution:
             "the scan visits C(2^n - 1, n) row sets (169 911 at n=5; 6.8e7 at "
             "n=6 is beyond desk scale); for larger n use hill_climb_general")
     bits = [[(c >> j) & 1 for j in range(n)] for c in range(1 << n)]
-    plus = [[x + 1 for x in row] for row in bits]
     pairs = {}  # (det(A + J) - det(A), det(A)) -> [row sets, smallest word]
     for codes in itertools.combinations(range(1, 1 << n), n):
-        det = _bareiss([bits[c][:] for c in codes])
+        det, det_plus = _objective([bits[c] for c in codes])
         if det == 0:
             continue
-        key = (_bareiss([plus[c][:] for c in codes]) - det, det)
+        key = (det_plus - det, det)
         entry = pairs.get(key)
         if entry is None:
             word = 0
@@ -349,25 +350,6 @@ class SearchResult:
     best_sum: Fraction
     steps_taken: int
     restarts_used: int
-
-
-def _objective(rows) -> tuple:
-    """``(det A, det(A + J))`` for a drawn matrix A, whose inverse entry
-    sum is their difference over det A; ``(0, None)`` when A is singular.
-
-    One Bareiss elimination of the bordered matrix [[A, -1], [1^T, 1]],
-    pivots taken from A's rows only: pivot n - 1 is det A, up to the
-    swaps' sign, and the last entry is the whole determinant,
-    det A + 1^T adj(A) 1 = det(A + J).  Stops at the first column of A
-    with no pivot.
-    """
-    n = len(rows)
-    m = [row + [-1] for row in rows]
-    m.append([1] * (n + 1))
-    sign = _eliminate(m, n, n)
-    if not sign:
-        return 0, None
-    return sign * m[n - 1][n - 1], sign * m[n][n]
 
 
 class RankOneState:
@@ -475,10 +457,10 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     methods take them, so the results are theirs.
 
     Flips are scored by :class:`RankOneState` in O(1) exact integer
-    arithmetic, with no determinant.  Each draw costs one bordered
-    elimination, :func:`_objective`, which tests it for singularity and
-    gives det(A) and det(A + J); the adjugate's D and T must equal det(A)
-    and det(A + J) - det(A).
+    arithmetic, with no determinant.  Each draw, and the final check,
+    costs one bordered elimination, ``linalg._det_pair``, which tests it
+    for singularity and gives det(A) and det(A + J); the adjugate's D and T
+    must equal det(A) and det(A + J) - det(A).
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1

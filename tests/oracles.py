@@ -101,7 +101,7 @@ def hill_climb_two_determinants(config):
     ``fibsum.search``: same seeded draws, same per-step shuffle, same
     first-strict-improvement rule, so both must return equal results.
     """
-    from fibsum.linalg import determinant_exact, inverse_sum_via_determinant
+    from fibsum.linalg import determinant_exact
     from fibsum.search import SearchResult
 
     def objective(rows):
@@ -148,7 +148,7 @@ def hill_climb_two_determinants(config):
         if best is None or sgn * (current - best) > 0:
             best = current
             best_rows = [list(row) for row in rows]
-    verified = inverse_sum_via_determinant(best_rows)
+    verified = objective(best_rows)
     return SearchResult(tuple(tuple(row) for row in best_rows), verified,
                         steps_total, restarts_run)
 
@@ -280,7 +280,7 @@ def w_determinants_bareiss(n):
     """The (1,2) determinant distribution by one fraction-free determinant
     per word.  Word bit k adds 1 to the k-th cell below the diagonal, the
     cells taken row by row; words ascend, so the first is the witness."""
-    from fibsum.linalg import _bareiss
+    from fibsum.linalg import determinant_exact
     from fibsum.search import SumDistribution
 
     dist = SumDistribution("w-determinant", n)
@@ -291,7 +291,7 @@ def w_determinants_bareiss(n):
         rows = [[2 if j == i else 1 for j in range(n)] for i in range(n)]
         for k, (i, j) in enumerate(cells):
             rows[i][j] += (word >> k) & 1
-        d = _bareiss(rows)
+        d = determinant_exact(rows)
         counts[d] = counts.get(d, 0) + 1
         wit.setdefault(d, word)
     return dist

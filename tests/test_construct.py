@@ -115,6 +115,20 @@ class TestConstructWithSum:
                 targets += 1
         assert targets == 3204
 
+    def test_refuses_non_int_targets_before_any_work(self, monkeypatch):
+        # A non-int target is bad input, not an internal fault, so it is
+        # refused with ValueError before the constructors build anything.
+        def work(*args, **kwargs):
+            pytest.fail("a constructor started work on a non-int target")
+
+        for name in ("fib", "inverse_column_sums", "_dominant_rows", "Triangular01"):
+            monkeypatch.setattr(construct, name, work)
+        for bad in (2.5, Fraction(5, 2), Fraction(3), 3.0, Decimal(3)):
+            with pytest.raises(ValueError, match="sum must be an int, got"):
+                construct_with_sum(6, bad)
+            with pytest.raises(ValueError, match="determinant must be an int, got"):
+                construct_w_matrix(6, bad + 1)
+
     def test_planted_core_raises(self, monkeypatch):
         # With the identity as the core, c = (1, ..., 1) sums to 5 < 8 at
         # n = 7, so the pairs cannot reach the target; the round-trip check,

@@ -398,18 +398,23 @@ class TestDeterminant:
             determinant_exact([[Fraction(1, 2), 0], [0, 1]])
 
     def test_refusal_names_the_entry_type(self):
-        for refuse in (determinant_exact, adjugate_exact):
+        for refuse in (determinant_exact, adjugate_exact, inverse_sum_via_determinant):
             with pytest.raises(ValueError, match="integer matrix required"):
                 refuse([[Fraction(1), 0], [0, 1]])
             for bad in (1.0, Decimal(1)):
                 with pytest.raises(ValueError, match="entries must be int or Fraction"):
                     refuse([[bad, 0], [0, 1]])
+            with pytest.raises(ValueError, match="square"):
+                refuse([[1, 0], [0, 1], [1, 1]])
 
 
 class TestInverseSumViaDeterminant:
     def test_known_7x7_records(self):
-        assert inverse_sum_via_determinant([list(r) for r in KNOWN_GENERAL_MIN_7X7]) == -7
-        assert inverse_sum_via_determinant([list(r) for r in KNOWN_GENERAL_MAX_7X7]) == 11
+        # As lists and as the tuple rows they are stored in: the bordered
+        # elimination copies each row, so either works.
+        for rows, expected in ((KNOWN_GENERAL_MIN_7X7, -7), (KNOWN_GENERAL_MAX_7X7, 11)):
+            assert inverse_sum_via_determinant([list(r) for r in rows]) == expected
+            assert inverse_sum_via_determinant(rows) == expected
 
     def test_identity(self):
         for n in (1, 4, 7):

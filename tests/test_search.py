@@ -144,15 +144,17 @@ class TestEnumerateGeneral:
     def test_n4_distribution_against_bareiss_loop(self):
         # Cross-validate the row-set scan against the two-determinant
         # formula on every one of the 2^16 matrices, in word order, so the
-        # first word reaching a sum is its smallest witness.
+        # first word reaching a sum is its smallest witness.  The pair comes
+        # from two determinant_exact calls, not from the scan's bordered
+        # elimination.
         counts, first = {}, {}
         for word in range(1 << 16):
             rows = [[(word >> (4 * i + j)) & 1 for j in range(4)]
                     for i in range(4)]
-            try:
-                s = inverse_sum_via_determinant(rows)
-            except ValueError:
+            det, det_plus = det_pair(rows)
+            if det == 0:
                 continue
+            s = Fraction(det_plus - det, det)
             counts[s] = counts.get(s, 0) + 1
             first.setdefault(s, word)
         dist = enumerate_general(4)
@@ -289,7 +291,7 @@ def ones_at(rows, value):
 
 def det_pair(rows):
     """``(det A, det(A + J))`` from two determinants, ``(0, None)`` for a
-    singular A: what the bordered elimination of search._objective gives."""
+    singular A: what the bordered elimination of linalg._det_pair gives."""
     det = determinant_exact(rows)
     if det == 0:
         return 0, None
@@ -373,10 +375,10 @@ class TestHillClimb:
 
     def test_no_determinant_per_scored_flip(self, monkeypatch):
         # Eliminations go to the start draws, one bordered _objective per
-        # draw, and the final re-verification only, so their number does
-        # not grow with the flips a longer climb scores.
+        # draw, and the final re-verification, one linalg._det_pair, only,
+        # so their number does not grow with the flips a longer climb scores.
         calls = []
-        for module, name in ((linalg, "determinant_exact"), (search, "_bareiss"),
+        for module, name in ((linalg, "determinant_exact"), (linalg, "_det_pair"),
                              (search, "_objective")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda rows, original=original:
