@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .fibonacci import fib
+from .fibonacci import fib, sum_interval
 from .linalg import (InvariantError, Matrix, Triangular01, _dimension,
                      entry_sum, identity, invert_unit_triangular,
                      inverse_column_sums, transpose)
@@ -78,8 +78,7 @@ def construct_with_sum(n: int, target_sum: int) -> Triangular01:
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
     _check_size(n)
-    bound = fib(n - 1)
-    low, high = 2 - bound, 2 + bound
+    low, high = sum_interval(n)
     if not low <= target_sum <= high:
         raise ValueError(
             f"sum {target_sum} not achievable for n={n}: "
@@ -255,8 +254,7 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
     if n < 3:
         raise ValueError(f"construction requires n >= 3, got {n}")
     _check_size(n)
-    bound = fib(n - 1)
-    low, high = 3 - bound, 3 + bound
+    low, high = (s + 1 for s in sum_interval(n))
     if not low <= det <= high:
         raise ValueError(
             f"determinant {det} not achievable for n={n}: "

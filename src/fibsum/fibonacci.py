@@ -34,6 +34,13 @@ def fib(k: int) -> int:
     return _cache[k]
 
 
+def sum_interval(n: int) -> tuple:
+    """The theorem's interval of inverse entry sums over the n x n (0,1)
+    unit triangular matrices, n >= 3: ``(2 - F_{n-1}, 2 + F_{n-1})``."""
+    bound = fib(n - 1)
+    return 2 - bound, 2 + bound
+
+
 def check_lemma1(n_max: int) -> list:
     """The (n, identity) pairs, n <= n_max <= IDENTITY_MAX_N, at which the
     three sum identities fail, identity by identity and each by n:

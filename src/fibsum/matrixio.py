@@ -24,11 +24,8 @@ _SCALAR = re.compile(rf"({_INT})(?:/([0-9]+))?")
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
+    """An exact scalar as text, by the rule of :func:`json_scalar`."""
+    return str(json_scalar(x))
 
 
 def json_scalar(x):

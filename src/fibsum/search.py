@@ -237,9 +237,8 @@ def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
     whole triangular family, computed exhaustively (n <= TRIANGULAR_MAX_N).
 
-    A |-> J A^T J, J the reversal, maps the family onto itself and the
-    column sums of each inverse onto the row sums of its image's, reversed.
-    So coordinate k < n-1 is the largest |new sum| at level k of the upper
+    The row sums of (A^T)^{-1} = (A^{-1})^T are the column sums of A^{-1},
+    so coordinate k < n-1 is the largest |new sum| at level k of the lower
     row walk.  The last, 1 - s for a subset sum s of a state, is extreme at
     the sums of the state's negative and of its positive entries.
     """
@@ -247,8 +246,8 @@ def max_abs_row_sum_vector(n: int) -> tuple:
         raise ValueError(f"n={n} out of supported range 1..{TRIANGULAR_MAX_N}")
     maxima = [1]
     states = {(1,): None}
-    for states in _row_sum_levels(n, True):
-        maxima.append(max(abs(tup[0]) for tup in states))
+    for states in _row_sum_levels(n, False):
+        maxima.append(max(abs(tup[-1]) for tup in states))
     maxima.append(max(max(1 - sum(x for x in tup if x < 0),
                           sum(x for x in tup if x > 0) - 1) for tup in states))
     return tuple(maxima[:n])  # n = 1 has no column after w_0

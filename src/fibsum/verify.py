@@ -144,8 +144,7 @@ def verify_theorem_range(n: int) -> TheoremRangeReport:
     if n > CONSTRUCTIVE_MAX_N:
         raise ValueError(f"n={n} exceeds CONSTRUCTIVE_MAX_N = {CONSTRUCTIVE_MAX_N}, "
                          "the largest n checked by construction")
-    bound = fibonacci.fib(n - 1)
-    low, high = 2 - bound, 2 + bound
+    low, high = fibonacci.sum_interval(n)
     interval = range(low, high + 1)
     if n <= 8:
         achieved = set(search.enumerate_triangular(n).counts)
@@ -197,22 +196,21 @@ def suite_corollaries(max_n: int) -> list:
 
 
 def suite_pattern(max_n: int) -> list:
-    fib = fibonacci.fib
     bad_inverse = []
     bad_sum = []
     for n in range(5, max_n + 1):
+        interval = fibonacci.sum_interval(n)
         for l in (2, 3):
             matrix, predicted = construct.extremal_pattern_matrix(n, l)
             actual = linalg.invert_unit_triangular(matrix.rows())
             if actual != predicted:
                 bad_inverse.append((n, l))
-            expected = 2 - fib(n - 1) if (n + l) % 2 == 0 else 2 + fib(n - 1)
-            if linalg.entry_sum(actual) != expected:
+            if linalg.entry_sum(actual) != interval[(n + l) % 2]:
                 bad_sum.append((n, l))
     bad_small = []
     for n in (3, 4):
-        for kind, expected in (("maximizing", 2 + fib(n - 1)),
-                               ("minimizing", 2 - fib(n - 1))):
+        low, high = fibonacci.sum_interval(n)
+        for kind, expected in (("maximizing", high), ("minimizing", low)):
             m = construct.small_extremal(n, kind)
             if linalg.inverse_entry_sum(m.rows()) != expected:
                 bad_small.append((n, kind))
@@ -293,9 +291,8 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
     a signed sum over increasing paths, each using a cell at most once, so
     the sum is affine in each strictly upper entry and extreme at (0,1)
     vertices of [0, 1]^cells."""
-    fib = fibonacci.fib
     sizes = range(3, max_n + 1)
-    intervals = [(n, 2 - fib(n - 1), 2 + fib(n - 1)) for n in sizes]
+    intervals = [(n, *fibonacci.sum_interval(n)) for n in sizes]
     outside_by_n = {n: [] for n in sizes}  # at most the first five each
     for k in range(samples):
         columns = construct.relaxation_columns(max_n, seed + k, bound)
@@ -308,14 +305,14 @@ def suite_gsampling(max_n: int, samples: int, bound: int, seed: int) -> list:
                 outside_by_n[n].append(f"({n}, {seed + k}, {sum_text})")
     outside = [entry for n in sizes for entry in outside_by_n[n]][:5]
     bad_ends = []
-    for n in range(3, max_n + 1):
+    for n, low, high in intervals:
         if n <= 4:
             mats = [construct.small_extremal(n, "maximizing"),
                     construct.small_extremal(n, "minimizing")]
         else:
             mats = [construct.extremal_pattern_matrix(n, l)[0] for l in (2, 3)]
         sums = sorted(linalg.inverse_entry_sum(m.rows()) for m in mats)
-        if sums != [2 - fib(n - 1), 2 + fib(n - 1)]:
+        if sums != [low, high]:
             bad_ends.append((n, sums))
     return [
         _check("gsampling-interval", {"n": f"3..{max_n}", "samples": samples,

@@ -186,7 +186,7 @@ class TestConstructCommands:
         def work(*args):
             pytest.fail(f"{command} started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "_dominant_rows", "identity"):
+        for name in ("fib", "sum_interval", "_dominant_rows", "identity"):
             monkeypatch.setattr(construct, name, work)
         limit = construct.CONSTRUCT_MAX_N
         code, out, err = run(capsys, command, "--n", str(limit + 1), *target)
@@ -410,6 +410,14 @@ class TestSearch:
             code, out, err = run(capsys, "search", "--direction", "max", *argv)
             assert code == 1 and out == ""
             assert f"{field} must lie in {low}..{name} = {limit}, got {value}" in err
+
+    def test_exhausted_search_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("fibsum.search._objective", lambda rows: (0, None))
+        code, out, err = run(capsys, "search", "--n", "5", "--direction", "max",
+                             "--restarts", "2", "--json")
+        assert code == 1 and out == ""
+        assert err == ("fibsum: error: no invertible 5x5 start matrix found "
+                       "in 2 restarts x 200 draws\n")
 
     def test_negative_seed_refused_before_work(self, capsys, monkeypatch):
         # random.Random seeds with |seed|, so --seed -1 would replay --seed 1.

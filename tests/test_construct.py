@@ -121,7 +121,8 @@ class TestConstructWithSum:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work on a non-int target")
 
-        for name in ("fib", "inverse_column_sums", "_dominant_rows", "Triangular01"):
+        for name in ("fib", "sum_interval", "inverse_column_sums", "_dominant_rows",
+                     "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         for bad in (2.5, Fraction(5, 2), Fraction(3), 3.0, Decimal(3)):
             with pytest.raises(ValueError, match="sum must be an int, got"):
@@ -263,7 +264,7 @@ class TestSizeLimit:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "gcd", "identity", "inverse_column_sums",
+        for name in ("fib", "sum_interval", "gcd", "identity", "inverse_column_sums",
                      "invert_unit_triangular", "_dominant_rows", "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         n = CONSTRUCT_MAX_N + 1
@@ -307,12 +308,18 @@ class TestConstructWMatrix:
     def test_range_error_names_interval(self):
         with pytest.raises(ValueError, match=r"\[-5, 11\]"):
             construct_w_matrix(7, 12)
+        with pytest.raises(ValueError, match=r"\[-5, 11\]"):
+            construct_w_matrix(7, -6)
+        with pytest.raises(ValueError, match="construction requires n >= 3, got 2"):
+            construct_w_matrix(2, 3)
 
     def test_wmatrix_type_rejects_bad_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="entries above the diagonal must be 1"):
             WMatrix(((2, 2), (1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="entries below the diagonal must be 1 or 2"):
             WMatrix(((2, 1), (3, 2)))
+        with pytest.raises(ValueError, match="diagonal entries must be 2"):
+            WMatrix(((3, 1), (1, 2)))
 
     @pytest.mark.parametrize("bad", [2.0, Fraction(2), Decimal(2)],
                              ids=["float", "Fraction", "Decimal"])

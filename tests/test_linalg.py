@@ -608,6 +608,8 @@ class TestTriangular01:
     def test_mask_range_validated(self):
         with pytest.raises(ValueError):
             Triangular01(3, 8)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            Triangular01(0)
 
     def test_transpose(self):
         assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]

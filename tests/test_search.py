@@ -9,12 +9,13 @@ from fibsum import linalg, search
 from fibsum.fibonacci import fib
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, determinant_exact, entry_sum,
-                           invert_unit_triangular, inverse_sum_via_determinant)
+                           invert_unit_triangular, inverse_sum_via_determinant,
+                           transpose)
 from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_RESTARTS,
                            TRIANGULAR_MAX_N, RankOneState, SearchConfig,
-                           enumerate_general, enumerate_triangular,
-                           enumerate_w_determinants, hill_climb_general,
-                           max_abs_row_sum_vector)
+                           SearchExhaustedError, enumerate_general,
+                           enumerate_triangular, enumerate_w_determinants,
+                           hill_climb_general, max_abs_row_sum_vector)
 from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
 
 from oracles import (det_cofactor, enumerate_triangular_by_columns,
@@ -431,6 +432,16 @@ class TestHillClimb:
             with pytest.raises(InvariantError, match="start matrix"):
                 hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
 
+    def test_no_invertible_draw_exhausts_the_search(self, monkeypatch):
+        # Every draw scored singular: each restart is skipped before any
+        # state is built, and no best matrix is left to verify.
+        monkeypatch.setattr(search, "_objective", lambda rows: (0, None))
+        monkeypatch.setattr(search, "RankOneState",
+                            lambda rows: pytest.fail("a singular draw was climbed"))
+        with pytest.raises(SearchExhaustedError, match="no invertible 4x4 start "
+                           "matrix found in 3 restarts x 200 draws"):
+            hill_climb_general(SearchConfig(n=4, restarts=3, max_steps=5, seed=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(n=2, direction="max")
@@ -510,6 +521,16 @@ class TestRankOneState:
         with pytest.raises(InvariantError, match="row 2 leaves a remainder"):
             state.apply(0, 1, -1, det2, total2)
 
+    def test_wrong_flip_score_raises(self):
+        # The adjugate update is exact, so only the final comparison of its
+        # sum with the T' that improve scored sees the wrong score.
+        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        det2, total2 = two_determinant_score([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+        with pytest.raises(InvariantError,
+                           match=f"adjugate sums to {total2}, "
+                                 f"the flip's score gave {total2 + 1}"):
+            state.apply(0, 1, -1, det2, total2 + 1)
+
     def test_corrupted_adjugate_detected_by_improve(self):
         # Flipping a_01 scores T' = (3 * 1 + 2 * 1) / 2 with R_0 = 2.
         state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -580,17 +601,21 @@ class TestMaxAbsRowSumVector:
             with pytest.raises(ValueError, match="1..9"):
                 max_abs_row_sum_vector(n)
 
-    def test_reversal_maps_column_sums_onto_row_sums(self):
+    def test_transpose_maps_column_sums_onto_row_sums(self):
         # The identity the vector's row walk rests on: the row sums of
-        # (J A^T J)^{-1} are the column sums of A^{-1}, reversed.
+        # (A^T)^{-1} are the column sums of A^{-1}, in order, so level k
+        # of the lower walk holds the first k + 1 column sums of A^{-1}.
         for n in range(1, 6):
+            prefixes = [set() for _ in range(n)]
             for mask in range(1 << (n * (n - 1) // 2)):
                 a = Triangular01(n, mask).rows()
-                flipped = [[a[n - 1 - j][n - 1 - i] for j in range(n)]
-                           for i in range(n)]
-                rows = [sum(r) for r in invert_unit_triangular(flipped)]
+                rows = [sum(r) for r in invert_unit_triangular(transpose(a))]
                 cols = [sum(c) for c in zip(*invert_unit_triangular(a))]
-                assert rows == cols[::-1], (n, mask)
+                assert rows == cols, (n, mask)
+                for k in range(n):
+                    prefixes[k].add(tuple(cols[:k + 1]))
+            for k, states in enumerate(search._row_sum_levels(n, False), 1):
+                assert set(states) == prefixes[k], (n, k)
 
 
 class TestVerifyTheoremRange:
@@ -617,6 +642,8 @@ class TestVerifyTheoremRange:
         for n in (21, 25):
             with pytest.raises(ValueError, match="CONSTRUCTIVE_MAX_N = 20"):
                 verify_theorem_range(n)
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            verify_theorem_range(2)
 
 
 class TestSumDistribution:

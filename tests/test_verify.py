@@ -196,6 +196,25 @@ class TestPlantedFaults:
         assert [k for k in payload if k.endswith("_pass") and not payload[k]] == [key]
 
 
+class TestTheoremReport:
+    def test_missing_and_outside_sums_reported(self, capsys, monkeypatch):
+        # The interval at n = 6 is [-3, 7]: drop 7, plant -4.
+        drop_top_sum(monkeypatch)
+        real = search.enumerate_triangular
+
+        def enumerate_triangular(n):
+            dist = real(n)
+            dist.counts[-4] = 1
+            return dist
+
+        monkeypatch.setattr(search, "enumerate_triangular", enumerate_triangular)
+        code, out = run(capsys, "verify", "--suite", "theorem", "--n", "6", "--json")
+        assert code == 2
+        check, = json.loads(out)["checks"]
+        assert check["detail"] == ("interval [-3, 7], method exhaustive, "
+                                   "missing sums [7], sums outside interval [-4]")
+
+
 class TestGsamplingReport:
     def test_first_five_outside_are_n_major(self, capsys, monkeypatch):
         # Every seed fails at each odd n.  Sampling seed by seed would list
