@@ -26,9 +26,8 @@ from .search import (GENERAL_MAX_N, SEARCH_MAX_N, SEARCH_MAX_RESTARTS,
                      SearchExhaustedError, enumerate_general,
                      enumerate_triangular, enumerate_w_determinants,
                      hill_climb_general)
-from .verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES, SUITES,
-                     VerificationReport, check_options, identity_failures,
-                     suite_sizes)
+from .verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITES,
+                     VerificationReport, check_options, suite_sizes)
 # cmd_verify looks the suites up by these names, the ones bench/tracer.py wraps.
 from .verify import suite_corollaries as _suite_corollaries
 from .verify import suite_gsampling as _suite_gsampling
@@ -97,27 +96,6 @@ def _with_inverse(head: dict, rows, inverse) -> tuple:
 def cmd_fib(args) -> tuple:
     value = fib(args.k)
     return EXIT_OK, {"k": args.k, "value": value}, f"{value}\n"
-
-
-def cmd_identities(args) -> tuple:
-    minimum = SUITE_SIZES["corollaries"][1]
-    if args.max_n < minimum:
-        raise ValueError(f"--max-n must be >= {minimum}, "
-                         f"got {args.max_n}: corollary 4 starts at n = 6")
-    lemma1, bad3, bad4 = identity_failures(args.max_n)
-    payload = {
-        "max_n": args.max_n,
-        "lemma1_pass": not lemma1,
-        "lemma1_failures": lemma1,
-        "corollary3_pass": not bad3,
-        "corollary4_pass": not bad4,
-    }
-    text = _lines([f"lemma1 identities (n <= {args.max_n}): "
-                   f"{'PASS' if not lemma1 else 'FAIL ' + str(lemma1)}"]
-                  + [f"corollary{k} identity (n <= {args.max_n}): "
-                     f"{'PASS' if not bad else 'FAIL at ' + str(bad)}"
-                     for k, bad in ((3, bad3), (4, bad4))])
-    return EXIT_VERIFY_FAILED if lemma1 or bad3 or bad4 else EXIT_OK, payload, text
 
 
 def _check_invert_size(n: int) -> None:
@@ -239,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fib", parents=[common], help="print a Fibonacci number")
     p.add_argument("k", type=int, help="index (F_1 = F_2 = 1)")
     p.set_defaults(func=cmd_fib)
-
-    p = sub.add_parser("identities", parents=[common],
-                       help="check the Fibonacci sum identities exactly")
-    _, low, high = SUITE_SIZES["corollaries"]
-    p.add_argument("--max-n", type=int, default=90, dest="max_n",
-                   help=f"largest n checked, {low}..{high}")
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("invert", parents=[common],
                        help="invert a unit triangular matrix from matrix text")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .fibonacci import fib, sum_interval
 from .linalg import (InvariantError, Matrix, Triangular01, _dimension,
@@ -270,7 +269,7 @@ def construct_w_matrix(n: int, det: int) -> WMatrix:
 def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
     """The strictly upper entries of a seeded member of the continuous
     relaxation, column by column, as integer pairs: ``columns[j][i]`` is
-    (p, q), reduced by their gcd, for the entry p/q at row i < j.
+    (p, q), as drawn and not reduced, for the entry p/q at row i < j.
 
     Each entry is drawn as p/q with 0 <= p <= q <= ``denominator_bound``,
     in row-major order from ``random.Random(seed)``: ``randint(1, bound)``
@@ -302,8 +301,7 @@ def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
             p = getrandbits(kp)  # _randbelow_with_getrandbits(q + 1)
             while p > q:
                 p = getrandbits(kp)
-            g = gcd(p, q)
-            column.append((p // g, q // g))
+            column.append((p, q))
     return columns
 
 

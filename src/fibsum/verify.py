@@ -6,9 +6,9 @@ and ``gsampling`` (the continuous relaxation).  Each returns a list of
 :class:`CheckResult`.
 
 The functions under check are reached through their modules
-(``construct.relaxation_columns``, ``linalg.column_block_sum_pairs``), so
-wrappers set on those modules, such as ``bench/tracer.py`` and the tests'
-planted faults, see every call.
+(``fibonacci.check_lemma1``, ``construct.relaxation_columns``,
+``linalg.column_block_sum_pairs``), so wrappers set on those modules, such
+as ``bench/tracer.py`` and the tests' planted faults, see every call.
 """
 
 from __future__ import annotations
@@ -171,15 +171,9 @@ def suite_theorem(n: int) -> list:
 # Fibonacci identities
 
 
-def identity_failures(max_n: int) -> tuple:
-    """Where the identities fail for n <= max_n: the (n, identity) pairs of
-    lemma 1 (identity 1..3 as in :func:`fibonacci.check_lemma1`), then the
-    failing n of corollary 3 and of corollary 4."""
-    return (fibonacci.check_lemma1(max_n), *fibonacci.corollary_failures(max_n))
-
-
 def suite_corollaries(max_n: int) -> list:
-    lemma1, bad3, bad4 = identity_failures(max_n)
+    lemma1 = fibonacci.check_lemma1(max_n)
+    bad3, bad4 = fibonacci.corollary_failures(max_n)
     params = {"max_n": max_n}
     return [
         _check("lemma1-identities", params, lemma1, "failures: ",
@@ -230,6 +224,9 @@ def suite_pattern(max_n: int) -> list:
 
 
 def suite_remark(max_n: int, count: int, seed: int) -> list:
+    if seed < 0:
+        # random.Random seeds with |seed|: -3 would replay seed 3.
+        raise ValueError(f"seed must be >= 0, got {seed}")
     inverse_sum = linalg.inverse_sum_via_determinant
     got_min = inverse_sum([list(r) for r in search.KNOWN_GENERAL_MIN_7X7])
     got_max = inverse_sum([list(r) for r in search.KNOWN_GENERAL_MAX_7X7])

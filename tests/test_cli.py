@@ -43,11 +43,6 @@ class TestBasicCommands:
         code, payload, _ = run_json(capsys, "fib", "6")
         assert code == 0 and payload == {"k": 6, "value": 8}
 
-    def test_identities(self, capsys):
-        code, out, _ = run(capsys, "identities", "--max-n", "60")
-        assert code == 0
-        assert "PASS" in out
-
     def test_fib_above_limit_refused_before_computing(self, capsys):
         cached = len(fibonacci._cache)
         limit = fibonacci.FIB_INDEX_LIMIT
@@ -55,16 +50,6 @@ class TestBasicCommands:
         assert code == 1 and out == ""
         assert f"FIB_INDEX_LIMIT = {limit}" in err
         assert len(fibonacci._cache) == cached
-
-    def test_identities_above_limit_refused_before_computing(self, capsys):
-        cached = len(fibonacci._cache)
-        limit = fibonacci.IDENTITY_MAX_N
-        code, out, err = run(capsys, "identities", "--max-n", str(limit + 1))
-        assert code == 1 and out == ""
-        assert f"IDENTITY_MAX_N = {limit}" in err
-        assert len(fibonacci._cache) == cached
-        code, out, _ = run(capsys, "identities", "--help")
-        assert code == 0 and f"6..{limit}" in out
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -360,8 +345,7 @@ for argv in (["enumerate", "--family", "triangular", "--n", "5"],
              ["enumerate", "--family", "w", "--n", "4"],
              ["search", "--n", "4", "--direction", "max", "--restarts", "3"],
              ["verify", "--suite", "all", "--n", "6", "--samples", "5",
-              "--count", "5"],
-             ["identities", "--max-n", "20"]):
+              "--count", "5"]):
     with contextlib.redirect_stdout(io.StringIO()):
         if main(argv) != 0:
             sys.exit(f"{argv} failed")
@@ -503,11 +487,6 @@ class TestVerify:
         assert code == 0
         assert payload["failed"] == 0 and payload["passed"] > 0
 
-    def test_identities_below_minimum_exits_1(self, capsys):
-        code, _, err = run(capsys, "identities", "--max-n", "5")
-        assert code == 1
-        assert "--max-n must be >= 6" in err
-
 
 class TestArgumentErrors:
     def test_unknown_flag_exits_1(self, capsys):
@@ -527,7 +506,6 @@ class TestArgumentErrors:
 # One small, seeded run of each subcommand: (argv, stdin).
 EVERY_COMMAND = [
     (("fib", "12"), ""),
-    (("identities", "--max-n", "12"), ""),
     (("invert",), "3\n1 1/2 0\n0 1 1/3\n0 0 1\n"),
     (("construct", "--n", "5", "--sum", "4"), ""),
     (("extremal", "--n", "7", "--l", "3"), ""),

@@ -264,7 +264,7 @@ class TestSizeLimit:
         def work(*args, **kwargs):
             pytest.fail("a constructor started work above CONSTRUCT_MAX_N")
 
-        for name in ("fib", "sum_interval", "gcd", "identity", "inverse_column_sums",
+        for name in ("fib", "sum_interval", "identity", "inverse_column_sums",
                      "invert_unit_triangular", "_dominant_rows", "Triangular01"):
             monkeypatch.setattr(construct, name, work)
         n = CONSTRUCT_MAX_N + 1
@@ -394,15 +394,15 @@ class TestRelaxationColumns:
 
     @pytest.mark.parametrize("bound", [1, 16, 64, 65, MAX_BOUND])
     def test_pairs_and_block_sums_match_the_fraction_path(self, bound):
-        # The drawer gives the oracle's entries as reduced ratios, and the
-        # column kernel's sum of the whole sample is the Fraction
-        # substitution's on the oracle's rows.
+        # The drawer gives the oracle's entries as pairs p, q with p/q the
+        # entry, and the column kernel's sum of the whole sample is the
+        # Fraction substitution's on the oracle's rows.
         for n in range(3, 13):
             for seed in range(50):
                 columns = relaxation_columns(n, seed, bound)
                 rows = sample_g_rows(n, seed, bound)
-                assert columns == [[rows[i][j].as_integer_ratio() for i in range(j)]
-                                   for j in range(n)]
+                assert [[Fraction(p, q) for p, q in column] for column in columns] == [
+                    [rows[i][j] for i in range(j)] for j in range(n)]
                 assert (Fraction(*column_block_sum_pairs(columns)[-1])
                         == inverse_entry_sum(rows))
 
@@ -475,10 +475,10 @@ class TestBlockInverseEntrySums:
                 ks = [rng.randint(1, 6) for _ in column]
                 scaled.append([(p * k, q * k) for (p, q), k in zip(column, ks)])
             pairs = column_block_sum_pairs(scaled)
-            for n, ((num, den), reduced) in enumerate(
+            for n, ((num, den), drawn) in enumerate(
                     zip(pairs, column_block_sum_pairs(columns)), 1):
                 assert den == column_lcm_product(scaled[:n])
-                assert Fraction(num, den) == Fraction(*reduced)
+                assert Fraction(num, den) == Fraction(*drawn)
 
     def test_principal_blocks_not_row_major_prefixes(self):
         # Cell (0, 2) = 1/3 lies outside the 2 x 2 block: w = (1, 1/2, 17/30).

@@ -69,9 +69,9 @@ class TestLemma1:
                     (8, 2), (9, 2), (10, 2), (11, 2), (12, 2), (5, 3)]
         monkeypatch.setattr(fibonacci, "fib", lambda k: fib(k) + (k == 10))
         assert check_lemma1(12) == expected
-        assert cli.main(["identities", "--max-n", "12", "--json"]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["lemma1_failures"] == [list(p) for p in expected]
+        assert cli.main(["verify", "--suite", "corollaries", "--n", "12", "--json"]) == 2
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["lemma1-identities"]["detail"] == f"failures: {expected}"
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):

@@ -58,10 +58,6 @@ CASES = [
      "1c7c56f109bfc510431058a8ed338433422e75d5af15ade51f8542c325e7cc86"),
     (("fib", "30", "--json"), "", 0,
      "1392c2a1c973e99e6e5e336634ec85424717f7f3d12990c7d4e39889e283a0fc"),
-    (("identities", "--max-n", "40"), "", 0,
-     "1593b3088d51f2cae34e443ea6f508e9bc20b29cefd09096bccddbcaa988ce2e"),
-    (("identities", "--max-n", "40", "--json"), "", 0,
-     "394755059e1a58d9b3b50cbca9034d9c0242f073f15e0e2ee0acfb760da01f4e"),
     (("invert",), TRIANGULAR, 0,
      "2eee09449ec9bac72517d49ff926b9cdfa7766533fb47b3f9d5538dd3d08380c"),
     (("invert", "--json"), TRIANGULAR, 0,
@@ -151,10 +147,6 @@ CASES = [
 
 # Commands that exit 2, run with corollary 3 made to fail at n = 7.
 FAILING_CASES = [
-    (("identities", "--max-n", "12"), 2,
-     "d0dd9e38f56559c3484340590e8f1d0815ae0d107c09fc99aeaa215442a43ada"),
-    (("identities", "--max-n", "12", "--json"), 2,
-     "f1b6d2451662389d9f876fde06280aa088762c2fc28520d69c9a9b770bb2c90d"),
     (("verify", "--suite", "corollaries", "--n", "12"), 2,
      "9b3173c5777e9ab3a43c3d9769f89e6b56e155c280fb005ba1369ef22aca995c"),
     (("verify", "--suite", "corollaries", "--n", "12", "--json"), 2,

@@ -30,4 +30,4 @@ def test_cli_handlers_write_nothing():
              for node in ast.walk(handler)
              for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
              if name in writers]
-    assert len(handlers) == 9 and not found, f"handlers that write: {found}"
+    assert len(handlers) == 8 and not found, f"handlers that write: {found}"

@@ -13,7 +13,7 @@ import fibsum
 from fibsum import cli, construct, fibonacci, linalg, search
 from fibsum.linalg import InvariantError, SingularMatrixError, Triangular01
 from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES,
-                           check_options, suite_sizes)
+                           check_options, suite_remark, suite_sizes)
 
 
 def run(capsys, *argv):
@@ -151,10 +151,6 @@ FAULTS = {
     "gsampling-endpoints": ("gsampling", replace_extremal_6_2(False)),
 }
 
-IDENTITY_LINES = {"lemma1-identities": "lemma1 identities",
-                  "corollary3-identity": "corollary3 identity",
-                  "corollary4-identity": "corollary4 identity"}
-
 
 class TestPlantedFaults:
     def test_every_check_has_a_fault(self, capsys):
@@ -180,20 +176,6 @@ class TestPlantedFaults:
         assert code == 2
         assert f"FAIL {check} [" in out
         assert "Fraction(" not in out
-
-    @pytest.mark.parametrize("check", sorted(IDENTITY_LINES))
-    def test_identities_reports_the_fault(self, capsys, monkeypatch, check):
-        FAULTS[check][1](monkeypatch)
-        code, out = run(capsys, "identities", "--max-n", "90")
-        assert code == 2
-        failing = [line for line in out.splitlines() if ": FAIL" in line]
-        assert len(failing) == 1
-        assert failing[0].startswith(IDENTITY_LINES[check])
-        code, out = run(capsys, "identities", "--max-n", "90", "--json")
-        assert code == 2
-        payload = json.loads(out)
-        key = check.split("-")[0] + "_pass"
-        assert [k for k in payload if k.endswith("_pass") and not payload[k]] == [key]
 
 
 class TestTheoremReport:
@@ -292,10 +274,12 @@ class TestLimits:
         names = SUITE_SIZES if suite == "all" else [suite]
         largest = min(SUITE_SIZES[name][2] for name in names)
         refuse_every_suite(monkeypatch)
+        cached = len(fibonacci._cache)
         code = cli.main(["verify", "--suite", suite, "--n", str(largest + 1)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert f"--n <= {largest}, got {largest + 1}" in captured.err
+        assert len(fibonacci._cache) == cached
 
     @pytest.mark.parametrize("flag, name, limit", [
         ("--samples", "MAX_SAMPLES", MAX_SAMPLES), ("--count", "MAX_COUNT", MAX_COUNT),
@@ -321,6 +305,16 @@ class TestLimits:
         with pytest.raises(ValueError, match="got -1"):
             check_options(1, 1, 1, -1)
         check_options(1, 1, 1, 0)
+
+    def test_remark_suite_refuses_a_negative_seed(self, monkeypatch):
+        # Called as a library function too: -3 would draw seed 3's matrices
+        # and report seed -3.
+        def refuse(rows):
+            raise AssertionError("the remark suite started on a negative seed")
+
+        monkeypatch.setattr(linalg, "inverse_sum_via_determinant", refuse)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            suite_remark(10, 50, -3)
 
     def test_largest_values_accepted(self, capsys, monkeypatch):
         seen = {}
@@ -358,7 +352,6 @@ class TestBenchmarkHooks:
         try:
             assert cli.main(["verify", "--suite", "all", "--n", "6",
                              "--samples", "20", "--count", "20"]) == 0
-            assert cli.main(["identities", "--max-n", "30"]) == 0
         finally:
             t.restore()
         capsys.readouterr()
