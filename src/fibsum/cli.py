@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .construct import (CONSTRUCT_MAX_N, construct_w_matrix,
+from .construct import (CONSTRUCT_MAX_N, _check_size, construct_w_matrix,
                         construct_with_sum, extremal_pattern_matrix)
 from .fibonacci import fib
 from .linalg import entry_sum, invert_unit_triangular
@@ -62,18 +62,7 @@ def _write(args, text: str) -> None:
 
 
 def _write_json(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, sort_keys=True, separators=(",", ": "),
-                            indent=1) + "\n")
-
-
-def _read_matrix(args, check_dimension):
-    path = getattr(args, "infile", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return parse_matrix(text, check_dimension)
+    _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +87,14 @@ def cmd_fib(args) -> tuple:
     return EXIT_OK, {"k": args.k, "value": value}, f"{value}\n"
 
 
-def _check_invert_size(n: int) -> None:
-    if n > CONSTRUCT_MAX_N:
-        raise ValueError(f"n must be <= CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}, "
-                         f"got {n}: inversion grows about as n^3")
-
-
 def cmd_invert(args) -> tuple:
+    if args.infile:
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
     # Refused from the dimension line, before any row is parsed.
-    rows = _read_matrix(args, _check_invert_size)
+    rows = parse_matrix(text, _check_size)
     inverse = invert_unit_triangular(rows)
     s = entry_sum(inverse)
     payload = {

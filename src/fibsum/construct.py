@@ -280,6 +280,10 @@ def relaxation_columns(n: int, seed: int, denominator_bound: int) -> list:
     rounding slack; the pairs feed
     :func:`fibsum.linalg.column_block_sum_pairs` with no Fraction built.
     """
+    for name, value in (("n", n), ("seed", seed),
+                        ("denominator_bound", denominator_bound)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     _check_size(n)

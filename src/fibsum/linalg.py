@@ -11,9 +11,11 @@ column sums, x = 1.  :func:`column_block_sum_pairs` runs the same
 recursion in scaled integers on integer ratio pairs, given column by
 column, as ``construct.relaxation_columns`` draws them.
 
-Every determinant is one Bareiss elimination, :func:`_eliminate`; in
-``_det_pair`` it gives det A and det(A + J), J all ones, in one pass, for
-the matrix determinant lemma S(A^{-1}) = (det(A + J) - det A) / det A.
+Every determinant but the adjugate's is one Bareiss elimination,
+:func:`_eliminate`; in ``_det_pair`` it gives det A and det(A + J), J all
+ones, in one pass, for the matrix determinant lemma
+S(A^{-1}) = (det(A + J) - det A) / det A.  :func:`adjugate_exact` takes
+det A from its own fraction-free Gauss-Jordan elimination.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
@@ -122,11 +124,9 @@ def _classify_triangular(rows: Sequence[Sequence[Scalar]]) -> tuple:
     for i in range(n):
         if rows[i][i] != 1:
             raise ValueError("matrix is not unit triangular (diagonal entry != 1)")
-    lower_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i))
-    upper_zero = all(rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    if lower_zero:
+    if all(rows[i][j] == 0 for i in range(n) for j in range(i)):
         return False, ints
-    if upper_zero:
+    if all(rows[i][j] == 0 for i in range(n) for j in range(i + 1, n)):
         return True, ints
     raise ValueError("matrix is not triangular")
 

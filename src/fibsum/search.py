@@ -328,6 +328,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "restarts", "max_steps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name, value, low, limit_name, limit in (
                 ("n", self.n, 3, "SEARCH_MAX_N", SEARCH_MAX_N),
                 ("restarts", self.restarts, 1, "SEARCH_MAX_RESTARTS", SEARCH_MAX_RESTARTS),

@@ -86,7 +86,9 @@ def suite_sizes(suite: str, n: int | None = None) -> dict:
     """The suites that ``suite`` names (``all`` names every one), each mapped
     to the n it runs at: ``n`` when given, else the suite's default.  Raises
     ValueError when n is below the smallest n of any of them or above the
-    largest n of any of them."""
+    largest n of any of them, or when ``suite`` is not one of ``SUITES``."""
+    if suite not in SUITES:
+        raise ValueError(f"suite must be one of SUITES = {SUITES}, got {suite!r}")
     names = tuple(SUITE_SIZES) if suite == "all" else (suite,)
     minimum = max(SUITE_SIZES[name][1] for name in names)
     maximum = min(SUITE_SIZES[name][2] for name in names)
@@ -228,8 +230,8 @@ def suite_remark(max_n: int, count: int, seed: int) -> list:
         # random.Random seeds with |seed|: -3 would replay seed 3.
         raise ValueError(f"seed must be >= 0, got {seed}")
     inverse_sum = linalg.inverse_sum_via_determinant
-    got_min = inverse_sum([list(r) for r in search.KNOWN_GENERAL_MIN_7X7])
-    got_max = inverse_sum([list(r) for r in search.KNOWN_GENERAL_MAX_7X7])
+    got_min = inverse_sum(search.KNOWN_GENERAL_MIN_7X7)
+    got_max = inverse_sum(search.KNOWN_GENERAL_MAX_7X7)
     checks = [CheckResult(
         "known-7x7-records", {}, (got_min, got_max) == (Fraction(-7), Fraction(11)),
         f"inverse sums {got_min} and {got_max} (expected -7 and 11)")]

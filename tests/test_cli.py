@@ -165,20 +165,29 @@ class TestConstructCommands:
 
     @pytest.mark.parametrize("command, low, target", [
         ("construct", 3, ("--sum", "2")), ("extremal", 5, ("--l", "2")),
-        ("wmatrix", 3, ("--det", "3"))])
+        ("wmatrix", 3, ("--det", "3")), ("invert", None, ())])
     def test_size_limit_refused_before_work_and_shown(self, capsys, monkeypatch,
                                                       command, low, target):
+        # Every command refuses through construct._check_size, so all print
+        # the same line; invert reads n from its dimension line.
         def work(*args):
             pytest.fail(f"{command} started work above CONSTRUCT_MAX_N")
 
         for name in ("fib", "sum_interval", "_dominant_rows", "identity"):
             monkeypatch.setattr(construct, name, work)
+        monkeypatch.setattr("fibsum.matrixio.parse_scalar", work)
         limit = construct.CONSTRUCT_MAX_N
-        code, out, err = run(capsys, command, "--n", str(limit + 1), *target)
+        if command == "invert":
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{limit + 1}\n"))
+            code, out, err = run(capsys, command)
+        else:
+            code, out, err = run(capsys, command, "--n", str(limit + 1), *target)
         assert code == 1 and out == ""
-        assert f"CONSTRUCT_MAX_N = {limit}, got {limit + 1}" in err
-        code, out, _ = run(capsys, command, "--help")
-        assert code == 0 and f"{low}..{limit}" in out
+        assert err == (f"fibsum: error: n must be <= CONSTRUCT_MAX_N = {limit}, "
+                       f"got {limit + 1}\n")
+        if low is not None:
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0 and f"{low}..{limit}" in out
 
 
 class TestInvert:

@@ -392,6 +392,18 @@ class TestRelaxationColumns:
         with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
             relaxation_columns(4, -5, 16)
 
+    @pytest.mark.parametrize("args, message", [
+        ((4.0, 0, 2), "n must be an int, got 4.0"),
+        ((4, 0.0, 2), "seed must be an int, got 0.0"),
+        ((4, 0, 2.5), "denominator_bound must be an int, got 2.5")])
+    def test_non_int_refused_before_drawing(self, monkeypatch, args, message):
+        def draw(*_):
+            pytest.fail("relaxation_columns drew before refusing")
+
+        monkeypatch.setattr(construct.random, "Random", draw)
+        with pytest.raises(ValueError, match=message):
+            relaxation_columns(*args)
+
     @pytest.mark.parametrize("bound", [1, 16, 64, 65, MAX_BOUND])
     def test_pairs_and_block_sums_match_the_fraction_path(self, bound):
         # The drawer gives the oracle's entries as pairs p, q with p/q the

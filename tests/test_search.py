@@ -452,6 +452,19 @@ class TestHillClimb:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SearchConfig(n=5, direction="max", restarts=1, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n", "restarts", "max_steps", "seed"])
+    def test_non_int_config_refused(self, field):
+        valid = {"n": 3, "restarts": 2, "max_steps": 5, "seed": 0}
+        value = valid[field] + 0.5
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value}"):
+            SearchConfig(**{**valid, field: value})
+
+    def test_float_restarts_refused_before_climbing(self):
+        # Refused when the config is built: a float restarts would
+        # otherwise reach range() inside the climb as a TypeError.
+        with pytest.raises(ValueError, match="restarts must be an int, got 2.0"):
+            hill_climb_general(SearchConfig(n=3, restarts=2.0))
+
     def test_restart_streams_are_distinct(self):
         # Restart r of seed s draws from Random((s << 20) ^ r); with s >= 0
         # and r < 2^20 no two (seed, restart) pairs share that number.

@@ -9,12 +9,15 @@ SOURCES = sorted(Path(fibsum.__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements():
-    # ``python -O`` strips assert statements, so invariants must raise.
+    # ``python -O`` strips assert statements and sets ``__debug__`` False, so
+    # invariants must raise, and no code may branch on ``__debug__``: the
+    # package must behave the same with and without -O.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
-    assert SOURCES and not found, f"assert statements in the package: {found}"
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert SOURCES and not found, f"assert or __debug__ in the package: {found}"
 
 
 def test_cli_handlers_write_nothing():

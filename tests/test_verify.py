@@ -12,7 +12,7 @@ import pytest
 import fibsum
 from fibsum import cli, construct, fibonacci, linalg, search
 from fibsum.linalg import InvariantError, SingularMatrixError, Triangular01
-from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES,
+from fibsum.verify import (MAX_BOUND, MAX_COUNT, MAX_SAMPLES, SUITE_SIZES, SUITES,
                            check_options, suite_remark, suite_sizes)
 
 
@@ -257,6 +257,10 @@ class TestSuiteSizes:
         assert suite_sizes("all", largest) == dict.fromkeys(SUITE_SIZES, largest)
         with pytest.raises(ValueError, match=f"--n <= {largest}"):
             suite_sizes("all", largest + 1)
+
+    def test_unknown_suite_names_suites(self):
+        with pytest.raises(ValueError, match=re.escape(f"SUITES = {SUITES}, got 'nope'")):
+            suite_sizes("nope")
 
 
 def refuse_every_suite(monkeypatch):
