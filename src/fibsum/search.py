@@ -305,13 +305,13 @@ def enumerate_general(n: int) -> SumDistribution:
 
 # Largest n, restarts and max_steps a search takes, each sized so that it
 # alone, with the rest at the defaults, ends in minutes on one core.  A
-# restart costs about 0.3 ms at n = 7, 1.2 ms at n = 12 and 0.18 s at
-# n = 64, so n = 64 at 200 restarts takes under a minute, and
-# SEARCH_MAX_RESTARTS about 30 s at n = 7.  Climbs stop at a local optimum
-# within 50 steps at every n measured, so only a climb that keeps improving
-# meets SEARCH_MAX_STEPS: a step at n = 7 takes at most about 0.05 ms, so
-# 200 restarts that all ran SEARCH_MAX_STEPS steps would take under two
-# minutes.
+# restart costs about 0.2 ms at n = 7, 0.8 ms at n = 12 and 0.1 s at
+# n = 64 (one core of a 2-vCPU Xeon host), so n = 64 at 200 restarts
+# takes under a minute, and SEARCH_MAX_RESTARTS about 20 s at n = 7.
+# Climbs stop at a local optimum within 50 steps at every n measured, so
+# only a climb that keeps improving meets SEARCH_MAX_STEPS: a step at
+# n = 7 takes at most about 0.05 ms, so 200 restarts that all ran
+# SEARCH_MAX_STEPS steps would take under two minutes.
 SEARCH_MAX_N = 64
 SEARCH_MAX_RESTARTS = 100_000
 SEARCH_MAX_STEPS = 10_000
@@ -365,11 +365,15 @@ class RankOneState:
 
         D' = D + d adj_ji,    T' = (T D' - d R_i C_j) / D,
 
-    and D' = 0 exactly when the neighbour is singular.  Applying the change
-    updates adj' = (D' adj - d (adj e_i)(e_j^T adj)) / D in O(n^2).  Every
-    division is exact; a remainder raises :class:`InvariantError`.
-    :meth:`improve` runs one climb step, scoring flips in a given order,
-    and :meth:`apply` makes the flip it takes.
+    and D' = 0 exactly when the neighbour is singular.  Once that division
+    is checked exact, T' D - T D' = -d R_i C_j, so a flip is compared with
+    the current sum without forming T' D.  Applying the change updates
+    adj' = (D' adj - d (adj e_i)(e_j^T adj)) / D in O(n^2), each row's sum
+    read from the new row, and the column sums R' = (D' R - d R_i adj_j) / D
+    in O(n); both sets of sums must add up to T'.  Every division is exact;
+    a remainder raises :class:`InvariantError`.  :meth:`improve` runs one
+    climb step, scoring flips in a given order, and :meth:`apply` makes the
+    flip it takes.
     """
 
     __slots__ = ("rows", "det", "adj", "total", "col_sums", "row_sums")
@@ -390,18 +394,21 @@ class RankOneState:
         False, changing nothing, if none does."""
         rows, adj, det, total = self.rows, self.adj, self.det, self.total
         col_sums, row_sums = self.col_sums, self.row_sums
+        neg_sgn_det = -sgn * det
         for i, j in order:
             d = 1 - 2 * rows[i][j]
             det2 = det + d * adj[j][i]
             if det2 == 0:
                 continue
-            num = total * det2 - d * col_sums[i] * row_sums[j]
+            change = d * col_sums[i] * row_sums[j]
+            num = total * det2 - change
             total2, rem = divmod(num, det)
             if rem:
                 raise InvariantError(
                     f"rank-one update: {num} / {det} leaves remainder {rem}")
-            # T'/D' - T/D has the sign of (T' D - T D') D D'.
-            if sgn * (total2 * det - total * det2) * det * det2 > 0:
+            # T'/D' - T/D has the sign of (T' D - T D') D D', and with
+            # T' D = T D' - d R_i C_j exact, T' D - T D' = -d R_i C_j.
+            if neg_sgn_det * change * det2 > 0:
                 self.apply(i, j, d, det2, total2)
                 return True
         return False
@@ -430,16 +437,30 @@ class RankOneState:
                     f"on division by {det}")
             adj.append(new)
             row_sums.append(new_sum)
+        # 1^T adj' = (D' R - d R_i adj[j]) / D gives the column sums in
+        # O(n), checked for remainders as the rows are.
+        c = d * self.col_sums[i]
+        col_sums = [(det2 * x - c * y) // det
+                    for x, y in zip(self.col_sums, adj_row)]
+        col_total = sum(col_sums)
+        if col_total * det != det2 * sum(self.col_sums) - c * adj_row_sum:
+            raise InvariantError(
+                f"rank-one update: adjugate column sums leave a remainder "
+                f"on division by {det}")
         self.adj = adj
         self.rows[i][j] += d
         self.det = det2
-        self.col_sums = [sum(col) for col in zip(*adj)]
+        self.col_sums = col_sums
         self.row_sums = row_sums
         self.total = sum(row_sums)
         if self.total != total2:
             raise InvariantError(
                 f"rank-one update: adjugate sums to {self.total}, "
                 f"the flip's score gave {total2}")
+        if col_total != total2:
+            raise InvariantError(
+                f"rank-one update: adjugate column sums add up to "
+                f"{col_total}, the flip's score gave {total2}")
 
 
 def hill_climb_general(config: SearchConfig) -> SearchResult:
@@ -451,32 +472,42 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
     are always rejected.  Deterministic for a given config; the reported sum
     is re-verified by exact arithmetic before returning.
 
-    Restart r draws from ``random.Random((seed << 20) ^ r)``: each start
-    cell as ``randint(0, 1)``, row-major, and each step's order as a
-    ``shuffle`` of the n^2 cells.  Since seed >= 0 and r < SEARCH_MAX_RESTARTS
-    < 2^20, each (seed, restart) pair has a stream of its own.  The draws
-    are taken straight from ``getrandbits`` by :mod:`fibsum._rng`, the start
-    cells in bulk and the shuffle step by step, word for word as those
-    methods take them, so the results are theirs.
+    Restart r draws from the stream of ``random.Random((seed << 20) ^ r)``,
+    one generator reseeded per restart: each start cell as
+    ``randint(0, 1)``, row-major, and each step's order as a ``shuffle`` of
+    the n^2 cells.  Since seed >= 0 and r < SEARCH_MAX_RESTARTS < 2^20,
+    each (seed, restart) pair has a stream of its own.  The draws are taken
+    straight from ``getrandbits`` by :mod:`fibsum._rng`, the start cells in
+    bulk and the shuffle step by step, word for word as those methods take
+    them, so the results are theirs.
 
-    Flips are scored by :class:`RankOneState` in O(1) exact integer
-    arithmetic, with no determinant.  Each draw, and the final check,
-    costs one bordered elimination, ``linalg._det_pair``, which tests it
-    for singularity and gives det(A) and det(A + J); the adjugate's D and T
-    must equal det(A) and det(A + J) - det(A).
+    A draw with a zero row or two equal rows is singular and is redrawn at
+    once.  Any other draw, and the final check, costs one bordered
+    elimination, ``linalg._det_pair``, which tests it for singularity and
+    gives det(A) and det(A + J); the adjugate's D and T must equal det(A)
+    and det(A + J) - det(A).  Flips are scored by :class:`RankOneState` in
+    O(1) exact integer arithmetic, with no determinant.  Restarts are
+    compared by their integer pairs (T, D), the first to reach the best sum
+    keeping it, and one ``Fraction`` is built for the final check.
     """
     n = config.n
     sgn = 1 if config.direction == "max" else -1
     cells = [divmod(b, n) for b in range(n * n)]
+    zero = bytes(n)
+    gen = random.Random()
+    getrandbits = gen.getrandbits
     best_rows = None
-    best = None
+    best_total = best_det = None
     steps_total = 0
     for r in range(config.restarts):
-        getrandbits = random.Random((config.seed << 20) ^ r).getrandbits
+        gen.seed((config.seed << 20) ^ r)
         rows = None
         for _ in range(200):
             flips = coin_flips(n * n, getrandbits)
-            cand = [list(flips[b:b + n]) for b in range(0, n * n, n)]
+            codes = [flips[b:b + n] for b in range(0, n * n, n)]
+            if zero in codes or len(set(codes)) < n:
+                continue  # singular: a zero row or two equal rows
+            cand = [list(code) for code in codes]
             det, det_plus = _objective(cand)
             if det:
                 rows = cand
@@ -494,14 +525,18 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
             if not state.improve(order, sgn):
                 break
             steps_total += 1
-        current = state.inverse_sum()
-        if best is None or sgn * (current - best) > 0:
-            best = current
+        total, det = state.total, state.det
+        # T/D - T_b/D_b has the sign of (T D_b - T_b D) D D_b; strict, so
+        # the earliest restart keeps a tie.
+        if (best_rows is None
+                or sgn * (total * best_det - best_total * det) * det * best_det > 0):
+            best_total, best_det = total, det
             best_rows = [list(row) for row in rows]
     if best_rows is None:
         raise SearchExhaustedError(
             f"no invertible {n}x{n} start matrix found in "
             f"{config.restarts} restarts x 200 draws")
+    best = Fraction(best_total, best_det)
     verified = inverse_sum_via_determinant(best_rows)
     if verified != best:
         raise InvariantError(

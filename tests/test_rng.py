@@ -7,7 +7,7 @@ from fibsum._rng import coin_flips, shuffle
 
 
 def test_shuffle_matches_random_shuffle():
-    for length in range(1, 145):
+    for length in range(145):
         for seed in range(20):
             ref = random.Random(seed)
             rng = random.Random(seed)
@@ -17,6 +17,22 @@ def test_shuffle_matches_random_shuffle():
             shuffle(got, rng.getrandbits)
             assert got == expected, (length, seed)
             assert rng.getstate() == ref.getstate(), (length, seed)
+
+
+def test_alternating_lengths_on_one_generator():
+    # Each length's swaps are worked out once and kept, so a shuffle of one
+    # length must not take the swaps of the length shuffled before it.
+    for lengths in ((49, 64), (64, 49), (2, 3), (144, 0, 1, 144)):
+        ref = random.Random(5)
+        rng = random.Random(5)
+        for step in range(12):
+            length = lengths[step % len(lengths)]
+            expected = list(range(length))
+            ref.shuffle(expected)
+            got = list(range(length))
+            shuffle(got, rng.getrandbits)
+            assert got == expected, (lengths, step)
+        assert rng.getstate() == ref.getstate(), lengths
 
 
 def test_bulk_words_are_successive_words_first_lowest():

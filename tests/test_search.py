@@ -374,6 +374,43 @@ class TestHillClimb:
                         assert (hill_climb_general(cfg)
                                 == hill_climb_two_determinants(cfg)), cfg
 
+    def test_matches_two_determinant_climber_over_many_restarts(self):
+        # Enough restarts that the row pre-check skips many singular draws
+        # (most of them at n = 3) and that later restarts often tie the
+        # best sum, which the first restart to reach it must keep.
+        for n in range(3, 6):
+            for direction in ("max", "min"):
+                for seed in (0, 7, 20250808):
+                    cfg = SearchConfig(n=n, direction=direction, restarts=30,
+                                       seed=seed)
+                    assert (hill_climb_general(cfg)
+                            == hill_climb_two_determinants(cfg)), cfg
+
+    def test_draws_with_a_zero_or_repeated_row_are_not_scored(self, monkeypatch):
+        # Such a draw is singular, so it is redrawn without an elimination.
+        scored, drawn = [], []
+        original_objective, original_flips = search._objective, search.coin_flips
+
+        def objective(rows):
+            scored.append([list(row) for row in rows])
+            return original_objective(rows)
+
+        def flips(count, getrandbits):
+            drawn.append(count)
+            return original_flips(count, getrandbits)
+
+        monkeypatch.setattr(search, "_objective", objective)
+        monkeypatch.setattr(search, "coin_flips", flips)
+        for n in (3, 4, 6):
+            scored.clear()
+            drawn.clear()
+            hill_climb_general(SearchConfig(n=n, restarts=50, max_steps=1, seed=2))
+            for rows in scored:
+                assert [0] * n not in rows, rows
+                assert len({tuple(row) for row in rows}) == n, rows
+            if n == 3:
+                assert 50 <= len(scored) < len(drawn)
+
     def test_no_determinant_per_scored_flip(self, monkeypatch):
         # Eliminations go to the start draws, one bordered _objective per
         # draw, and the final re-verification, one linalg._det_pair, only,
@@ -543,6 +580,21 @@ class TestRankOneState:
                            match=f"adjugate sums to {total2}, "
                                  f"the flip's score gave {total2 + 1}"):
             state.apply(0, 1, -1, det2, total2 + 1)
+
+    @pytest.mark.parametrize("k, delta, message", [
+        (2, 1, "column sums leave a remainder on division by 2"),
+        (2, 2, "column sums add up to 3, the flip's score gave 2")])
+    def test_corrupted_column_sum_detected_by_apply(self, k, delta, message):
+        # apply carries the column sums forward in O(n), so a wrong stored
+        # R_k (k != i, unused by the score) moves that column's numerator
+        # by D' delta: a remainder when D does not divide it, else a column
+        # total that misses T'.
+        state = RankOneState([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        det2, total2 = two_determinant_score([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+        assert (state.det, det2, total2) == (2, 1, 2)
+        state.col_sums[k] += delta
+        with pytest.raises(InvariantError, match=message):
+            state.apply(0, 1, -1, det2, total2)
 
     def test_corrupted_adjugate_detected_by_improve(self):
         # Flipping a_01 scores T' = (3 * 1 + 2 * 1) / 2 with R_0 = 2.
