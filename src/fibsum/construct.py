@@ -46,7 +46,7 @@ def dominant_matrix(n: int) -> Triangular01:
 
     Coordinate i has absolute value F_{i-1} (coordinate 1 is 1) with signs
     alternating from the third coordinate on; no member of the family beats
-    it in absolute value on any coordinate.
+    it in absolute value on any coordinate (checked to CONSTRUCT_MAX_N).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

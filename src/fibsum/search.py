@@ -20,7 +20,8 @@ the first two by one algorithm:
   fraction-free elimination, for det(A) and det(A + J), and counts n! times.
 
 The witness kept per sum is the matrix with the smallest packed word, which
-makes witness selection independent of the scan order.
+makes witness selection independent of the scan order.  The triangular
+extremes need no scan: :func:`bound_frontier` gives them in O(n).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._rng import coin_flips, shuffle
+from .construct import CONSTRUCT_MAX_N
 from .linalg import (InvariantError, Triangular01, adjugate_exact,
                      inverse_sum_via_determinant)
 # The scan and the climb score a matrix by this name, the one bench/tracer.py wraps.
@@ -233,24 +235,32 @@ def enumerate_w_determinants(n: int) -> SumDistribution:
     return _row_sum_distribution("w-determinant", n, False, 1)
 
 
+def bound_frontier(m: int) -> list:
+    """The Pareto frontier of (P, N), largest P first, after each of the first
+    m rows of the lower walk: P sums the positive row sums so far, N negates
+    the negative ones.  The next row's sum is 1 - s, s a subset sum in [-N, P]
+    (the ends take all negative or all positive sums), so (P, N) goes to
+    (P + N + 1, N) or to (P, N + P - 1); any other s is no larger in either
+    coordinate, and both moves are monotone in (P, N).  After the last row the
+    entry sum P - N + 1 - s spans [1 - N, 1 + P], both ends attained."""
+    frontiers = [[(1, 0)]]  # one row, whose sum is 1
+    while len(frontiers) < m:
+        moves = sorted({move for p, q in frontiers[-1]
+                        for move in ((p + q + 1, q), (p, q + p - 1))}, reverse=True)
+        frontiers.append([(p, q) for i, (p, q) in enumerate(moves)
+                          if all(q > b for _, b in moves[:i])])
+    return frontiers[:m]
+
+
 def max_abs_row_sum_vector(n: int) -> tuple:
     """Coordinate-wise maximum of |column sums of the inverse| over the
-    whole triangular family, computed exhaustively (n <= TRIANGULAR_MAX_N).
-
-    The row sums of (A^T)^{-1} = (A^{-1})^T are the column sums of A^{-1},
-    so coordinate k < n-1 is the largest |new sum| at level k of the lower
-    row walk.  The last, 1 - s for a subset sum s of a state, is extreme at
-    the sums of the state's negative and of its positive entries.
-    """
-    if not 1 <= n <= TRIANGULAR_MAX_N:
-        raise ValueError(f"n={n} out of supported range 1..{TRIANGULAR_MAX_N}")
-    maxima = [1]
-    states = {(1,): None}
-    for states in _row_sum_levels(n, False):
-        maxima.append(max(abs(tup[-1]) for tup in states))
-    maxima.append(max(max(1 - sum(x for x in tup if x < 0),
-                          sum(x for x in tup if x > 0) - 1) for tup in states))
-    return tuple(maxima[:n])  # n = 1 has no column after w_0
+    triangular family of size n <= CONSTRUCT_MAX_N: coordinate k >= 1 is the
+    largest max(N + 1, P - 1) on :func:`bound_frontier` after k rows, since
+    the column sums of A^{-1} are the row sums of (A^T)^{-1}."""
+    if not 1 <= n <= CONSTRUCT_MAX_N:
+        raise ValueError(f"n={n} out of range 1..CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}")
+    return (1,) + tuple(max(max(q + 1, p - 1) for p, q in frontier)
+                        for frontier in bound_frontier(n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +394,6 @@ class RankOneState:
         self.col_sums = [sum(col) for col in zip(*self.adj)]
         self.row_sums = [sum(row) for row in self.adj]
         self.total = sum(self.row_sums)
-
-    def inverse_sum(self) -> Fraction:
-        return Fraction(self.total, self.det)
 
     def improve(self, order, sgn: int) -> bool:
         """Flip the first (0,1) entry a_ij, (i, j) taken from ``order``,

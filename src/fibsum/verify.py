@@ -121,7 +121,7 @@ def check_options(samples: int, count: int, bound: int, seed: int) -> None:
 @dataclass(frozen=True)
 class TheoremRangeReport:
     """Result of checking that every integer in [2 - F_{n-1}, 2 + F_{n-1}]
-    is achieved (and nothing outside it)."""
+    is achieved (``missing``) and nothing outside it (``unexpected``)."""
 
     n: int
     low: int
@@ -136,10 +136,11 @@ class TheoremRangeReport:
 
 
 def verify_theorem_range(n: int) -> TheoremRangeReport:
-    """Check full-interval achievability of inverse entry sums.
+    """Check that the inverse entry sums are exactly the interval's integers.
 
     n <= 8 is settled by exhaustive enumeration; 9 <= n <= CONSTRUCTIVE_MAX_N
-    by round-tripping each target in the interval through the constructor.
+    by round-tripping each target through the constructor, and every sum
+    lies between 1 - N and 1 + P over :func:`search.bound_frontier`.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -156,7 +157,9 @@ def verify_theorem_range(n: int) -> TheoremRangeReport:
     missing = tuple(s for s in interval
                     if linalg.inverse_entry_sum(
                         construct.construct_with_sum(n, s).rows()) != s)
-    return TheoremRangeReport(n, low, high, "constructive", missing, ())
+    ends = {s for p, q in search.bound_frontier(n - 1)[-1] for s in (1 - q, 1 + p)}
+    return TheoremRangeReport(n, low, high, "constructive + frontier", missing,
+                              tuple(sorted(ends - set(interval))))
 
 
 def suite_theorem(n: int) -> list:

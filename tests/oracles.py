@@ -6,7 +6,8 @@ matrices inside tests.  The exceptions are replaced library kernels kept
 as the references for their successors: the augmented Gauss-Jordan
 adjugate, the two-determinant hill climb, the Gray-code triangular scan,
 the column-sum triangular DP, the per-word Bareiss scan of the (1,2)
-family, the relaxation sampler and its comparison validator, the recursive
+family, the exhaustive walk of the largest inverse column sums, the
+relaxation sampler and its comparison validator, the recursive
 dominant-matrix builder, the frontier growth of the band partition and the
 signed Fibonacci representations that placed the any-sum constructor's
 column pairs.
@@ -274,6 +275,30 @@ def enumerate_triangular_by_columns(n):
             if s not in wit or w < wit[s]:
                 wit[s] = w
     return dist
+
+
+def max_abs_row_sum_vector_exhaustive(n: int) -> tuple:
+    """Coordinate-wise maximum of |column sums of the inverse| over the
+    whole triangular family, computed exhaustively (n <= TRIANGULAR_MAX_N).
+
+    The library's walk before it moved to the (P, N) frontier; kept as the
+    reference for ``fibsum.search.max_abs_row_sum_vector`` at n <= 9.
+    The row sums of (A^T)^{-1} = (A^{-1})^T are the column sums of A^{-1},
+    so coordinate k < n-1 is the largest |new sum| at level k of the lower
+    row walk.  The last, 1 - s for a subset sum s of a state, is extreme at
+    the sums of the state's negative and of its positive entries.
+    """
+    from fibsum.search import TRIANGULAR_MAX_N, _row_sum_levels
+
+    if not 1 <= n <= TRIANGULAR_MAX_N:
+        raise ValueError(f"n={n} out of supported range 1..{TRIANGULAR_MAX_N}")
+    maxima = [1]
+    states = {(1,): None}
+    for states in _row_sum_levels(n, False):
+        maxima.append(max(abs(tup[-1]) for tup in states))
+    maxima.append(max(max(1 - sum(x for x in tup if x < 0),
+                          sum(x for x in tup if x > 0) - 1) for tup in states))
+    return tuple(maxima[:n])  # n = 1 has no column after w_0
 
 
 def w_determinants_bareiss(n):

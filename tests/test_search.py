@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibsum import linalg, search
-from fibsum.fibonacci import fib
+from fibsum.construct import CONSTRUCT_MAX_N
+from fibsum.fibonacci import fib, sum_interval
 from fibsum.linalg import (InvariantError, SingularMatrixError, Triangular01,
                            adjugate_exact, determinant_exact, entry_sum,
                            invert_unit_triangular, inverse_sum_via_determinant,
@@ -19,7 +20,8 @@ from fibsum.search import (GENERAL_MAX_N, SEARCH_MAX_RESTARTS,
 from fibsum.verify import CONSTRUCTIVE_MAX_N, verify_theorem_range
 
 from oracles import (det_cofactor, enumerate_triangular_by_columns,
-                     hill_climb_two_determinants, scan_triangular_gray,
+                     hill_climb_two_determinants,
+                     max_abs_row_sum_vector_exhaustive, scan_triangular_gray,
                      w_determinants_bareiss)
 
 
@@ -548,7 +550,7 @@ class TestRankOneState:
     def test_flip_matches_direct_recomputation(self, case):
         rows, i, j = case
         state = RankOneState([list(r) for r in rows])
-        assert state.inverse_sum() == inverse_sum_via_determinant(rows)
+        assert Fraction(state.total, state.det) == inverse_sum_via_determinant(rows)
         d = 1 - 2 * rows[i][j]
         flipped = [list(r) for r in rows]
         flipped[i][j] += d
@@ -557,7 +559,7 @@ class TestRankOneState:
             return
         state.apply(i, j, d, det2, total2)
         assert_state_of(state, flipped)
-        assert state.inverse_sum() == inverse_sum_via_determinant(flipped)
+        assert Fraction(state.total, state.det) == inverse_sum_via_determinant(flipped)
 
     def test_singular_start_rejected(self):
         with pytest.raises(SingularMatrixError):
@@ -640,13 +642,13 @@ class TestRankOneState:
             rows = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1]]
             state = RankOneState(rows)
             while True:
-                before = state.inverse_sum()
+                before = Fraction(state.total, state.det)
                 order = cells[:]
                 rng.shuffle(order)
                 if not state.improve(order, sgn):
                     break
-                assert sgn * (state.inverse_sum() - before) > 0
-            assert state.inverse_sum() == before
+                assert sgn * (Fraction(state.total, state.det) - before) > 0
+            assert Fraction(state.total, state.det) == before
             for i, j in cells:
                 flipped = [list(r) for r in rows]
                 flipped[i][j] ^= 1
@@ -655,15 +657,28 @@ class TestRankOneState:
                     assert sgn * (value - before) <= 0, (sgn, i, j)
 
 
+def fibonacci_bound(n):
+    """(1, 1, F_2, ..., F_{n-1}), the largest |inverse column sums|."""
+    return tuple(1 if i <= 2 else fib(i - 1) for i in range(1, n + 1))
+
+
 class TestMaxAbsRowSumVector:
     def test_fibonacci_bound_n1_to_9(self):
+        # The exhaustive walk of every row-sum state, the reference for
+        # the frontier below.
         for n in range(1, 10):
-            expected = tuple(1 if i <= 2 else fib(i - 1) for i in range(1, n + 1))
-            assert max_abs_row_sum_vector(n) == expected
+            assert max_abs_row_sum_vector_exhaustive(n) == fibonacci_bound(n)
 
-    def test_out_of_range(self):
-        for n in (0, 10):
-            with pytest.raises(ValueError, match="1..9"):
+    def test_fibonacci_bound_to_construct_max_n(self):
+        for n in range(1, CONSTRUCT_MAX_N + 1):
+            assert max_abs_row_sum_vector(n) == fibonacci_bound(n)
+
+    def test_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(search, "bound_frontier",
+                            lambda m: pytest.fail("started work out of range"))
+        for n in (0, CONSTRUCT_MAX_N + 1):
+            with pytest.raises(ValueError, match=f"n={n} out of range "
+                                                 f"1..CONSTRUCT_MAX_N = {CONSTRUCT_MAX_N}"):
                 max_abs_row_sum_vector(n)
 
     def test_transpose_maps_column_sums_onto_row_sums(self):
@@ -683,6 +698,39 @@ class TestMaxAbsRowSumVector:
                 assert set(states) == prefixes[k], (n, k)
 
 
+def frontier_ends(frontier):
+    """The smallest and the largest entry sum, 1 - N and 1 + P, that a
+    frontier after n - 1 rows gives at size n."""
+    return 1 - max(q for _, q in frontier), 1 + max(p for p, _ in frontier)
+
+
+class TestBoundFrontier:
+    def test_equals_row_walk_class_frontier(self):
+        # Every level of the n = 9 lower walk, 1..8 rows: the Pareto
+        # frontier over all its classes' (P, N) is the recurrence's.
+        levels = [{(1,): None}, *search._row_sum_levels(9, False)]
+        for rows, (states, frontier) in enumerate(
+                zip(levels, search.bound_frontier(8)), 1):
+            points = {(sum(x for x in t if x > 0), -sum(x for x in t if x < 0))
+                      for t in states}
+            pareto = sorted((p for p in points
+                             if not any(o != p and o[0] >= p[0] and o[1] >= p[1]
+                                        for o in points)), reverse=True)
+            assert frontier == pareto, rows
+
+    def test_extremes_equal_enumerate_triangular(self):
+        frontiers = search.bound_frontier(8)
+        for n in range(3, 10):
+            dist = enumerate_triangular(n)
+            assert frontier_ends(frontiers[n - 2]) == (dist.min_sum, dist.max_sum), n
+
+    def test_gives_sum_interval_to_construct_max_n(self):
+        frontiers = search.bound_frontier(CONSTRUCT_MAX_N - 1)
+        assert len(frontiers) == CONSTRUCT_MAX_N - 1
+        for n in range(3, CONSTRUCT_MAX_N + 1):
+            assert frontier_ends(frontiers[n - 2]) == sum_interval(n), n
+
+
 class TestVerifyTheoremRange:
     def test_exhaustive_n5(self):
         report = verify_theorem_range(5)
@@ -699,7 +747,8 @@ class TestVerifyTheoremRange:
     def test_constructive_n9(self):
         report = verify_theorem_range(9)
         assert report.ok
-        assert report.method == "constructive"
+        assert report.method == "constructive + frontier"
+        assert (report.missing, report.unexpected) == ((), ())
         assert (report.low, report.high) == (2 - fib(8), 2 + fib(8))
 
     def test_limit_enforced(self):

@@ -196,6 +196,24 @@ class TestTheoremReport:
         assert check["detail"] == ("interval [-3, 7], method exhaustive, "
                                    "missing sums [7], sums outside interval [-4]")
 
+    def test_frontier_fault_reported_outside(self, capsys, monkeypatch):
+        # The interval at n = 9 is [-19, 23]: one extra P on the frontier
+        # after 8 rows puts 24 in reach.
+        real = search.bound_frontier
+
+        def bound_frontier(m):
+            frontiers = real(m)
+            (p, q), *rest = frontiers[-1]
+            frontiers[-1] = [(p + 1, q), *rest]
+            return frontiers
+
+        monkeypatch.setattr(search, "bound_frontier", bound_frontier)
+        code, out = run(capsys, "verify", "--suite", "theorem", "--n", "9", "--json")
+        assert code == 2
+        check, = json.loads(out)["checks"]
+        assert check["detail"] == ("interval [-19, 23], method constructive + frontier, "
+                                   "sums outside interval [24]")
+
 
 class TestGsamplingReport:
     def test_first_five_outside_are_n_major(self, capsys, monkeypatch):
