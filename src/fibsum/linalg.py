@@ -15,7 +15,9 @@ Every determinant but the adjugate's is one Bareiss elimination,
 :func:`_eliminate`; in ``_det_pair`` it gives det A and det(A + J), J all
 ones, in one pass, for the matrix determinant lemma
 S(A^{-1}) = (det(A + J) - det A) / det A.  :func:`adjugate_exact` takes
-det A from its own fraction-free Gauss-Jordan elimination.
+det A from its own fraction-free Gauss-Jordan elimination: it checks its
+input and runs the unchecked kernel ``_adjugate``, which the hill climb
+calls on the (0,1) rows it builds itself.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
@@ -332,6 +334,15 @@ def _eliminate(m: list, steps: int) -> int:
 
 def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     """Exact ``(det, adj)`` of an invertible integer matrix: adj = det A^{-1}.
+    Refuses a non-square matrix or a non-int entry with ValueError, then
+    runs the unchecked kernel :func:`_adjugate`."""
+    _integer_dimension(rows)
+    return _adjugate(rows)
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
+    """:func:`adjugate_exact` with no checks: ``rows`` must be a non-empty
+    square matrix of ints, and is not changed.
 
     Fraction-free Gauss-Jordan on [A | I], kept in one n x n array: every
     entry stays an integer minor of the augmented matrix, so every division
@@ -347,7 +358,7 @@ def adjugate_exact(rows: Sequence[Sequence[int]]) -> tuple:
     :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
     column has no pivot (det = 0).
     """
-    n = _integer_dimension(rows)
+    n = len(rows)
     m = [list(r) for r in rows]
     perm = list(range(n))  # row i of the array eliminates row perm[i] of A
     sign = 1

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from ._rng import coin_flips, shuffle
 from .construct import CONSTRUCT_MAX_N
-from .linalg import (InvariantError, Triangular01, adjugate_exact,
+from .linalg import (InvariantError, Triangular01, _adjugate,
                      inverse_sum_via_determinant)
 # The scan and the climb score a matrix by this name, the one bench/tracer.py wraps.
 from .linalg import _det_pair as _objective
@@ -315,7 +315,7 @@ def enumerate_general(n: int) -> SumDistribution:
 
 # Largest n, restarts and max_steps a search takes, each sized so that it
 # alone, with the rest at the defaults, ends in minutes on one core.  A
-# restart costs about 0.2 ms at n = 7, 0.8 ms at n = 12 and 0.1 s at
+# restart costs about 0.2 ms at n = 7, 0.7 ms at n = 12 and 0.1 s at
 # n = 64 (one core of a 2-vCPU Xeon host), so n = 64 at 200 restarts
 # takes under a minute, and SEARCH_MAX_RESTARTS about 20 s at n = 7.
 # Climbs stop at a local optimum within 50 steps at every n measured, so
@@ -384,13 +384,19 @@ class RankOneState:
     a remainder raises :class:`InvariantError`.  :meth:`improve` runs one
     climb step, scoring flips in a given order, and :meth:`apply` makes the
     flip it takes.
+
+    T' itself is formed only for the flip taken.  When D = +1 or -1,
+    dividing by D is multiplying by D, so no division can leave a remainder
+    and none is tested: T' = (T D' - d R_i C_j) D, and the new rows and
+    column sums are products.  The checks that both sets of sums add up to
+    T' still hold the carried sums to the adjugate's entries.
     """
 
     __slots__ = ("rows", "det", "adj", "total", "col_sums", "row_sums")
 
     def __init__(self, rows: list):
         self.rows = rows
-        self.det, self.adj = adjugate_exact(rows)
+        self.det, self.adj = _adjugate(rows)
         self.col_sums = [sum(col) for col in zip(*self.adj)]
         self.row_sums = [sum(row) for row in self.adj]
         self.total = sum(self.row_sums)
@@ -402,6 +408,18 @@ class RankOneState:
         rows, adj, det, total = self.rows, self.adj, self.det, self.total
         col_sums, row_sums = self.col_sums, self.row_sums
         neg_sgn_det = -sgn * det
+        if det * det == 1:
+            # No remainder to test, so a flip with R_i C_j = 0, which keeps
+            # T / D, is passed over unscored.
+            for i, j in order:
+                change = col_sums[i] * row_sums[j]
+                if change:
+                    d = 1 - 2 * rows[i][j]
+                    det2 = det + d * adj[j][i]
+                    if neg_sgn_det * d * change * det2 > 0:  # so D' != 0
+                        self.apply(i, j, d, det2, (total * det2 - d * change) * det)
+                        return True
+            return False
         for i, j in order:
             d = 1 - 2 * rows[i][j]
             det2 = det + d * adj[j][i]
@@ -409,48 +427,56 @@ class RankOneState:
                 continue
             change = d * col_sums[i] * row_sums[j]
             num = total * det2 - change
-            total2, rem = divmod(num, det)
-            if rem:
+            if num % det:
                 raise InvariantError(
-                    f"rank-one update: {num} / {det} leaves remainder {rem}")
+                    f"rank-one update: {num} / {det} leaves remainder {num % det}")
             # T'/D' - T/D has the sign of (T' D - T D') D D', and with
             # T' D = T D' - d R_i C_j exact, T' D - T D' = -d R_i C_j.
             if neg_sgn_det * change * det2 > 0:
-                self.apply(i, j, d, det2, total2)
+                self.apply(i, j, d, det2, num // det)
                 return True
         return False
 
     def apply(self, i: int, j: int, d: int, det2: int, total2: int) -> None:
         """Add d to a_ij, given its (D', T') as :meth:`improve` scores it."""
         det = self.det
+        # At D = +-1, (D' x - d y) / D is p x - q y with p = D' D, q = d D.
+        unit = det * det == 1
+        p, q = (det2 * det, d * det) if unit else (det2, d)
         adj_row = self.adj[j]
         adj_row_sum = sum(adj_row)
         adj = []
         row_sums = []
         for r, row in enumerate(self.adj):
-            c = d * row[i]
+            c = q * row[i]
             if not c and det2 == det:  # (D x - 0 y) / D = x
                 adj.append(row)
                 row_sums.append(self.row_sums[r])
                 continue
-            new = [(det2 * x - c * y) // det for x, y in zip(row, adj_row)]
+            if unit:
+                new = [p * x - c * y for x, y in zip(row, adj_row)]
+            else:
+                new = [(p * x - c * y) // det for x, y in zip(row, adj_row)]
             # Floor remainders all share the sign of D, so the row's
             # remainders vanish exactly when its quotients sum to the sum
             # of its numerators over D.
             new_sum = sum(new)
-            if new_sum * det != det2 * sum(row) - c * adj_row_sum:
+            if not unit and new_sum * det != p * sum(row) - c * adj_row_sum:
                 raise InvariantError(
                     f"rank-one update: adjugate row {r} leaves a remainder "
                     f"on division by {det}")
             adj.append(new)
             row_sums.append(new_sum)
         # 1^T adj' = (D' R - d R_i adj[j]) / D gives the column sums in
-        # O(n), checked for remainders as the rows are.
-        c = d * self.col_sums[i]
-        col_sums = [(det2 * x - c * y) // det
-                    for x, y in zip(self.col_sums, adj_row)]
+        # O(n), checked for remainders as the rows are where |D| > 1.
+        c = q * self.col_sums[i]
+        if unit:
+            col_sums = [p * x - c * y for x, y in zip(self.col_sums, adj_row)]
+        else:
+            col_sums = [(p * x - c * y) // det
+                        for x, y in zip(self.col_sums, adj_row)]
         col_total = sum(col_sums)
-        if col_total * det != det2 * sum(self.col_sums) - c * adj_row_sum:
+        if not unit and col_total * det != p * sum(self.col_sums) - c * adj_row_sum:
             raise InvariantError(
                 f"rank-one update: adjugate column sums leave a remainder "
                 f"on division by {det}")
@@ -514,10 +540,9 @@ def hill_climb_general(config: SearchConfig) -> SearchResult:
             codes = [flips[b:b + n] for b in range(0, n * n, n)]
             if zero in codes or len(set(codes)) < n:
                 continue  # singular: a zero row or two equal rows
-            cand = [list(code) for code in codes]
-            det, det_plus = _objective(cand)
+            det, det_plus = _objective(codes)
             if det:
-                rows = cand
+                rows = [list(code) for code in codes]
                 break
         if rows is None:
             continue

@@ -455,8 +455,10 @@ class TestHillClimb:
     def test_start_determinant_disagreement_raises(self, monkeypatch):
         # A doubled adjugate keeps T / D but not D or T, which the integer
         # comparisons with the draw's determinants see.  A doubled D alone
-        # keeps T, so only the comparison of the determinants sees it.
-        original = search.adjugate_exact
+        # keeps T, so only the comparison of the determinants sees it.  The
+        # climb builds its start rows itself, so it calls the unchecked
+        # kernel of linalg.adjugate_exact.
+        original = search._adjugate
 
         def doubled(rows):
             det, adj = original(rows)
@@ -467,7 +469,7 @@ class TestHillClimb:
             return 2 * det, adj
 
         for fault in (doubled, doubled_det):
-            monkeypatch.setattr(search, "adjugate_exact", fault)
+            monkeypatch.setattr(search, "_adjugate", fault)
             with pytest.raises(InvariantError, match="start matrix"):
                 hill_climb_general(SearchConfig(n=4, restarts=2, max_steps=5, seed=1))
 
@@ -544,6 +546,12 @@ def assert_state_of(state, rows):
     assert state.total == sum(map(sum, adj))
 
 
+# A (0,1) matrix with D = 1 and T = 2, and a row swap of it with D = -1
+# and T = -2: the same sum, and flips that reach D' = 0, D, -D and 2D.
+UNIT_DET_STARTS = ([[1, 1, 1, 0], [1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 0]],
+                   [[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]])
+
+
 class TestRankOneState:
     @settings(max_examples=200, deadline=None)
     @given(invertible_binary_with_cell())
@@ -604,6 +612,65 @@ class TestRankOneState:
         state.col_sums[0] += 1
         with pytest.raises(InvariantError, match="5 / 2 leaves remainder 1"):
             state.improve([(0, 1)], 1)
+
+    @pytest.mark.parametrize("rows", UNIT_DET_STARTS)
+    def test_unit_determinant_flips_match_direct_recomputation(self, rows):
+        # At D = +-1 improve and apply divide by nothing, so every flip,
+        # scored in both directions and applied, must still give the state
+        # of the flipped matrix.
+        det, total = two_determinant_score(rows)
+        assert det * det == 1
+        seen = set()
+        for i in range(4):
+            for j in range(4):
+                flipped = [list(r) for r in rows]
+                flipped[i][j] ^= 1
+                d = flipped[i][j] - rows[i][j]
+                det2, total2 = two_determinant_score(flipped)
+                seen.add(det2 * det)
+                if det2:
+                    state = RankOneState([list(r) for r in rows])
+                    state.apply(i, j, d, det2, total2)
+                    assert_state_of(state, flipped)
+                for sgn in (1, -1):
+                    taken = bool(det2) and sgn * (Fraction(total2, det2)
+                                                  - Fraction(total, det)) > 0
+                    state = RankOneState([list(r) for r in rows])
+                    assert state.improve([(i, j)], sgn) == taken, (i, j, sgn)
+                    assert_state_of(state, flipped if taken else rows)
+        assert seen == {0, 1, -1, 2}  # D' = 0, D, -D and 2D
+
+    @pytest.mark.parametrize("rows", UNIT_DET_STARTS)
+    def test_unit_determinant_corrupted_column_sum_detected_by_apply(self, rows):
+        # No division, so no remainder: a wrong stored R_0 (0 != i) moves
+        # the carried column total by D' D, and only its check sees it.
+        state = RankOneState([list(r) for r in rows])
+        flipped = [list(r) for r in rows]
+        flipped[3][1] = 1
+        det2, total2 = two_determinant_score(flipped)
+        assert det2 * state.det == -1
+        state.col_sums[0] += 1
+        with pytest.raises(InvariantError,
+                           match=f"column sums add up to {total2 - 1}, "
+                                 f"the flip's score gave {total2}"):
+            state.apply(3, 1, 1, det2, total2)
+
+    @pytest.mark.parametrize("rows", UNIT_DET_STARTS)
+    def test_unit_determinant_corrupted_row_sum_detected_by_improve(self, rows):
+        # Flipping a_31 lowers the sum from 2 to 1 with d R_3 C_1 = -1.  A
+        # doubled stored C_1 still takes it, but scores T' = 0: the rows
+        # apply builds sum to the true T', and only that check sees it.
+        state = RankOneState([list(r) for r in rows])
+        flipped = [list(r) for r in rows]
+        flipped[3][1] = 1
+        det2, total2 = two_determinant_score(flipped)
+        assert (Fraction(state.total, state.det), Fraction(total2, det2)) == (2, 1)
+        assert state.col_sums[3] * state.row_sums[1] == -1
+        state.row_sums[1] *= 2
+        with pytest.raises(InvariantError,
+                           match=f"adjugate sums to {total2}, "
+                                 f"the flip's score gave 0"):
+            state.improve([(3, 1)], -1)
 
     @settings(max_examples=200, deadline=None)
     @given(invertible_binary_with_cell(), st.randoms(use_true_random=False),
