@@ -19,6 +19,16 @@ det A from its own fraction-free Gauss-Jordan elimination: it checks its
 input and runs the unchecked kernel ``_adjugate``, which the hill climb
 calls on the (0,1) rows it builds itself.
 
+Both eliminations pivot on units: column k's pivot comes from the first
+row, from row k down and never ``_det_pair``'s border row, holding +1 or
+-1 there, else from the first holding any nonzero entry, and a pivot row
+holding -1 is negated, flipping the determinant's sign.  Each step
+divides every updated entry exactly by the previous pivot (Bareiss 1968),
+so a step after a unit pivot, now 1, runs with no division.  On (0,1)
+input the leading pivots are units and later columns usually still hold
+one.  Determinants and adjugates are unique, so the pivot rule changes no
+result.
+
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
 (unit diagonal is implicit); the enumeration code decodes witnesses with it.
@@ -29,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -291,43 +302,82 @@ def _det_pair(rows: Sequence[Sequence[int]]) -> tuple:
     return sign * m[n - 1][n - 1], sign * m[n][n]
 
 
+def _pivot_row(m: list, k: int, stop: int) -> int:
+    """The row of column k's pivot among rows k .. stop - 1 of ``m``: the
+    first holding +1 or -1 there, else the first holding any nonzero entry,
+    else -1."""
+    first = -1
+    for r in range(k, stop):
+        x = m[r][k]
+        if x == 1 or x == -1:
+            return r
+        if x and first < 0:
+            first = r
+    return first
+
+
 def _eliminate(m: list, steps: int) -> int:
     """Fraction-free (Bareiss) elimination of the first ``steps`` columns
-    of ``m`` in place, returning the sign of its row swaps, or 0 at once
-    when some column k has no nonzero entry in rows k .. steps - 1.
+    of ``m`` in place, returning the sign that its row swaps and negations
+    give det, or 0 at once when some column k has no nonzero entry in rows
+    k .. steps - 1.
 
-    Pivot k is the first nonzero entry of column k from row k down, and
-    after step k entry (i, j), i, j > k, is the minor of rows 0..k, i and
-    columns 0..k, j of the swapped ``m``: pivot k is its leading
-    (k + 1) x (k + 1) minor.  A row whose multiplier m_ik is 0 is only
-    scaled by pivot / prev, so it is left as it is when pivot == prev.
-    No checks: ``m`` must be a square list of lists of ints that the
-    caller owns, with steps <= len(m).
+    Pivot k is taken from rows k .. steps - 1 by :func:`_pivot_row`: the
+    first +1 or -1 in column k, else its first nonzero entry.  A pivot row
+    holding -1 is negated, so every unit pivot is 1.  Any such rows will
+    do: after step k entry (i, j), i, j > k, is the minor of rows 0..k, i
+    and columns 0..k, j of the swapped and negated ``m``, so pivot k is its
+    leading (k + 1) x (k + 1) minor.  Step k divides each updated entry
+    exactly by the previous pivot, so after a pivot of 1 it divides by
+    nothing.  A row whose multiplier m_ik is 0 is only scaled by
+    pivot / prev, so it is left as it is when pivot == prev.  No checks:
+    ``m`` must be a square list of lists of ints that the caller owns, with
+    steps <= len(m).
     """
     n = len(m)
     sign = 1
     prev = 1
     for k in range(steps):
         mk = m[k]
-        if mk[k] == 0:
-            for r in range(k + 1, steps):
-                if m[r][k] != 0:
+        pivot = mk[k]
+        if pivot != 1:
+            if pivot != -1:
+                r = _pivot_row(m, k, steps)
+                if r < 0:
+                    return 0
+                if r != k:
                     m[k], m[r] = m[r], mk
                     mk = m[k]
+                    pivot = mk[k]
                     sign = -sign
-                    break
-            else:
-                return 0
-        pivot = mk[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            if mik:
-                for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            elif pivot != prev:
-                for j in range(k + 1, n):
-                    mi[j] = mi[j] * pivot // prev
+            if pivot == -1:
+                mk = m[k] = [-x for x in mk]
+                pivot = 1
+                sign = -sign
+        if prev == 1:  # (x pivot - c y) / prev with nothing to divide
+            for i in range(k + 1, n):
+                mi = m[i]
+                c = mi[k]
+                if c:
+                    if pivot == 1:
+                        for j in range(k + 1, n):
+                            mi[j] -= c * mk[j]
+                    else:
+                        for j in range(k + 1, n):
+                            mi[j] = mi[j] * pivot - c * mk[j]
+                elif pivot != 1:
+                    for j in range(k + 1, n):
+                        mi[j] *= pivot
+        else:
+            for i in range(k + 1, n):
+                mi = m[i]
+                mik = mi[k]
+                if mik:
+                    for j in range(k + 1, n):
+                        mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+                elif pivot != prev:
+                    for j in range(k + 1, n):
+                        mi[j] = mi[j] * pivot // prev
         prev = pivot
     return sign
 
@@ -350,12 +400,19 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     p_k e_k and each right-half column j > k is still p_k e_j, so only n of
     the 2n columns carry information.  Step k stores the right half's column
     k in the slot its left column k frees: the previous pivot in the pivot
-    row, -a_ik in every other row i.  A row swap acts on whole rows of the
-    array, so elimination runs on P A, P the permutation of the swaps, and
-    the array R ends as p (P A)^{-1} with p = det(P A).  Then det A = s p
-    and adj A = s R P, a permutation of R's columns, with s = -1 per swap.
-    A row whose multiplier is 0 is only scaled by p_k / p_{k-1}, as in
-    :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
+    row, -a_ik in every other row i.  Pivots follow :func:`_eliminate`: the
+    first +1 or -1 in column k from row k down (the rows above are earlier
+    pivot rows), else its first nonzero entry, and a pivot row holding -1
+    is negated, whole, so its right-half entry becomes -p_{k-1} and the
+    slot takes a_ik in the other rows.  So after a unit pivot the next step
+    divides by 1, which it skips.  Swaps and negations act on whole rows of
+    the array, so elimination runs on D P A, P the permutation of the swaps
+    and D the diagonal of the negations, and the array R ends as
+    p (D P A)^{-1} D = p (P A)^{-1} with p = det(D P A), the last pivot.
+    Then det A = s p and adj A = s R P, with s = -1 per swap and per
+    negation: R P permutes R's columns, taken with one ``itemgetter`` per
+    row.  A row whose multiplier is 0 is only scaled by p_k / p_{k-1}, as
+    in :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
     column has no pivot (det = 0).
     """
     n = len(rows)
@@ -365,36 +422,66 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     prev = 1
     for k in range(n):
         mk = m[k]
-        if mk[k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
+        pivot = mk[k]
+        flip = 1
+        if pivot != 1:
+            if pivot != -1:
+                r = _pivot_row(m, k, n)
+                if r < 0:
+                    raise SingularMatrixError("matrix is singular, adjugate not formed")
+                if r != k:
                     m[k], m[r] = m[r], mk
                     perm[k], perm[r] = perm[r], perm[k]
                     sign = -sign
                     mk = m[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular, adjugate not formed")
-        pivot = mk[k]
-        for i in range(n):
-            if i != k:
-                mi = m[i]
-                mik = mi[k]
-                if mik:
-                    # Slot k comes out 0 here and takes -mik below.
-                    mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
-                    mi[k] = -mik
-                elif pivot != prev:  # slot k is 0 and stays 0
-                    m[i] = [x * pivot // prev for x in mi]
-        mk[k] = prev
+                    pivot = mk[k]
+            if pivot == -1:
+                mk = m[k] = [-x for x in mk]
+                pivot = 1
+                sign = -sign
+                flip = -1
+        if prev == 1:  # (x pivot - c y) / prev with nothing to divide
+            for i in range(n):
+                if i != k:
+                    mi = m[i]
+                    c = mi[k]
+                    if c:
+                        # Slot k comes out 0 here and takes -c flip.
+                        if pivot == 1:
+                            for j, y in enumerate(mk):
+                                if y:
+                                    mi[j] -= c * y
+                        else:
+                            for j in range(n):
+                                mi[j] = mi[j] * pivot - c * mk[j]
+                        mi[k] = -c * flip
+                    elif pivot != 1:  # slot k is 0 and stays 0
+                        for j in range(n):
+                            mi[j] *= pivot
+        else:
+            for i in range(n):
+                if i != k:
+                    mi = m[i]
+                    mik = mi[k]
+                    if mik:
+                        for j in range(n):
+                            mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+                        mi[k] = -mik * flip
+                    elif pivot != prev:
+                        for j in range(n):
+                            mi[j] = mi[j] * pivot // prev
+        mk[k] = prev * flip
         prev = pivot
-    if perm == sorted(perm):  # no row was swapped
+    if perm != sorted(perm):
+        # Column perm[c] of adj(A) is sign times column c of the array.
+        place = [0] * n
+        for c, r in enumerate(perm):
+            place[r] = c
+        take = itemgetter(*place)
+        m = [list(take(row)) for row in m]
+    if sign == 1:
         return prev, m
-    # Column perm[c] of adj(A) is sign times column c of the array.
-    place = [0] * n
-    for c, r in enumerate(perm):
-        place[r] = c
-    return sign * prev, [[sign * row[c] for c in place] for row in m]
+    return -prev, [[-x for x in row] for row in m]
 
 
 def inverse_sum_via_determinant(rows: Sequence[Sequence[int]]) -> Fraction:

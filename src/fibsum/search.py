@@ -315,9 +315,9 @@ def enumerate_general(n: int) -> SumDistribution:
 
 # Largest n, restarts and max_steps a search takes, each sized so that it
 # alone, with the rest at the defaults, ends in minutes on one core.  A
-# restart costs about 0.2 ms at n = 7, 0.7 ms at n = 12 and 0.1 s at
+# restart costs about 0.16 ms at n = 7, 0.6 ms at n = 12 and 0.1 s at
 # n = 64 (one core of a 2-vCPU Xeon host), so n = 64 at 200 restarts
-# takes under a minute, and SEARCH_MAX_RESTARTS about 20 s at n = 7.
+# takes under a minute, and SEARCH_MAX_RESTARTS about 16 s at n = 7.
 # Climbs stop at a local optimum within 50 steps at every n measured, so
 # only a climb that keeps improving meets SEARCH_MAX_STEPS: a step at
 # n = 7 takes at most about 0.05 ms, so 200 restarts that all ran

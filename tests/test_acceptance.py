@@ -2,9 +2,10 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  The whole suite is exact arithmetic end to end and
-takes about half a minute, most of it criterion 8, whose time is split about
-evenly between building the 21 906 (1,2) matrices (mostly their entry checks
-and the triangular packing, not arithmetic) and their Bareiss determinants.
+takes about half a minute, most of it criterion 8, whose time is mostly
+building the 21 906 (1,2) matrices (their entry checks and the triangular
+packing, not arithmetic); each is checked by an O(n^2) row-difference
+determinant, and Bareiss elimination checks only each n's two end targets.
 """
 
 import random
@@ -20,7 +21,7 @@ from fibsum.fibonacci import (check_corollary3, check_corollary4,
 from fibsum.linalg import (SingularMatrixError, Triangular01,
                            column_block_sum_pairs, determinant_exact, entry_sum,
                            invert_unit_triangular, inverse_column_sums,
-                           inverse_sum_via_determinant)
+                           inverse_sum_via_determinant, transpose)
 from fibsum.search import (KNOWN_GENERAL_MAX_7X7, KNOWN_GENERAL_MIN_7X7,
                            SearchConfig, enumerate_general,
                            enumerate_triangular, enumerate_w_determinants,
@@ -226,10 +227,50 @@ def test_criterion_07_identities_to_90():
     _report(7, "Fibonacci identities to n=90", lemma_ok and c3_ok and c4_ok)
 
 
+def _w_determinant(rows):
+    """det W for W = J + L, L (0,1) unit lower triangular, in O(n^2) exact
+    integer steps, without the determinant lemma the (1,2) constructor uses.
+
+    Subtracting row i - 1 from row i, bottom row first, leaves rows
+    1 .. n-1 unit lower triangular: above the diagonal 1 - 1 = 0, on it
+    2 - 1 = 1.  Clearing row 0 from the right, its entry j times row j for
+    j = n-1 .. 1, then leaves a lower triangular matrix whose diagonal is
+    (d, 1, ..., 1), so det W = d, the first entry left in row 0.
+    """
+    n = len(rows)
+    lower = [None] + [[x - y for x, y in zip(rows[i], rows[i - 1])]
+                      for i in range(1, n)]
+    for i in range(1, n):
+        if lower[i][i:] != [1] + [0] * (n - 1 - i):
+            raise ValueError(f"row {i} is not that of a (1,2) member J + L")
+    top = list(rows[0])
+    for j in range(n - 1, 0, -1):
+        a = top[j]
+        if a:
+            row = lower[j]
+            for k in range(j + 1):
+                top[k] -= a * row[k]
+    return top[0]
+
+
+def test_w_determinant_helper_matches_bareiss():
+    """The row-difference determinant of criterion 8 against the Bareiss
+    determinant on every (1,2) member J + L with n <= 5."""
+    members = 0
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            lower = transpose(Triangular01(n, mask).rows())
+            rows = [[x + 1 for x in row] for row in lower]
+            assert _w_determinant(rows) == determinant_exact(rows), rows
+            members += 1
+    assert members == 1 + 2 + 8 + 64 + 1024
+
+
 def test_criterion_08_w_determinants():
     """Exhaustive determinant distribution matches [3 - F_{n-1}, 3 + F_{n-1}]
     for n = 3..9; the (1,2) constructor round-trips every admissible target
-    for n <= 20."""
+    for n <= 20, each checked by the row-difference determinant and the two
+    end targets of each n also by Bareiss elimination."""
     scan_ok = True
     for n in range(3, 10):
         low, high = 3 - fib(n - 1), 3 + fib(n - 1)
@@ -238,9 +279,11 @@ def test_criterion_08_w_determinants():
     failures = []
     for n in range(3, 21):
         bound = fib(n - 1)
+        ends = (3 - bound, 3 + bound)
         for det in range(3 - bound, 3 + bound + 1):
-            w = construct_w_matrix(n, det)
-            if determinant_exact(w.to_rows()) != det:
+            rows = construct_w_matrix(n, det).to_rows()
+            if (_w_determinant(rows) != det
+                    or det in ends and determinant_exact(rows) != det):
                 failures.append((n, det))
     _report(8, "(1,2)-matrix determinant range and constructor", scan_ok and not failures,
             f"failures {failures[:5]}" if failures else "")

@@ -543,6 +543,86 @@ class TestAdjugateExact:
             adjugate_exact([[1, 0]])
 
 
+def unit_pivot_matrices(case, seed, count=200):
+    """Seeded integer matrices of sizes 2..6 whose column 0 is shaped by
+    ``case``, which so fixes pivot 0 and the division rule of step 1:
+
+    * ``"unit below"``: a 0 or 2 on the diagonal, a +1 or -1 lower down, so
+      pivot 0 is swapped up from a later row;
+    * ``"only -1"``: -1 is the column's one unit, so pivot row 0 is that
+      row negated, which flips the determinant's sign and, in the
+      adjugate, the slot that column 0 frees;
+    * ``"no unit"``: entries 0, 2, -2 and 3 only, so pivot 0 is not a unit
+      and step 1 takes the division path;
+    * ``"singular"``: one row is a multiple, maybe 0, of another.
+    """
+    rng = random.Random(seed)
+    no_unit = (0, 2, -2, 3)
+    for k in range(count):
+        n = 2 + k % 5
+        rows = [[rng.choice((0, 0, 1, -1, 1, 2, -2, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if case == "unit below":
+            rows[0][0] = rng.choice((0, 2))
+            rows[rng.randrange(1, n)][0] = rng.choice((1, -1))
+        elif case in ("only -1", "no unit"):
+            for row in rows:
+                row[0] = rng.choice(no_unit)
+            rows[rng.randrange(n)][0] = -1 if case == "only -1" else rng.choice(no_unit[1:])
+        else:
+            a, b = rng.sample(range(n), 2)
+            scale = rng.choice((0, 1, -1, 2))
+            rows[a] = [scale * x for x in rows[b]]
+        yield rows
+
+
+class TestUnitPivots:
+    """The eliminations pivot on the first +1 or -1 of a column, negate a
+    pivot row holding -1 and divide by no pivot of 1; every result must
+    still match the cofactor determinant and the [A | I] adjugate, whose
+    pivot is the first nonzero entry and which always divides."""
+
+    @pytest.mark.parametrize("case, seed, invertible", [
+        ("unit below", 1, 170), ("only -1", 2, 170), ("no unit", 3, 170),
+        ("singular", 4, 0)])
+    def test_matches_cofactor_and_augmented_oracles(self, case, seed, invertible):
+        found = 0
+        for rows in unit_pivot_matrices(case, seed):
+            copy = [list(r) for r in rows]
+            as_tuples = tuple(tuple(r) for r in rows)
+            det = det_cofactor(copy)
+            expected = adjugate_augmented(copy) if det else None
+            for given in (rows, as_tuples):
+                assert determinant_exact(given) == det
+                if det:
+                    assert adjugate_exact(given) == expected
+                    adj_sum = sum(sum(r) for r in expected[1])
+                    assert inverse_sum_via_determinant(given) == Fraction(adj_sum, det)
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        adjugate_exact(given)
+                    with pytest.raises(SingularMatrixError):
+                        inverse_sum_via_determinant(given)
+            assert rows == copy
+            assert as_tuples == tuple(tuple(r) for r in copy)
+            found += det != 0
+        if invertible:
+            assert found >= invertible
+        else:
+            assert found == 0
+
+    def test_minus_one_pivot_then_a_unit_free_column(self):
+        # Pivot 0 is the -1 of row 1, negated; column 1 then holds 3 and 2
+        # in rows 1 and 2, no unit, so pivot 1 is 3 and step 2 divides by
+        # it.
+        rows = [[2, 1, 0], [-1, 1, 1], [0, 2, 3]]
+        for given in (rows, tuple(map(tuple, rows))):
+            assert determinant_exact(given) == det_cofactor(rows)
+            assert adjugate_exact(given) == adjugate_augmented(rows)
+            adj_sum = sum(map(sum, adjugate_augmented(rows)[1]))
+            assert inverse_sum_via_determinant(given) == Fraction(adj_sum, det_cofactor(rows))
+
+
 class TestTriangular01:
     def test_round_trip_rows(self):
         rng = random.Random(8)
