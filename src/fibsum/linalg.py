@@ -19,17 +19,18 @@ det A from its own fraction-free Gauss-Jordan elimination: it checks its
 input and runs the unchecked kernel ``_adjugate``, which the hill climb
 calls on the (0,1) rows it builds itself.
 
-Both eliminations pivot on units: column k's pivot comes from the first
-row, from row k down and never ``_det_pair``'s border row, holding +1 or
--1 there, else from the first holding any nonzero entry, and a pivot row
-holding -1 is negated, flipping the determinant's sign.  A step sets
-each updated entry x to (x p - c y) / p', p the pivot and p' the previous
-one, an exact division (Bareiss 1968); when p and p' are both 1 that is
-x - c y, which the step runs with no multiply and no division.  On (0,1)
-input the leading pivots are units and later columns usually still hold
-one: on hill-climb start draws at n = 7, 8, 89% of ``_det_pair``'s steps
-and 86% of the start adjugate's take that path.  Determinants and
-adjugates are unique, so the pivot rule changes no result.
+Both eliminations pivot on units, by one shared step,
+:func:`_take_pivot`: column k's pivot comes from the first row, from row
+k down and never ``_det_pair``'s border row, holding +1 or -1 there, else
+from the first holding any nonzero entry, and a pivot row holding -1 is
+negated, flipping the determinant's sign.  A step sets each updated
+entry x to (x p - c y) / p', p the pivot and p' the previous one, an
+exact division (Bareiss 1968); when p and p' are both 1 that is x - c y,
+which the step runs with no multiply and no division.  On (0,1) input
+the leading pivots are units and later columns usually still hold one:
+on hill-climb start draws at n = 7, 8, 89% of ``_det_pair``'s steps and
+86% of the start adjugate's take that path.  Determinants and adjugates
+are unique, so the pivot rule changes no result.
 
 Matrices are plain row-major lists of lists. :class:`Triangular01` is the
 bit-packed representation of an invertible (0,1) upper triangular matrix
@@ -303,18 +304,30 @@ def _det_pair(rows: Sequence[Sequence[int]]) -> tuple:
     return sign * m[n - 1][n - 1], sign * m[n][n]
 
 
-def _pivot_row(m: list, k: int, stop: int) -> int:
-    """The row of column k's pivot among rows k .. stop - 1 of ``m``: the
-    first holding +1 or -1 there, else the first holding any nonzero entry,
-    else -1."""
-    first = -1
+def _take_pivot(m: list, k: int, stop: int) -> tuple:
+    """Move column k's pivot into row k of ``m``: the first of rows
+    k .. stop - 1 holding +1 or -1 in column k, else the first holding any
+    nonzero entry, swapped into row k and negated there when it holds -1.
+    Returns ``(r, flip)``, r the row it came from and flip -1 when it was
+    negated, else 1; ``(-1, 1)``, ``m`` unchanged, when the column holds
+    only zeros there."""
+    row = -1
     for r in range(k, stop):
         x = m[r][k]
         if x == 1 or x == -1:
-            return r
-        if x and first < 0:
-            first = r
-    return first
+            row = r
+            break
+        if x and row < 0:
+            row = r
+    if row < 0:
+        return -1, 1
+    mk = m[row]
+    m[row] = m[k]
+    if mk[k] == -1:
+        m[k] = [-x for x in mk]
+        return row, -1
+    m[k] = mk
+    return row, 1
 
 
 def _eliminate(m: list, steps: int) -> int:
@@ -323,38 +336,27 @@ def _eliminate(m: list, steps: int) -> int:
     give det, or 0 at once when some column k has no nonzero entry in rows
     k .. steps - 1.
 
-    Pivot k is taken from rows k .. steps - 1 by :func:`_pivot_row`: the
-    first +1 or -1 in column k, else its first nonzero entry.  A pivot row
-    holding -1 is negated, so every unit pivot is 1.  Any such rows will
-    do: after step k entry (i, j), i, j > k, is the minor of rows 0..k, i
-    and columns 0..k, j of the swapped and negated ``m``, so pivot k is its
-    leading (k + 1) x (k + 1) minor.  Step k sets each updated entry x to
-    (x pivot - m_ik y) / prev, an exact division, so when pivot and prev
-    are both 1 it subtracts m_ik y alone.  A row whose multiplier m_ik is
-    0 is only scaled by pivot / prev, so it is left as it is when
-    pivot == prev.  No checks: ``m`` must be a square list of lists of
-    ints that the caller owns, with steps <= len(m).
+    Where entry (k, k) is not 1, :func:`_take_pivot` moves pivot k up from
+    rows k .. steps - 1.  Any such rows will do: after step k entry (i, j),
+    i, j > k, is the minor of rows 0..k, i and columns 0..k, j of the
+    swapped and negated ``m``, so pivot k is its leading (k + 1) x (k + 1)
+    minor.  Step k sets each updated entry x to (x pivot - m_ik y) / prev,
+    an exact division, so when pivot and prev are both 1 it subtracts
+    m_ik y alone and leaves a row whose multiplier m_ik is 0 as it is.  No
+    checks: ``m`` must be a square list of lists of ints that the caller
+    owns, with steps <= len(m).
     """
     n = len(m)
     sign = 1
     prev = 1
     for k in range(steps):
+        if m[k][k] != 1:
+            r, flip = _take_pivot(m, k, steps)
+            if r < 0:
+                return 0
+            sign *= flip if r == k else -flip
         mk = m[k]
         pivot = mk[k]
-        if pivot != 1:
-            if pivot != -1:
-                r = _pivot_row(m, k, steps)
-                if r < 0:
-                    return 0
-                if r != k:
-                    m[k], m[r] = m[r], mk
-                    mk = m[k]
-                    pivot = mk[k]
-                    sign = -sign
-            if pivot == -1:
-                mk = m[k] = [-x for x in mk]
-                pivot = 1
-                sign = -sign
         if prev == 1 and pivot == 1:  # (x - c y) / 1: nothing to divide
             for i in range(k + 1, n):
                 mi = m[i]
@@ -366,12 +368,9 @@ def _eliminate(m: list, steps: int) -> int:
             for i in range(k + 1, n):
                 mi = m[i]
                 mik = mi[k]
-                if mik:
+                if mik or pivot != prev:
                     for j in range(k + 1, n):
                         mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-                elif pivot != prev:
-                    for j in range(k + 1, n):
-                        mi[j] = mi[j] * pivot // prev
         prev = pivot
     return sign
 
@@ -394,20 +393,18 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     p_k e_k and each right-half column j > k is still p_k e_j, so only n of
     the 2n columns carry information.  Step k stores the right half's column
     k in the slot its left column k frees: the previous pivot in the pivot
-    row, -a_ik in every other row i.  Pivots follow :func:`_eliminate`: the
-    first +1 or -1 in column k from row k down (the rows above are earlier
-    pivot rows), else its first nonzero entry, and a pivot row holding -1
-    is negated, whole, so its right-half entry becomes -p_{k-1} and the
-    slot takes a_ik in the other rows.  As there, a step whose pivot and
-    previous pivot are both 1 subtracts a_ik times the pivot row alone.
-    Swaps and negations act on whole rows of the array, so elimination runs
-    on D P A, P the permutation of the swaps and D the diagonal of the
-    negations, and the array R ends as p (D P A)^{-1} D = p (P A)^{-1}
-    with p = det(D P A), the last pivot.  Then det A = s p and adj A =
-    s R P, a permutation of R's columns, with s = -1 per swap and per
-    negation.  A row whose multiplier is 0 is only scaled by
-    p_k / p_{k-1}, as in :func:`_eliminate`.  Raises
-    :class:`SingularMatrixError` when some column has no pivot (det = 0).
+    row, -a_ik in every other row i.  Pivots come from :func:`_take_pivot`,
+    as in :func:`_eliminate` (the rows above row k are earlier pivot rows).
+    A pivot row it negates is negated whole, so its right-half entry
+    becomes -p_{k-1} and the slot takes a_ik in the other rows.  As there,
+    a step whose pivot and previous pivot are both 1 subtracts a_ik times
+    the pivot row alone.  Swaps and negations act on whole rows of the
+    array, so elimination runs on D P A, P the permutation of the swaps and
+    D the diagonal of the negations, and the array R ends as
+    p (D P A)^{-1} D = p (P A)^{-1} with p = det(D P A), the last pivot.
+    Then det A = s p and adj A = s R P, a permutation of R's columns, with
+    s = -1 per swap and per negation.  Raises :class:`SingularMatrixError`
+    when some column has no pivot (det = 0).
     """
     n = len(rows)
     m = [list(r) for r in rows]
@@ -415,25 +412,15 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     sign = 1
     prev = 1
     for k in range(n):
+        flip = 1
+        if m[k][k] != 1:
+            r, flip = _take_pivot(m, k, n)
+            if r < 0:
+                raise SingularMatrixError("matrix is singular, adjugate not formed")
+            perm[k], perm[r] = perm[r], perm[k]
+            sign *= flip if r == k else -flip
         mk = m[k]
         pivot = mk[k]
-        flip = 1
-        if pivot != 1:
-            if pivot != -1:
-                r = _pivot_row(m, k, n)
-                if r < 0:
-                    raise SingularMatrixError("matrix is singular, adjugate not formed")
-                if r != k:
-                    m[k], m[r] = m[r], mk
-                    perm[k], perm[r] = perm[r], perm[k]
-                    sign = -sign
-                    mk = m[k]
-                    pivot = mk[k]
-            if pivot == -1:
-                mk = m[k] = [-x for x in mk]
-                pivot = 1
-                sign = -sign
-                flip = -1
         if prev == 1 and pivot == 1:  # (x - c y) / 1: nothing to divide
             for i in range(n):
                 if i != k:
@@ -450,18 +437,12 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple:
                 if i != k:
                     mi = m[i]
                     mik = mi[k]
-                    if mik:
+                    if mik or pivot != prev:
                         # Slot k comes out 0 here and takes -mik flip.
                         mi = m[i] = [(x * pivot - mik * y) // prev for x, y in zip(mi, mk)]
                         mi[k] = -mik * flip
-                    elif pivot != prev:  # slot k is 0 and stays 0
-                        m[i] = [x * pivot // prev for x in mi]
         mk[k] = prev * flip
         prev = pivot
-    if perm == sorted(perm):  # no row was swapped
-        if sign == 1:
-            return prev, m
-        return -prev, [[-x for x in row] for row in m]
     # Column perm[c] of adj(A) is sign times column c of the array.
     place = [0] * n
     for c, r in enumerate(perm):

@@ -281,7 +281,8 @@ def enumerate_general(n: int) -> SumDistribution:
         raise ValueError(
             f"n={n} out of supported range 3..GENERAL_MAX_N = {GENERAL_MAX_N}: "
             "the scan visits C(2^n - 1, n) row sets (169 911 at n=5; 6.8e7 at "
-            "n=6 is beyond desk scale); for larger n use hill_climb_general")
+            "n=6 is beyond desk scale); for larger n use fibsum search "
+            "(hill_climb_general)")
     bits = [[(c >> j) & 1 for j in range(n)] for c in range(1 << n)]
     pairs = {}  # (det(A + J) - det(A), det(A)) -> [row sets, smallest word]
     for codes in itertools.combinations(range(1, 1 << n), n):

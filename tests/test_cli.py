@@ -329,6 +329,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--help")
         assert code == 0 and f"3..{limit}" in out
 
+    def test_general_refusal_names_the_search_command(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "general", "--n", "6")
+        assert code == 1 and out == ""
+        assert "for larger n use fibsum search" in err
+
     def test_jobs_defaults_to_one(self):
         args = build_parser().parse_args(["enumerate", "--family", "general",
                                           "--n", "3"])

@@ -623,6 +623,56 @@ class TestUnitPivots:
             assert inverse_sum_via_determinant(given) == Fraction(adj_sum, det_cofactor(rows))
 
 
+class TestTakePivot:
+    """The pivot choice itself, which no determinant or adjugate can show:
+    both are unique whatever pivots the eliminations take."""
+
+    @staticmethod
+    def column(entries):
+        # Row r holds entries[r] in column 1 and its own index in column 2,
+        # so a test can tell where each row went.
+        return [[9, x, r] for r, x in enumerate(entries)]
+
+    def test_later_unit_beats_earlier_non_unit(self):
+        for unit in (1, -1):
+            m = self.column([5, 2, 0, 3, unit, 1])
+            r, flip = linalg._take_pivot(m, 1, 6)
+            assert (r, flip) == (4, unit)
+            assert m[1] == [9 * unit, 1, 4 * unit]
+            assert [row[2] for row in m] == [0, 4 * unit, 2, 3, 1, 5]
+
+    def test_minus_one_row_is_negated(self):
+        m = self.column([5, 0, -1, 1])
+        assert linalg._take_pivot(m, 1, 4) == (2, -1)
+        assert m == [[9, 5, 0], [-9, 1, -2], [9, 0, 1], [9, 1, 3]]
+
+    def test_pivot_at_row_k_stays_in_place(self):
+        m = self.column([7, -1, 1])
+        assert linalg._take_pivot(m, 1, 3) == (1, -1)
+        assert m == [[9, 7, 0], [-9, 1, -1], [9, 1, 2]]
+
+    def test_first_nonzero_without_a_unit(self):
+        m = self.column([0, 0, -2, 3, 2])
+        assert linalg._take_pivot(m, 1, 5) == (2, 1)
+        assert m == [[9, 0, 0], [9, -2, 2], [9, 0, 1], [9, 3, 3], [9, 2, 4]]
+
+    def test_no_row_at_or_past_stop(self):
+        # Row 4, then row 3, stands for _det_pair's border row of ones.
+        m = self.column([5, 0, 2, 3, 1])
+        assert linalg._take_pivot(m, 1, 4) == (2, 1)
+        assert m[1] == [9, 2, 2] and m[4] == [9, 1, 4]
+        m = self.column([5, 0, 0, 1])
+        assert linalg._take_pivot(m, 1, 3) == (-1, 1)
+        assert m == self.column([5, 0, 0, 1])
+
+    def test_zero_column_is_no_pivot_and_changes_nothing(self):
+        m = self.column([4, 0, 0, 0])
+        rows = list(m)
+        assert linalg._take_pivot(m, 1, 4) == (-1, 1)
+        assert m == self.column([4, 0, 0, 0])
+        assert all(a is b for a, b in zip(m, rows))
+
+
 class TestTriangular01:
     def test_round_trip_rows(self):
         rng = random.Random(8)

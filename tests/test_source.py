@@ -34,3 +34,28 @@ def test_cli_handlers_write_nothing():
              for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
              if name in writers]
     assert len(handlers) == 8 and not found, f"handlers that write: {found}"
+
+
+def test_private_definitions_are_used():
+    # A module-level private function or class that nothing in the package
+    # names outside its own definition is dead code.  Name loads, attribute
+    # names and import names count as uses; docstrings and comments do not.
+    defined, used = [], {}
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defined.append((path.name, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                used.setdefault(name, set()).add(stmt)
+    dead = [f"{path}:{stmt.lineno} {stmt.name}" for path, stmt in defined
+            if not used.get(stmt.name, set()) - {stmt}]
+    assert defined and not dead, f"private definitions nothing uses: {dead}"
